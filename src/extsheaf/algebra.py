@@ -47,10 +47,6 @@ def mono_degree(m):
     return 2 * sum(e for _, e in m)
 
 
-def mono_vars(m):
-    return {v for v, _ in m}
-
-
 def monomials_of_degree(variables, k):
     """All exponent patterns of total degree k in the given variables, sorted."""
     variables = sorted(variables)
@@ -110,10 +106,6 @@ def char_add(a, b):
 def char_eval(chi, vec):
     """+1 or -1: the sign of chi on a group element given as bits."""
     return -1 if sum(x * y for x, y in zip(chi, vec)) % 2 else 1
-
-
-def char_is_trivial(chi):
-    return not any(chi)
 
 
 def char_compose(chi, matrix_rows):

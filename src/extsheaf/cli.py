@@ -36,9 +36,11 @@ class SchemaError(ValueError):
 def _need(doc, key, types, where="document"):
     if key not in doc:
         raise SchemaError(f"{where}: missing key {key!r}")
-    if types is not None and not isinstance(doc[key], types):
+    value = doc[key]
+    # JSON true/false load as bool, a subclass of int
+    if types is not None and (not isinstance(value, types) or (types is int and isinstance(value, bool))):
         raise SchemaError(f"{where}: key {key!r} has the wrong type")
-    return doc[key]
+    return value
 
 
 def load_document(path):
@@ -62,7 +64,7 @@ def load_document(path):
             if not isinstance(entry, dict) or "orbit" not in entry or "character" not in entry:
                 raise SchemaError("each label needs 'orbit' and 'character'")
     cutoff = doc.get("cutoff", DEFAULT_CUTOFF)
-    if not isinstance(cutoff, int) or cutoff < 0 or cutoff % 2:
+    if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0 or cutoff % 2:
         raise SchemaError("cutoff must be a nonnegative even integer")
     if mode == "toric":
         t = _need(doc, "toric", dict)

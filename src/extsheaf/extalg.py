@@ -15,7 +15,7 @@ from fractions import Fraction
 from .faces import FacePoint, downward_closed_families, g_stable_open
 from .hsheaf import HSheaf
 from .isotropy import DatumError
-from .linalg import Eliminator, Tag, solve_in_span
+from .linalg import Coordinates, rank
 from .posets import cech_cohomology, global_sections
 
 ONE = Fraction(1)
@@ -67,18 +67,6 @@ class ExtAlgebra:
 
     # -- coordinates
 
-    def _elim(self, block, degree):
-        key = (block, degree)
-        if key not in self._coord:
-            e = Eliminator()
-            ids = [i for i in self.by_block[block] if self.basis[i].degree == degree]
-            for t, i in enumerate(ids):
-                v = dict(self.basis[i].vector)
-                v[Tag(t)] = ONE
-                e.add(v)
-            self._coord[key] = (e, ids)
-        return self._coord[key]
-
     def express(self, block, vector):
         """Coefficients {basis index: c} of a vector in the block basis, or None."""
         if not vector:
@@ -86,15 +74,13 @@ class ExtAlgebra:
         degs = {self.H.label_degree(block[0], block[1], f, lab) for (f, lab) in vector}
         if len(degs) != 1:
             raise DatumError("vector is not homogeneous")
-        e, ids = self._elim(block, degs.pop())
-        _, res = e.coordinates(dict(vector))
-        out = {}
-        for k, v in res.items():
-            if not isinstance(k, Tag):
-                return None
-            if v:
-                out[ids[k.idx]] = -v
-        return out
+        key = (block, degs.pop())
+        if key not in self._coord:
+            ids = [i for i in self.by_block[block] if self.basis[i].degree == key[1]]
+            self._coord[key] = (Coordinates(self.basis[i].vector for i in ids), ids)
+        coords, ids = self._coord[key]
+        out = coords.of(vector)
+        return None if out is None else {ids[t]: c for t, c in out.items()}
 
     def _unit_vector(self, a):
         blk = self.H.blocks[(a, a)]
@@ -283,17 +269,15 @@ def _mv_surjectivity(H: HSheaf, delta, family, cutoff):
         sec = global_sections(H.space, uprime, blk.sheaf, cutoff)
         st = blk.stalk(cf)
         for d in sec.dims:
-            elim = Eliminator()
-            rk = 0
+            images = []
             for lab in (st.basis or {}).get(d, ()):
                 fam_vec = {}
                 for q in uprime:
                     img = blk.sheaf.apply(cf, q, {lab: ONE})
                     for lab2, c in img.items():
                         fam_vec[(q, lab2)] = c
-                if elim.add(fam_vec):
-                    rk += 1
-            if rk != sec.dim(d):
+                images.append(fam_vec)
+            if rank(images) != sec.dim(d):
                 detail["block"] = [i, j]
                 detail["degree"] = d
                 detail["intersection"] = list(uprime)
@@ -325,12 +309,8 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None, pair_cap
         vecs = getattr(hs[0], "h0_vectors", {})
         for d, vs in vecs.items():
             secv = list(sec.vectors.get(d, ()))
-            for v in vs:
-                if solve_in_span(secv, v) is None:
-                    span_match = False
-            for v in secv:
-                if solve_in_span(list(vs), v) is None:
-                    span_match = False
+            # span(A) = span(B) exactly when rank A = rank B = rank(A + B)
+            span_match &= rank(vs) == rank(secv) == rank(list(vs) + secv)
         entries.append(ReportEntry(
             name=f"dual-path[{i}:{j}]", ok=dims_match and span_match,
             details={"block": [i, j], "cech": {str(k): v for k, v in hs[0].dims.items()},

@@ -205,7 +205,7 @@ class KData:
                     mid = tuple(sorted(set(j) | {x}))
                     a = self._restrictions[(j, mid)]
                     b = self._restrictions[(mid, jp)]
-                    paths.append(self._compose(a, b, j, mid, jp))
+                    paths.append(self._compose(a, b, len(self.entries[jp]["generators"])))
                 if paths[0] != paths[1]:
                     raise DatumError(f"K-datum restrictions around {jkey(j)}..{jkey(jp)} do not commute")
 

@@ -7,6 +7,9 @@ doubled lattice M = 2N' = <2 Z^n, g_1, ..., g_r>, a sublattice of Z^n
 containing 2 Z^n, with N'/N identified with the image of M in (Z/2)^n.
 
 Rays are primitive integer vectors of N; cones are sets of ray indices.
+The integer lattice basis comes from a Hermite-style row sweep here;
+every solve over Q (lattice coordinates, smoothness minors, ridge
+normals) goes through linalg.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from .isotropy import DatumError, IsotropyFamily, f2_echelon, f2_coordinates
+from .linalg import abs_det, kernel_basis, solve_in_span
 
 
 # ---------------------------------------------------------------------------
@@ -65,68 +69,15 @@ def in_lattice(basis, v):
 
 def coords_in_lattice(basis, v):
     """Integer coordinates of v in the row basis, or None."""
-    sol = _solve_exact([list(b) for b in basis], [int(x) for x in v])
+    sol = solve_in_span([_sparse(b) for b in basis], _sparse(v))
     if sol is None or any(s.denominator != 1 for s in sol):
         return None
     return [int(s) for s in sol]
 
 
-def _solve_exact(basis_rows, target):
-    """Solve x . B = target over Q for full-rank square-ish B (rows)."""
-    n = len(basis_rows)
-    m = len(target)
-    # transpose to B^T x = target
-    a = [[Fraction(basis_rows[j][i]) for j in range(n)] for i in range(m)]
-    b = [Fraction(t) for t in target]
-    cols = list(range(n))
-    row = 0
-    pivots = []
-    for col in range(n):
-        piv = next((r for r in range(row, m) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        b[row], b[piv] = b[piv], b[row]
-        inv = Fraction(1) / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        b[row] = b[row] * inv
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-                b[r] -= f * b[row]
-        pivots.append((row, col))
-        row += 1
-    x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = b[r]
-    # consistency
-    for i in range(m):
-        s = sum(Fraction(basis_rows[j][i]) * x[j] for j in range(n))
-        if s != target[i]:
-            return None
-    return x
-
-
-def _det(mat):
-    """Exact determinant of a small integer matrix (fraction-free)."""
-    m = [list(map(Fraction, row)) for row in mat]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
+def _sparse(v):
+    """An integer vector as a sparse row over Q, keyed by position."""
+    return {i: Fraction(x) for i, x in enumerate(v) if x}
 
 
 def _content(v):
@@ -209,7 +160,7 @@ class Fan:
         for cone in self.max_cones:
             rows = self._cone_matrix(cone)
             k = len(rows)
-            minors = [abs(int(_det([[row[j] for j in js] for row in rows])))
+            minors = [int(abs_det([_sparse([row[j] for j in js]) for row in rows]))
                       for js in itertools.combinations(range(self.rank), k)]
             g = 0
             for mnr in minors:
@@ -253,36 +204,12 @@ class Fan:
         return sa * sb < 0
 
     def _ridge_normal(self, ridge):
-        n = self.rank
         if not ridge:
             return (Fraction(1),)  # n = 1: the ridge is {0}, any nonzero functional
-        rows = [list(map(Fraction, self.rays[i])) for i in ridge]
-        # kernel of rows . x = 0 is 1-dimensional
-        mat = [list(r) for r in rows]
-        pivots = {}
-        rr = 0
-        for col in range(n):
-            piv = next((r for r in range(rr, len(mat)) if mat[r][col] != 0), None)
-            if piv is None:
-                continue
-            mat[rr], mat[piv] = mat[piv], mat[rr]
-            inv = Fraction(1) / mat[rr][col]
-            mat[rr] = [x * inv for x in mat[rr]]
-            for r in range(len(mat)):
-                if r != rr and mat[r][col] != 0:
-                    f = mat[r][col]
-                    mat[r] = [x - f * y for x, y in zip(mat[r], mat[rr])]
-            pivots[col] = rr
-            rr += 1
-        free = [c for c in range(n) if c not in pivots]
-        if len(free) != 1:
+        kernel = kernel_basis([_sparse(self.rays[i]) for i in ridge], range(self.rank))
+        if len(kernel) != 1:
             raise DatumError("internal: ridge span is not a hyperplane")
-        f = free[0]
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
-        for c, r in pivots.items():
-            x[c] = -mat[r][f]
-        return tuple(x)
+        return tuple(kernel[0].get(i, Fraction(0)) for i in range(self.rank))
 
     # -- combinatorics
 

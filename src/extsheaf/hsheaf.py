@@ -110,13 +110,10 @@ class Block:
         la, lb = catalog.labels[i], catalog.labels[j]
         kdata = datum.kdata
         self._kparts = {}     # J -> GradedSpace of surviving K-monomials
-        self._faces = {}      # face key -> FacePoint (members only)
         stalks = {}
         twod = 2 * self.support.d
         members = self.support.members()
         for key in sorted(members):
-            f = FacePoint.from_key(key)
-            self._faces[key] = f
             rep = FacePoint.from_key(self.support.rep(key))
             jkey = rep.j
             if jkey not in self._kparts:
@@ -373,9 +370,9 @@ def check_restriction_product(H: HSheaf, max_degree=None):
                                     z = H.compose(a, b, c, f1, xl, yl)
                                     zr = {}
                                     if isinstance(z, tuple):
-                                        zr = _apply(bac.sheaf, f1, f2, {z[0]: z[1]})
-                                    xr = _apply(bab.sheaf, f1, f2, {xl: ONE})
-                                    yr = _apply(bbc.sheaf, f1, f2, {yl: ONE})
+                                        zr = bac.sheaf.apply(f1, f2, {z[0]: z[1]})
+                                    xr = bab.sheaf.apply(f1, f2, {xl: ONE})
+                                    yr = bbc.sheaf.apply(f1, f2, {yl: ONE})
                                     prod = {}
                                     for xl2, cx in xr.items():
                                         for yl2, cy in yr.items():
@@ -389,10 +386,6 @@ def check_restriction_product(H: HSheaf, max_degree=None):
                                     if prod != zr:
                                         bad.append((a, b, c, f1, f2, xl, yl))
     return bad
-
-
-def _apply(sheaf, f1, f2, vec):
-    return sheaf.apply(f1, f2, vec)
 
 
 def check_face_local_associativity(H: HSheaf):

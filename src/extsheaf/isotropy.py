@@ -44,10 +44,6 @@ def f2_echelon(rows):
     return tuple(out)
 
 
-def f2_rank(rows):
-    return len(f2_echelon(rows))
-
-
 def f2_in_span(rows, vec):
     vec = tuple(int(x) % 2 for x in vec)
     for r in f2_echelon(rows):

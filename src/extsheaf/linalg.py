@@ -54,10 +54,6 @@ def vec_scale(u, c):
     return {k: c * a for k, a in u.items()}
 
 
-def vec_eq(u, v):
-    return vec_add(u, v, Fraction(-1)) == {}
-
-
 class Eliminator:
     """Incremental row echelon store over Q with sparse rows.
 
@@ -153,21 +149,57 @@ def kernel_basis(rows, cols):
     return [e2.pivots[c] for c in sorted(e2.pivots)]
 
 
+def abs_det(rows):
+    """|det| of a square matrix given as sparse rows.
+
+    Each row is reduced against the rows before it, which leaves the
+    determinant unchanged; the residuals are triangular in pivot order,
+    so |det| is the product of their pivot entries.
+    """
+    e = Eliminator()
+    det = Fraction(1)
+    for r in rows:
+        r = e.reduce(r)
+        if not r:
+            return ZERO
+        det *= r[min(r)]
+        e.add(r)
+    return abs(det)
+
+
+class Coordinates:
+    """A fixed basis, echelonized once, for repeated coordinate queries.
+
+    Each basis vector carries a Tag column for its index, so reducing a
+    vector leaves minus its coefficients on the Tag columns.
+    """
+
+    def __init__(self, basis):
+        self.elim = Eliminator()
+        for i, b in enumerate(basis):
+            tagged = dict(b)
+            tagged[Tag(i)] = Fraction(1)
+            self.elim.add(tagged)
+
+    def of(self, vector):
+        """Coefficients {basis index: c} of vector, or None outside the span."""
+        _, res = self.elim.coordinates(vector)
+        if any(not isinstance(k, Tag) for k in res):
+            return None
+        return {k.idx: -v for k, v in res.items()}
+
+
 def solve_in_span(basis, target):
     """Write target as a combination of basis vectors if possible.
 
-    Returns the coefficient list (aligned with basis) or None.  Used for
-    change-of-basis checks between independently computed bases.
+    Returns the coefficient list (aligned with basis) or None.  The
+    one-shot form of Coordinates.
     """
-    e = Eliminator()
-    for i, b in enumerate(basis):
-        tagged = dict(b)
-        tagged[Tag(i)] = Fraction(1)
-        e.add(tagged)
-    _, res = e.coordinates(dict(target))
-    if any(not isinstance(k, Tag) for k in res):
+    basis = list(basis)
+    coeffs = Coordinates(basis).of(target)
+    if coeffs is None:
         return None
     out = [ZERO] * len(basis)
-    for k, v in res.items():
-        out[k.idx] = -v
+    for i, c in coeffs.items():
+        out[i] = c
     return out

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Eliminator, Tag, kernel_basis, rank as sparse_rank
+from .linalg import Coordinates, Eliminator, kernel_basis, rank as sparse_rank
 
 ONE = Fraction(1)
 
@@ -342,6 +342,7 @@ class _Gamma:
         else:
             self.min_point = None
             self.sec = global_sections(space, opens, sheaf, cutoff)
+            self.coords = {}
             self.cols = {d: list(range(len(self.sec.vectors.get(d, ())))) for d in self.sec.dims}
 
     def dim(self, d):
@@ -358,18 +359,11 @@ class _Gamma:
         if self.min_point is not None:
             m = self.min_point
             return {(m, lab): c for (p, lab), c in family.items() if p == m and c}
-        elim = Eliminator()
-        for i, v in enumerate(self.sec.vectors.get(d, ())):
-            tagged = dict(v)
-            tagged[Tag(i)] = ONE
-            elim.add(tagged)
-        _, res = elim.coordinates(dict(family))
-        out = {}
-        for k, v in res.items():
-            if not isinstance(k, Tag):
-                raise SpaceError("family is not a section over the intersection")
-            if v:
-                out[k.idx] = -v
+        if d not in self.coords:
+            self.coords[d] = Coordinates(self.sec.vectors.get(d, ()))
+        out = self.coords[d].of(family)
+        if out is None:
+            raise SpaceError("family is not a section over the intersection")
         return out
 
 

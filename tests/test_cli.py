@@ -137,3 +137,60 @@ class TestDeterminism:
         _, text1 = invoke(*args)
         _, text2 = invoke(*args)
         assert text1 == text2
+
+
+def _canonical_l2_with_kdatum(tmp_path, kdatum):
+    doc = json.loads((DATA / "canonical_l2.json").read_text())
+    doc["symmetric"]["Kdatum"] = kdatum
+    p = tmp_path / "kdatum.json"
+    p.write_text(json.dumps(doc))
+    return p
+
+
+class TestExplicitKData:
+    PAIRS = ("->1", "->2", "1>1+2", "2>1+2")
+
+    def test_scalar_kdatum_matches_default(self, tmp_path):
+        ident = [[1, 0], [0, 1]]
+        kdatum = {j: {"tau_rank": 2, "to_open": ident, "generators": []} for j in ("-", "1", "2", "1+2")}
+        kdatum["restrictions"] = {pair: {"tau_map": ident, "gens": []} for pair in self.PAIRS}
+        p = _canonical_l2_with_kdatum(tmp_path, kdatum)
+        code, explicit = invoke_json("--input", str(p), "--command", "ext")
+        code0, default = invoke_json("--input", str(DATA / "canonical_l2.json"), "--command", "ext")
+        assert code == code0 == 0
+        del explicit["meta"]["input"], default["meta"]["input"]
+        assert explicit == default
+
+    def test_noncommuting_diamond_is_datum_error(self, tmp_path):
+        gen = {"tau_rank": 0, "to_open": [], "generators": [{"degree": 2, "signs": []}]}
+        kdatum = {j: gen for j in ("-", "1", "2", "1+2")}
+        kdatum["restrictions"] = {pair: {"tau_map": [], "gens": [[["1", [1]]]]} for pair in self.PAIRS}
+        kdatum["restrictions"]["2>1+2"] = {"tau_map": [], "gens": [[["2", [1]]]]}
+        p = _canonical_l2_with_kdatum(tmp_path, kdatum)
+        code, payload = invoke_json("--input", str(p), "--command", "validate")
+        assert code == 2
+        assert "do not commute" in payload["error"]["message"]
+
+
+class TestBooleansAreNotIntegers:
+    def _run(self, tmp_path, edit):
+        doc = json.loads((DATA / "canonical_l1.json").read_text())
+        edit(doc)
+        p = tmp_path / "bool.json"
+        p.write_text(json.dumps(doc))
+        return invoke_json("--input", str(p), "--command", "validate")
+
+    def test_cutoff_false_rejected(self, tmp_path):
+        code, payload = self._run(tmp_path, lambda d: d.update(cutoff=False))
+        assert code == 1
+        assert "cutoff" in payload["error"]["message"]
+
+    def test_l_true_rejected(self, tmp_path):
+        code, payload = self._run(tmp_path, lambda d: d["symmetric"].update(l=True))
+        assert code == 1
+        assert "'l'" in payload["error"]["message"]
+
+    def test_m_true_rejected(self, tmp_path):
+        code, payload = self._run(tmp_path, lambda d: d["symmetric"].update(m=True))
+        assert code == 1
+        assert "'m'" in payload["error"]["message"]
