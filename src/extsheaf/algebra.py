@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import Eliminator
 from .posets import GradedSpace
 
-ONE = Fraction(1)
+ONE = 1
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +204,10 @@ def twisted_tensor_relations(module: TwoGroupModule, rho, rhop, cutoff) -> Grade
                     for wp in group:
                         lhs = (m, char_add(char_add(wp, u), w))
                         sign = char_eval(chi, w)
-                        rhs_coeff = Fraction(char_eval(rhop, w) * char_eval(rho, wp))
+                        rhs_coeff = char_eval(rhop, w) * char_eval(rho, wp)
                         row = {}
-                        row[colpos[lhs]] = row.get(colpos[lhs], Fraction(0)) + sign
-                        row[colpos[(m, u)]] = row.get(colpos[(m, u)], Fraction(0)) - rhs_coeff
+                        row[colpos[lhs]] = row.get(colpos[lhs], 0) + sign
+                        row[colpos[(m, u)]] = row.get(colpos[(m, u)], 0) - rhs_coeff
                         row = {k: v for k, v in row.items() if v}
                         if row:
                             rows.append(row)
@@ -237,7 +236,7 @@ class TwistedElement:
     module: TwoGroupModule
     rho: tuple
     rhop: tuple
-    coeffs: tuple  # sorted ((exps, Fraction), ...)
+    coeffs: tuple  # sorted ((exps, rational), ...)
 
     @staticmethod
     def make(module, rho, rhop, coeffs):
@@ -262,7 +261,7 @@ def twisted_product(x: TwistedElement, y: TwistedElement) -> TwistedElement:
     for ex, cx in x.coeffs:
         for ey, cy in y.coeffs:
             key = tuple(a + b for a, b in zip(ex, ey))
-            acc[key] = acc.get(key, Fraction(0)) + cx * cy
+            acc[key] = acc.get(key, 0) + cx * cy
     return TwistedElement.make(x.module, y.rho, x.rhop, acc)
 
 

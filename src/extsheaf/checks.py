@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 from .algebra import twisted_tensor, twisted_tensor_relations
 from .extalg import ExtAlgebra, Report, ReportEntry, concentration_check, vanishing_report
@@ -26,7 +25,7 @@ from .hsheaf import (
 from .oracles import brute_sections, identity_fuzz, pp_hilbert, quadrant_check
 from .posets import validate_intersection_axiom
 
-ONE = Fraction(1)
+ONE = 1
 
 
 def _entry(name, ok, **details):
@@ -148,7 +147,7 @@ def section_algebra_checks(H: HSheaf, ext: ExtAlgebra, rng: random.Random, full_
             if prod == "truncated":
                 continue
             for z, cz in prod.items():
-                acted[z] = acted.get(z, Fraction(0)) + ce * cz
+                acted[z] = acted.get(z, 0) + ce * cz
         if {k: v for k, v in acted.items() if v} != {x: ONE}:
             right_bad.append(x)
             break
@@ -170,16 +169,14 @@ def section_algebra_checks(H: HSheaf, ext: ExtAlgebra, rng: random.Random, full_
 def _section_associativity(H, ext, rng, full, sample=600):
     n = len(ext.catalog)
 
-    def followers(x, budget):
+    def followers(x, degree):
         b = ext.basis[x].block[1]
-        return [y for c in range(n) for y in ext.by_block[(b, c)]
-                if ext.basis[y].degree <= budget]
+        return [y for c in range(n) for y in ext.partners(x, (b, c), degree)]
 
     def all_triples():
         for x in range(len(ext.basis)):
-            for y in followers(x, ext.cutoff - ext.basis[x].degree):
-                left = ext.cutoff - ext.basis[x].degree - ext.basis[y].degree
-                for z in followers(y, left):
+            for y in followers(x, ext.basis[x].degree):
+                for z in followers(y, ext.basis[x].degree + ext.basis[y].degree):
                     yield x, y, z
 
     def sampled_triples():
@@ -188,11 +185,11 @@ def _section_associativity(H, ext, rng, full, sample=600):
         while produced < sample and attempts < 50 * sample:
             attempts += 1
             x = rng.randrange(len(ext.basis))
-            ys = followers(x, ext.cutoff - ext.basis[x].degree)
+            ys = followers(x, ext.basis[x].degree)
             if not ys:
                 continue
             y = ys[rng.randrange(len(ys))]
-            zs = followers(y, ext.cutoff - ext.basis[x].degree - ext.basis[y].degree)
+            zs = followers(y, ext.basis[x].degree + ext.basis[y].degree)
             if not zs:
                 continue
             z = zs[rng.randrange(len(zs))]
@@ -212,7 +209,7 @@ def _section_associativity(H, ext, rng, full, sample=600):
                 left = None
                 break
             for v, cv in t.items():
-                left[v] = left.get(v, Fraction(0)) + cw * cv
+                left[v] = left.get(v, 0) + cw * cv
         right = {}
         for w, cw in yz.items():
             t = ext.multiply(x, w)
@@ -220,7 +217,7 @@ def _section_associativity(H, ext, rng, full, sample=600):
                 right = None
                 break
             for v, cv in t.items():
-                right[v] = right.get(v, Fraction(0)) + cw * cv
+                right[v] = right.get(v, 0) + cw * cv
         if left is None or right is None:
             continue
         tested += 1

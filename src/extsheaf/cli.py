@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .checks import run_battery
 from .extalg import ext_algebra
@@ -68,15 +67,48 @@ def load_document(path):
         raise SchemaError("cutoff must be a nonnegative even integer")
     if mode == "toric":
         t = _need(doc, "toric", dict)
-        for key, types in [("lattice_rank", int), ("overlattice_generators", list),
-                           ("rays", list), ("max_cones", list)]:
-            _need(t, key, types, where="toric")
+        _need(t, "lattice_rank", int, where="toric")
+        for key in ("overlattice_generators", "rays", "max_cones"):
+            _int_rows(_need(t, key, list, where="toric"), f"toric.{key}")
     else:
         s = _need(doc, "symmetric", dict)
         for key, types in [("V", list), ("S", list), ("l", int), ("Jmap", dict),
                            ("m", int), ("D_subspaces", dict)]:
             _need(s, key, types, where="symmetric")
+        if s.get("Kdatum") is not None:
+            _check_kdatum(_need(s, "Kdatum", dict, where="symmetric"))
     return doc
+
+
+def _int_rows(rows, where):
+    """Every entry of a list of rows is a JSON integer."""
+    for r, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise SchemaError(f"{where}[{r}] must be a list of integers")
+        for c, x in enumerate(row):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise SchemaError(f"{where}[{r}][{c}] must be an integer")
+
+
+def _check_kdatum(kdatum):
+    """Per-J entries and restrictions carry every key the K-datum reads."""
+    for jk, entry in kdatum.items():
+        where = f"symmetric.Kdatum[{jk!r}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where} must be an object")
+        if jk == "restrictions":
+            for pair, r in entry.items():
+                if not isinstance(r, dict):
+                    raise SchemaError(f"{where}[{pair!r}] must be an object")
+                _need(r, "tau_map", list, where=f"{where}[{pair!r}]")
+            continue
+        _need(entry, "tau_rank", int, where=where)
+        _need(entry, "to_open", list, where=where)
+        for g, gen in enumerate(_need(entry, "generators", list, where=where)):
+            if not isinstance(gen, dict):
+                raise SchemaError(f"{where}.generators[{g}] must be an object")
+            _need(gen, "degree", int, where=f"{where}.generators[{g}]")
+            _need(gen, "signs", list, where=f"{where}.generators[{g}]")
 
 
 def _orbit_from_key(key):
@@ -118,7 +150,8 @@ def document_datum(doc):
 
 
 def _frac(x):
-    return str(x) if isinstance(x, Fraction) else x
+    """An exact coefficient (int or Fraction) as its canonical string."""
+    return str(x)
 
 
 def emit_json(payload):
@@ -262,7 +295,7 @@ def cmd_ext(doc, path, cutoff, seed, block=None):
             for (b2, c) in sorted(ext.by_block):
                 if b2 != j or ((i, j) != (b2, c) and (b2, c) not in shown):
                     continue
-                for y in ext.by_block[(b2, c)]:
+                for y in ext.partners(x, (b2, c)):
                     prod = ext.multiply(x, y)
                     if prod == "truncated" or not prod:
                         continue

@@ -9,8 +9,8 @@ G-stable opens.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .faces import FacePoint, downward_closed_families, g_stable_open
 from .hsheaf import HSheaf
@@ -18,7 +18,7 @@ from .isotropy import DatumError
 from .linalg import Coordinates, rank
 from .posets import cech_cohomology, global_sections
 
-ONE = Fraction(1)
+ONE = 1
 
 
 @dataclass
@@ -26,7 +26,7 @@ class BasisElement:
     index: int
     block: tuple      # (i, j) catalog indices
     degree: int
-    vector: dict      # (face key, stalk label) -> Fraction
+    vector: dict      # (face key, stalk label) -> int or Fraction
     name: str
 
 
@@ -40,7 +40,8 @@ class ExtAlgebra:
         self.cutoff = H.cutoff
         self.sections = {}
         self.basis = []
-        self.by_block = {}
+        self.by_block = {}        # ids sorted by degree
+        self._degrees = {}        # block -> degrees of its ids
         self.truncated_pairs = 0
         self._table = {}
         self._coord = {}
@@ -57,6 +58,7 @@ class ExtAlgebra:
                         self.basis.append(BasisElement(idx, (i, j), d, dict(v), name))
                         ids.append(idx)
                 self.by_block[(i, j)] = tuple(ids)
+                self._degrees[(i, j)] = [self.basis[k].degree for k in ids]
         self.idempotents = {}
         for a in range(n):
             vec = self._unit_vector(a)
@@ -94,6 +96,21 @@ class ExtAlgebra:
 
     # -- products
 
+    def partners(self, x: int, block, degree=None):
+        """Ids y of block with degree + deg y <= cutoff, in basis order.
+
+        With degree None this is the table row of x in block (degree is
+        deg x): the pairs (x, y) that the degree bound cuts off are never
+        multiplied and are counted in truncated_pairs.  An explicit degree
+        (of a product, say) only selects and counts nothing.
+        """
+        ids = self.by_block[block]
+        k = bisect_right(self._degrees[block],
+                         self.cutoff - (self.basis[x].degree if degree is None else degree))
+        if degree is None:
+            self.truncated_pairs += len(ids) - k
+        return ids[:k]
+
     def multiply(self, x: int, y: int):
         """Structure constants of basis[x] * basis[y].
 
@@ -129,7 +146,7 @@ class ExtAlgebra:
         out = {}
         for coeffs in self.idempotents.values():
             for k, v in coeffs.items():
-                out[k] = out.get(k, Fraction(0)) + v
+                out[k] = out.get(k, 0) + v
         return {k: v for k, v in out.items() if v}
 
     def act_by(self, coeffs, x: int):
@@ -140,7 +157,7 @@ class ExtAlgebra:
             if prod == "truncated":
                 return "truncated"
             for z, cz in prod.items():
-                v = out.get(z, Fraction(0)) + ce * cz
+                v = out.get(z, 0) + ce * cz
                 if v:
                     out[z] = v
                 else:
@@ -346,7 +363,7 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None, pair_cap
                                         if t == "truncated":
                                             continue
                                         for z, cz in t.items():
-                                            want[z] = want.get(z, Fraction(0)) + x1 * x2 * cz
+                                            want[z] = want.get(z, 0) + x1 * x2 * cz
                                 got = ext.express((a, c), prod)
                                 want = {k: v for k, v in want.items() if v}
                                 if got != want:

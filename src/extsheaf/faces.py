@@ -18,7 +18,7 @@ from .algebra import TwoGroupModule, char_add, char_compose
 from .isotropy import DatumError, IsotropyFamily, orbit_key
 from .posets import FiniteSpace
 
-ONE = Fraction(1)
+ONE = 1
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class KData:
                         r = rest[key]
                         tau_map = tuple(tuple(int(b) for b in row) for row in r["tau_map"])
                         gens = tuple(
-                            tuple((tuple(int(e) for e in exps), Fraction(str(c))) for c, exps in poly)
+                            tuple((tuple(int(e) for e in exps), _rational(c)) for c, exps in poly)
                             for poly in r.get("gens", ()))
                         self._restrictions[(j, jp)] = {"tau_map": tau_map, "gens": gens}
             self._validate()
@@ -156,7 +156,7 @@ class KData:
                     for _ in range(e):
                         prod = _poly_mul(prod, dict(second["gens"][gi]))
                 for k, v in prod.items():
-                    acc[k] = acc.get(k, Fraction(0)) + coeff * v
+                    acc[k] = acc.get(k, 0) + coeff * v
             gens.append(tuple(sorted((k, v) for k, v in acc.items() if v)))
         return {"tau_map": tau, "gens": tuple(gens)}
 
@@ -210,6 +210,12 @@ class KData:
                     raise DatumError(f"K-datum restrictions around {jkey(j)}..{jkey(jp)} do not commute")
 
 
+def _rational(c):
+    """A JSON coefficient as an exact rational: an int when it is integral."""
+    q = Fraction(str(c))
+    return q.numerator if q.denominator == 1 else q
+
+
 def _f2_matmul_row(row, matrix_rows):
     """Image of a bit row under the map sending basis i to matrix_rows[i]."""
     width = len(matrix_rows[0]) if matrix_rows else 0
@@ -229,7 +235,7 @@ def _poly_mul(p, q):
     for ka, va in p.items():
         for kb, vb in q.items():
             k = tuple(a + b for a, b in zip(ka, kb))
-            out[k] = out.get(k, Fraction(0)) + va * vb
+            out[k] = out.get(k, 0) + va * vb
     return {k: v for k, v in out.items() if v}
 
 

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import mono_degree, mono_mul, monomials_of_degree, twist_factor, twisted_tensor
+from .algebra import mono, mono_degree, mono_mul, monomials_of_degree, twist_factor, twisted_tensor
 from .faces import FacePoint, SymmetricDatum, build_faces
 from .isotropy import DatumError, orbit_key
 from .posets import FiniteSpace, GradedSheaf, GradedSpace
 
-ONE = Fraction(1)
+ONE = 1
 
 
 @dataclass
@@ -171,7 +170,8 @@ class HSheaf:
         for i in range(n):
             for j in range(n):
                 self.blocks[(i, j)] = Block(datum, catalog, i, j, self.space, cutoff)
-        self._twists = {}
+        self._contexts = {}
+        self._gradings = {}
 
     def block(self, i, j) -> Block:
         return self.blocks[(i, j)]
@@ -179,22 +179,17 @@ class HSheaf:
     def stalk(self, i, j, face_key) -> GradedSpace:
         return self.blocks[(i, j)].stalk(face_key)
 
-    def product_twist(self, a, b, c, face_key):
-        """Twist monomial for composing (a,b) with (b,c) into (a,c) at a face.
-
-        Returns the monomial (possibly 1) or None for the zero map; the
-        triple must be alive at the face, i.e. the face lies in all
-        three supports, whose transports then agree.
-        """
+    def _context(self, a, b, c, face_key):
+        """Cached (twist, 2 d_ac, K-module degrees of the H^{ac} stalk) for
+        composing (a,b) with (b,c) at a face, or None for the zero map."""
         key = (a, b, c, face_key)
-        if key in self._twists:
-            return self._twists[key]
+        if key in self._contexts:
+            return self._contexts[key]
         sab, sbc, sac = (self.blocks[(a, b)].support, self.blocks[(b, c)].support,
                          self.blocks[(a, c)].support)
         members = sab.members(), sbc.members(), sac.members()
-        if any(face_key not in m for m in members):
-            tw = None
-        else:
+        ctx = None
+        if all(face_key in m for m in members):
             reps = {sab.rep(face_key), sbc.rep(face_key), sac.rep(face_key)}
             if len(reps) != 1:
                 raise DatumError("support transports disagree on a common face")
@@ -203,8 +198,20 @@ class HSheaf:
             lb = self.catalog.labels[b].orbit
             lc = self.catalog.labels[c].orbit
             tw = twist_factor(rep.orbit, la, lb, lc)
-        self._twists[key] = tw
-        return tw
+            if tw is not None:
+                ctx = (tw,) + self._grading(a, c, face_key)
+        self._contexts[key] = ctx
+        return ctx
+
+    def product_twist(self, a, b, c, face_key):
+        """Twist monomial for composing (a,b) with (b,c) into (a,c) at a face.
+
+        Returns the monomial (possibly 1) or None for the zero map; the
+        triple must be alive at the face, i.e. the face lies in all
+        three supports, whose transports then agree.
+        """
+        ctx = self._context(a, b, c, face_key)
+        return None if ctx is None else ctx[0]
 
     def compose(self, a, b, c, face_key, xlab, ylab):
         """Stalk-level product of x ∈ H^{ab} and y ∈ H^{bc} at a face.
@@ -213,26 +220,32 @@ class HSheaf:
         the string "truncated" when the product escapes the cutoff.  The
         coefficient is always 1: the twist only contributes a monomial.
         """
-        tw = self.product_twist(a, b, c, face_key)
-        if tw is None:
+        ctx = self._context(a, b, c, face_key)
+        if ctx is None:
             return None
+        tw, twod, degrees = ctx
         (pmx, kmx), (pmy, kmy) = xlab, ylab
-        pm = mono_mul(mono_mul(pmx, pmy), tw)
+        pm = mono(*pmx, *pmy, *tw)
         km = tuple(x + y for x, y in zip(kmx, kmy))
-        blk = self.blocks[(a, c)]
-        repj = FacePoint.from_key(blk.support.rep(face_key)).j
-        mod = self.datum.kdata.module(repj)
-        d = 2 * blk.support.d + mono_degree(pm) + sum(dd * e for dd, e in zip(mod.degrees, km))
+        d = twod + mono_degree(pm) + sum(dd * e for dd, e in zip(degrees, km))
         if d > self.cutoff:
             return "truncated"
         return ((pm, km), ONE)
 
+    def _grading(self, i, j, face_key):
+        """Cached (2 d_ij, K-module degrees) grading the H^{ij} stalk at a face."""
+        key = (i, j, face_key)
+        g = self._gradings.get(key)
+        if g is None:
+            blk = self.blocks[(i, j)]
+            rep = FacePoint.from_key(blk.support.rep(face_key))
+            g = self._gradings[key] = (2 * blk.support.d, self.datum.kdata.module(rep.j).degrees)
+        return g
+
     def label_degree(self, i, j, face_key, lab):
         pm, km = lab
-        blk = self.blocks[(i, j)]
-        repj = FacePoint.from_key(blk.support.rep(face_key)).j
-        mod = self.datum.kdata.module(repj)
-        return 2 * blk.support.d + mono_degree(pm) + sum(dd * e for dd, e in zip(mod.degrees, km))
+        twod, degrees = self._grading(i, j, face_key)
+        return twod + mono_degree(pm) + sum(dd * e for dd, e in zip(degrees, km))
 
     def multiply_sections(self, a, b, c, xvec, yvec):
         """Facewise product of section vectors of H^{ab} and H^{bc}.
@@ -241,27 +254,24 @@ class HSheaf:
         is a vector over H^{ac} coordinates, or the string "truncated"
         when a facewise product escapes the cutoff.
         """
-        by_face_x, by_face_y = {}, {}
-        for (f, lab), cv in xvec.items():
-            by_face_x.setdefault(f, []).append((lab, cv))
+        by_face_y = {}
         for (f, lab), cv in yvec.items():
             by_face_y.setdefault(f, []).append((lab, cv))
         out = {}
-        for f in sorted(set(by_face_x) & set(by_face_y)):
-            for xlab, cx in by_face_x[f]:
-                for ylab, cy in by_face_y[f]:
-                    z = self.compose(a, b, c, f, xlab, ylab)
-                    if z is None:
-                        continue
-                    if z == "truncated":
-                        return "truncated"
-                    lab, cz = z
-                    key = (f, lab)
-                    v = out.get(key, Fraction(0)) + cx * cy * cz
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
+        for (f, xlab), cx in xvec.items():
+            for ylab, cy in by_face_y.get(f, ()):
+                z = self.compose(a, b, c, f, xlab, ylab)
+                if z is None:
+                    continue
+                if z == "truncated":
+                    return "truncated"
+                lab, cz = z
+                key = (f, lab)
+                v = out.get(key, 0) + cx * cy * cz
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
         return out
 
 
@@ -379,7 +389,7 @@ def check_restriction_product(H: HSheaf, max_degree=None):
                                             z2 = H.compose(a, b, c, f2, xl2, yl2)
                                             if isinstance(z2, tuple):
                                                 lab, cz = z2
-                                                prod[lab] = prod.get(lab, Fraction(0)) + cx * cy * cz
+                                                prod[lab] = prod.get(lab, 0) + cx * cy * cz
                                     prod = {k: v for k, v in prod.items() if v}
                                     if z == "truncated":
                                         continue

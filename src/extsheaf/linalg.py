@@ -1,15 +1,17 @@
 """Exact sparse linear algebra over Q used by the engine.
 
-Vectors are dicts mapping hashable column keys to nonzero Fractions.
-Everything here is exact; no floating point. The oracle module carries
-its own independent dense elimination (see oracles.py).
+Vectors are dicts mapping hashable column keys to nonzero exact
+rationals: an int until a division forces a Fraction, and a Fraction
+only from a pivot other than +-1.  Never a float.  The oracle module
+carries its own independent dense elimination (see oracles.py).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-ZERO = Fraction(0)
+ZERO = 0
+ONE = 1
 
 
 class Tag:
@@ -36,22 +38,14 @@ class Tag:
         return f"Tag({self.idx})"
 
 
-def vec_add(u, v, c=Fraction(1)):
-    """Return u + c*v, dropping zeros."""
-    out = dict(u)
-    for k, a in v.items():
-        b = out.get(k, ZERO) + c * a
+def _subtract(row, pivot_row, c):
+    """row -= c * pivot_row in place, dropping zeros."""
+    for k, a in pivot_row.items():
+        b = row.get(k, ZERO) - c * a
         if b:
-            out[k] = b
+            row[k] = b
         else:
-            out.pop(k, None)
-    return out
-
-
-def vec_scale(u, c):
-    if not c:
-        return {}
-    return {k: c * a for k, a in u.items()}
+            row.pop(k, None)
 
 
 class Eliminator:
@@ -60,23 +54,26 @@ class Eliminator:
     Rows are reduced against the stored pivots as they arrive; each kept
     row owns one pivot column.  Column keys are ordered by their sort
     order so results do not depend on insertion order of equal systems.
+    Stored rows are owned by the eliminator and updated in place.
     """
 
     def __init__(self):
         self.pivots = {}  # pivot column -> reduced row (dict), coefficient 1 at pivot
 
-    def reduce(self, row):
-        """Fully reduce row against current pivots; returns the residual.
+    def reduce(self, row, coeffs=None):
+        """Fully reduce a copy of row against current pivots; returns the residual.
 
         Stored pivot rows carry no entries at other pivot columns, so a
-        single pass over the row's pivot-column entries suffices.
+        single pass over the row's pivot-column entries suffices.  The
+        multiples used are recorded in coeffs when given.
         """
         row = dict(row)
-        hit = [c for c in row if c in self.pivots]
-        for c in hit:
-            v = row.get(c)
-            if v:
-                row = vec_add(row, self.pivots[c], -v)
+        pivots = self.pivots
+        for c in [c for c in row if c in pivots]:
+            v = row[c]
+            if coeffs is not None:
+                coeffs[c] = v
+            _subtract(row, pivots[c], v)
         return row
 
     def add(self, row):
@@ -85,12 +82,17 @@ class Eliminator:
         if not row:
             return False
         col = min(row)
-        inv = Fraction(1) / row[col]
-        row = vec_scale(row, inv)
+        p = row[col]
+        if p == -1:
+            row = {k: -a for k, a in row.items()}
+        elif p != 1:
+            inv = Fraction(1) / p
+            row = {k: a * inv for k, a in row.items()}
         # keep stored rows fully reduced against each other
-        for c, other in self.pivots.items():
-            if col in other:
-                self.pivots[c] = vec_add(other, row, -other[col])
+        for other in self.pivots.values():
+            c = other.get(col)
+            if c:
+                _subtract(other, row, c)
         self.pivots[col] = row
         return True
 
@@ -104,14 +106,7 @@ class Eliminator:
         Returns (coeffs keyed by pivot column, residual).
         """
         coeffs = {}
-        row = dict(row)
-        hit = [c for c in row if c in self.pivots]
-        for c in hit:
-            v = row.get(c)
-            if v:
-                coeffs[c] = v
-                row = vec_add(row, self.pivots[c], -v)
-        return coeffs, row
+        return coeffs, self.reduce(row, coeffs)
 
 
 def rank(rows):
@@ -137,7 +132,7 @@ def kernel_basis(rows, cols):
     raw = []
     for f in free:
         # each pivot row reads x_p + sum(row[c] * x_c over free c) = 0
-        v = {f: Fraction(1)}
+        v = {f: ONE}
         for p, row in e.pivots.items():
             c = row.get(f)
             if c:
@@ -161,7 +156,7 @@ def abs_det(rows):
     for r in rows:
         r = e.reduce(r)
         if not r:
-            return ZERO
+            return Fraction(0)
         det *= r[min(r)]
         e.add(r)
     return abs(det)
@@ -178,7 +173,7 @@ class Coordinates:
         self.elim = Eliminator()
         for i, b in enumerate(basis):
             tagged = dict(b)
-            tagged[Tag(i)] = Fraction(1)
+            tagged[Tag(i)] = ONE
             self.elim.add(tagged)
 
     def of(self, vector):

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .linalg import Coordinates, Eliminator, kernel_basis, rank as sparse_rank
 
-ONE = Fraction(1)
+ONE = 1
 
 
 class SpaceError(ValueError):
@@ -159,7 +158,7 @@ class GradedSheaf:
 
     stalks: point -> GradedSpace with basis labels (hashable, unique per
     stalk).  restrictions: (i, j) -> {source_label: ((target_label,
-    Fraction), ...)} for i < j; at least the covering pairs out of every
+    coefficient), ...)} for i < j; at least the covering pairs out of every
     point with a nonzero stalk must be present, the rest are composed.
     """
 
@@ -213,7 +212,7 @@ class GradedSheaf:
         out = {}
         for s, c in vec.items():
             for t, c2 in m.get(s, ()):
-                v = out.get(t, Fraction(0)) + c * c2
+                v = out.get(t, 0) + c * c2
                 if v:
                     out[t] = v
                 else:
@@ -244,7 +243,7 @@ def _compose(first, second):
         acc = {}
         for mid, c in terms:
             for t, c2 in second.get(mid, ()):
-                acc[t] = acc.get(t, Fraction(0)) + c * c2
+                acc[t] = acc.get(t, 0) + c * c2
         out[s] = tuple(sorted(((t, c) for t, c in acc.items() if c), key=lambda kv: repr(kv[0])))
     return out
 
@@ -308,7 +307,7 @@ def global_sections(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff) -> Sectio
                     if sheaf.degree(j, t) != d:
                         raise SpaceError("restriction map is not degree-preserving")
                     row = rows[t]
-                    row[(i, s)] = row.get((i, s), Fraction(0)) + c
+                    row[(i, s)] = row.get((i, s), 0) + c
             for t in sorted(rows, key=repr):
                 row = {k: v for k, v in rows[t].items() if v}
                 if row:
@@ -448,7 +447,7 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
                             key = (tchain, tcol)
                             row = rows_by_degree[d].setdefault(key, {})
                             row[(schain, ci if sg.min_point is None else sg.cols[d][ci])] = \
-                                row.get((schain, ci if sg.min_point is None else sg.cols[d][ci]), Fraction(0)) + sign * cval
+                                row.get((schain, ci if sg.min_point is None else sg.cols[d][ci]), 0) + sign * cval
                     # column key: coordinate index for solved Γ, stalk label for fast path
         for d in degrees:
             rows = [r_ for _, r_ in sorted(rows_by_degree[d].items(), key=lambda kv: repr(kv[0])) if r_]
@@ -481,5 +480,5 @@ def _flatten_chain_vec(vec):
     to plain stalk coordinates (point, label)."""
     out = {}
     for (chain, coord), c in vec.items():
-        out[coord] = out.get(coord, Fraction(0)) + c
+        out[coord] = out.get(coord, 0) + c
     return {k: v for k, v in out.items() if v}

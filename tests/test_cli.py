@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -194,3 +195,84 @@ class TestBooleansAreNotIntegers:
         code, payload = self._run(tmp_path, lambda d: d["symmetric"].update(m=True))
         assert code == 1
         assert "'m'" in payload["error"]["message"]
+
+
+def _edited(tmp_path, name, edit):
+    doc = json.loads((DATA / f"{name}.json").read_text())
+    edit(doc)
+    p = tmp_path / f"edited_{name}.json"
+    p.write_text(json.dumps(doc))
+    return p
+
+
+class TestToricIntegerRows:
+    def _validate(self, tmp_path, key, value):
+        p = _edited(tmp_path, "p1_halfint", lambda d: d["toric"].update({key: value}))
+        return invoke_json("--input", str(p), "--command", "validate")
+
+    def test_non_integer_ray_entry(self, tmp_path):
+        code, payload = self._validate(tmp_path, "rays", [["a"], [-1]])
+        assert code == 1
+        assert "toric.rays[0][0]" in payload["error"]["message"]
+
+    def test_non_integer_cone_entry(self, tmp_path):
+        code, payload = self._validate(tmp_path, "max_cones", [[0], ["x"]])
+        assert code == 1
+        assert "toric.max_cones[1][0]" in payload["error"]["message"]
+
+    def test_non_integer_overlattice_generator(self, tmp_path):
+        code, payload = self._validate(tmp_path, "overlattice_generators", [[0.5]])
+        assert code == 1
+        assert "toric.overlattice_generators[0][0]" in payload["error"]["message"]
+
+    def test_ray_that_is_not_a_row(self, tmp_path):
+        code, payload = self._validate(tmp_path, "rays", [1, [-1]])
+        assert code == 1
+        assert "toric.rays[0]" in payload["error"]["message"]
+
+
+class TestIncompleteKdatum:
+    def _validate(self, tmp_path, edit):
+        p = _edited(tmp_path, "synthetic_symmetric_rank1", lambda d: edit(d["symmetric"]["Kdatum"]))
+        return invoke_json("--input", str(p), "--command", "validate")
+
+    def test_missing_tau_rank(self, tmp_path):
+        code, payload = self._validate(tmp_path, lambda k: k["-"].pop("tau_rank"))
+        assert code == 1
+        assert "'tau_rank'" in payload["error"]["message"]
+
+    def test_missing_to_open(self, tmp_path):
+        code, payload = self._validate(tmp_path, lambda k: k["1"].pop("to_open"))
+        assert code == 1
+        assert "'to_open'" in payload["error"]["message"]
+
+    def test_missing_generators(self, tmp_path):
+        code, payload = self._validate(tmp_path, lambda k: k["-"].pop("generators"))
+        assert code == 1
+        assert "'generators'" in payload["error"]["message"]
+
+    def test_missing_tau_map(self, tmp_path):
+        code, payload = self._validate(tmp_path, lambda k: k["restrictions"]["->1"].pop("tau_map"))
+        assert code == 1
+        assert "'tau_map'" in payload["error"]["message"]
+
+
+class TestDigestPin:
+    """ext and check-all stdout at seed 2026 match the benchmark's recorded digests."""
+
+    DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    NAMES = ("p1_trivial", "p1_halfint", "canonical_l1", "synthetic_symmetric_rank1")
+
+    def _check(self, command, workload):
+        want = json.loads(self.DIGESTS.read_text())[workload]
+        for name in self.NAMES:
+            code, text = invoke("--input", str(DATA / f"{name}.json"), "--command", command,
+                                "--seed", "2026")
+            assert code == 0, text
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want[name]["sha256"], name
+
+    def test_ext_digests(self):
+        self._check("ext", "ext-shipped")
+
+    def test_check_all_digests(self):
+        self._check("check-all", "checkall-shipped")

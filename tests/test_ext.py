@@ -1,5 +1,7 @@
 from fractions import Fraction
+from pathlib import Path
 
+from extsheaf import cli
 from extsheaf.extalg import concentration_check, ext_algebra, ext_module, vanishing_report
 from extsheaf.fans import Fan, toric_datum
 from extsheaf.hsheaf import build_H
@@ -171,3 +173,63 @@ class TestPolynomialKRestriction:
         H, ext = self.build()
         # invariants of Q[u2 (sign), u4]: dimensions 1,2,3,4 in degrees 0,4,8,12
         assert ext.block_hilbert((1, 1), 12) == [1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4]
+
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "extsheaf" / "data"
+
+
+def _composable(ext, x):
+    b = ext.basis[x].block[1]
+    return [blk for blk in sorted(ext.by_block) if blk[0] == b]
+
+
+class TestDegreeBoundedTable:
+    NAMES = ("p1_trivial", "canonical_l2")
+
+    def _run_ext(self, name, monkeypatch):
+        built = []
+
+        def capture(H):
+            built.append(ext_algebra(H))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "ext_algebra", capture)
+        path = str(DATA / f"{name}.json")
+        doc = cli.load_document(path)
+        code, payload = cli.cmd_ext(doc, path, doc["cutoff"], cli.DEFAULT_SEED)
+        assert code == 0
+        return built[0], payload
+
+    def test_partners_are_the_pairs_in_range(self):
+        for name in self.NAMES:
+            doc = cli.load_document(str(DATA / f"{name}.json"))
+            _, _, _, H, _ = cli._build(doc, doc["cutoff"])
+            ext = ext_algebra(H)
+            for x in range(len(ext.basis)):
+                for blk in _composable(ext, x):
+                    want = tuple(y for y in ext.by_block[blk]
+                                 if ext.basis[x].degree + ext.basis[y].degree <= ext.cutoff)
+                    assert ext.partners(x, blk) == want
+
+    def test_truncated_pairs_match_an_independent_count(self, monkeypatch):
+        for name in self.NAMES:
+            ext, payload = self._run_ext(name, monkeypatch)
+            count = 0
+            for x in range(len(ext.basis)):
+                for blk in _composable(ext, x):
+                    for y in ext.by_block[blk]:
+                        bx, by = ext.basis[x], ext.basis[y]
+                        if bx.degree + by.degree > ext.cutoff:
+                            count += 1
+                        elif ext.H.multiply_sections(bx.block[0], bx.block[1], by.block[1],
+                                                     bx.vector, by.vector) == "truncated":
+                            count += 1
+            assert count > 0
+            assert payload["truncated_pairs"] == count
+
+    def test_table_holds_no_degree_truncated_pair(self, monkeypatch):
+        for name in self.NAMES:
+            ext, _ = self._run_ext(name, monkeypatch)
+            assert ext._table
+            for x, y in ext._table:
+                assert ext.basis[x].degree + ext.basis[y].degree <= ext.cutoff

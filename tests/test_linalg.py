@@ -2,8 +2,9 @@ import itertools
 import random
 from fractions import Fraction
 
+from extsheaf.cli import _frac
 from extsheaf.fans import coords_in_lattice
-from extsheaf.linalg import Coordinates, abs_det, kernel_basis, solve_in_span
+from extsheaf.linalg import Coordinates, Eliminator, abs_det, kernel_basis, rank, solve_in_span
 
 
 def _combo(basis, coeffs):
@@ -81,3 +82,49 @@ def test_abs_det_matches_leibniz():
                 mat[-1] = [x + y for x, y in zip(mat[0], mat[1])]
             rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in mat]
             assert abs_det(rows) == abs(_leibniz(mat))
+
+
+def _entries(vectors):
+    return [c for v in vectors for c in v.values()]
+
+
+class TestIntFirst:
+    # the incidence rows of a directed graph: a totally unimodular matrix,
+    # so every pivot of every elimination order is +-1
+    ROWS = [{u: 1, v: -1} for u, v in [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]]
+
+    def test_unit_pivots_keep_ints(self):
+        kernel = kernel_basis(self.ROWS, range(6))
+        assert kernel and all(type(c) is int for c in _entries(kernel))
+        assert type(rank(self.ROWS)) is int
+        elim = Eliminator()
+        for r in self.ROWS:
+            elim.add(r)
+        assert all(type(c) is int for c in _entries(elim.pivots.values()))
+        coords = Coordinates(self.ROWS[:2])
+        got = coords.of({0: 2, 1: 1, 2: -3})
+        assert got == {0: 2, 1: 3}
+        assert all(type(c) is int for c in got.values())
+
+    def test_pivot_two_gives_a_half(self):
+        got = Coordinates([{"a": 2, "b": 4}]).of({"a": 1, "b": 2})
+        assert got == {0: Fraction(1, 2)}
+        assert type(got[0]) is Fraction
+        (row,) = kernel_basis([{0: 1, 1: 2}], range(2))
+        assert row == {0: 1, 1: Fraction(-1, 2)}
+
+    def test_never_a_float(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            rows = [{j: rng.randint(-3, 3) for j in range(5) if rng.random() < 0.6} for _ in range(4)]
+            rows = [{k: v for k, v in r.items() if v} for r in rows]
+            vals = _entries(kernel_basis(rows, range(5)))
+            basis = [r for r in rows if r]
+            target = {k: 3 * v for k, v in basis[0].items()} if basis else {}
+            got = Coordinates(basis).of(target)
+            vals += list(got.values())
+            assert all(type(c) in (int, Fraction) for c in vals)
+
+    def test_frac_renders_ints_and_fractions_alike(self):
+        assert _frac(3) == _frac(Fraction(3)) == "3"
+        assert _frac(Fraction(-1, 2)) == "-1/2"
