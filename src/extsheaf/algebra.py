@@ -42,10 +42,6 @@ def mono_mul(a, b):
     return mono(*(list(a) + list(b)))
 
 
-def mono_degree(m):
-    return 2 * sum(e for _, e in m)
-
-
 def monomials_of_degree(variables, k):
     """All exponent patterns of total degree k in the given variables, sorted."""
     variables = sorted(variables)

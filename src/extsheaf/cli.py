@@ -59,9 +59,14 @@ def load_document(path):
     if labels != "all":
         if not isinstance(labels, list):
             raise SchemaError("labels must be 'all' or a list")
-        for entry in labels:
+        for k, entry in enumerate(labels):
             if not isinstance(entry, dict) or "orbit" not in entry or "character" not in entry:
-                raise SchemaError("each label needs 'orbit' and 'character'")
+                raise SchemaError(f"labels[{k}] needs 'orbit' and 'character'")
+            if not isinstance(entry["orbit"], str):
+                _str_row(entry["orbit"], f"labels[{k}].orbit")
+            bits = entry["character"]
+            if not isinstance(bits, (str, list)) or any(b not in (0, 1, "0", "1") for b in bits):
+                raise SchemaError(f"labels[{k}].character must be a string or list of 0/1 bits")
     cutoff = doc.get("cutoff", DEFAULT_CUTOFF)
     if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0 or cutoff % 2:
         raise SchemaError("cutoff must be a nonnegative even integer")
@@ -75,6 +80,13 @@ def load_document(path):
         for key, types in [("V", list), ("S", list), ("l", int), ("Jmap", dict),
                            ("m", int), ("D_subspaces", dict)]:
             _need(s, key, types, where="symmetric")
+        _str_row(s["V"], "symmetric.V")
+        for k, orbit in enumerate(s["S"]):
+            _str_row(orbit, f"symmetric.S[{k}]")
+        for k, row in s["Jmap"].items():
+            _int_row(row, f"symmetric.Jmap[{k!r}]")
+        for k, rows in s["D_subspaces"].items():
+            _int_rows(rows, f"symmetric.D_subspaces[{k!r}]")
         if s.get("Kdatum") is not None:
             _check_kdatum(_need(s, "Kdatum", dict, where="symmetric"))
     return doc
@@ -82,12 +94,23 @@ def load_document(path):
 
 def _int_rows(rows, where):
     """Every entry of a list of rows is a JSON integer."""
+    if not isinstance(rows, list):
+        raise SchemaError(f"{where} must be a list of integer lists")
     for r, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise SchemaError(f"{where}[{r}] must be a list of integers")
-        for c, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise SchemaError(f"{where}[{r}][{c}] must be an integer")
+        _int_row(row, f"{where}[{r}]")
+
+
+def _int_row(row, where):
+    if not isinstance(row, list):
+        raise SchemaError(f"{where} must be a list of integers")
+    for c, x in enumerate(row):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise SchemaError(f"{where}[{c}] must be an integer")
+
+
+def _str_row(row, where):
+    if not isinstance(row, list) or not all(isinstance(x, str) for x in row):
+        raise SchemaError(f"{where} must be a list of strings")
 
 
 def _check_kdatum(kdatum):
@@ -296,10 +319,7 @@ def cmd_ext(doc, path, cutoff, seed, block=None):
                 if b2 != j or ((i, j) != (b2, c) and (b2, c) not in shown):
                     continue
                 for y in ext.partners(x, (b2, c)):
-                    prod = ext.multiply(x, y)
-                    if prod == "truncated" or not prod:
-                        continue
-                    for z, cv in sorted(prod.items()):
+                    for z, cv in sorted(ext.multiply(x, y).items()):
                         table.append([ext.basis[x].name, ext.basis[y].name,
                                       ext.basis[z].name, _frac(cv)])
         out_blocks.append({

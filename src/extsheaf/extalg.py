@@ -62,23 +62,22 @@ class ExtAlgebra:
         self.idempotents = {}
         for a in range(n):
             vec = self._unit_vector(a)
-            coeffs = self.express((a, a), vec)
+            coeffs = self.express((a, a), 0, vec)
             if coeffs is None:
                 raise DatumError("diagonal unit is not a global section")
             self.idempotents[a] = coeffs
 
     # -- coordinates
 
-    def express(self, block, vector):
-        """Coefficients {basis index: c} of a vector in the block basis, or None."""
+    def express(self, block, degree, vector):
+        """Coefficients {basis index: c} of a vector in the degree part of
+        the block basis, or None if it lies outside that span (as a vector
+        with entries of another degree does)."""
         if not vector:
             return {}
-        degs = {self.H.label_degree(block[0], block[1], f, lab) for (f, lab) in vector}
-        if len(degs) != 1:
-            raise DatumError("vector is not homogeneous")
-        key = (block, degs.pop())
+        key = (block, degree)
         if key not in self._coord:
-            ids = [i for i in self.by_block[block] if self.basis[i].degree == key[1]]
+            ids = [i for i in self.by_block[block] if self.basis[i].degree == degree]
             self._coord[key] = (Coordinates(self.basis[i].vector for i in ids), ids)
         coords, ids = self._coord[key]
         out = coords.of(vector)
@@ -115,29 +114,23 @@ class ExtAlgebra:
         """Structure constants of basis[x] * basis[y].
 
         Returns a dict {z index: coefficient}, {} for non-composable
-        blocks or zero products, or the string "truncated" if the
-        face-wise product escapes the cutoff.
+        blocks or zero products.  The product has degree deg x + deg y;
+        a pair past the cutoff raises ValueError (partners never yields
+        one).
         """
         key = (x, y)
         if key in self._table:
             return self._table[key]
         bx, by = self.basis[x], self.basis[y]
+        degree = bx.degree + by.degree
+        if degree > self.cutoff:
+            raise ValueError(f"{bx.name} * {by.name} has degree {degree}, past the cutoff {self.cutoff}")
         (a, b), (b2, c) = bx.block, by.block
-        if b != b2:
-            out = {}
-        elif bx.degree + by.degree > self.cutoff:
-            self.truncated_pairs += 1
-            out = "truncated"
-        else:
-            vec = self.H.multiply_sections(a, b, c, bx.vector, by.vector)
-            if vec == "truncated":
-                self.truncated_pairs += 1
-                out = "truncated"
-            else:
-                coeffs = self.express((a, c), vec)
-                if coeffs is None:
-                    raise DatumError("product of sections is not a section")
-                out = coeffs
+        out = {}
+        if b == b2:
+            out = self.express((a, c), degree, self.H.multiply_sections(a, b, c, bx.vector, by.vector))
+            if out is None:
+                raise DatumError("product of sections is not a section")
         self._table[key] = out
         return out
 
@@ -153,10 +146,7 @@ class ExtAlgebra:
         """Left action of an algebra element (basis combination) on basis[x]."""
         out = {}
         for e, ce in coeffs.items():
-            prod = self.multiply(e, x)
-            if prod == "truncated":
-                return "truncated"
-            for z, cz in prod.items():
+            for z, cz in self.multiply(e, x).items():
                 v = out.get(z, 0) + ce * cz
                 if v:
                     out[z] = v
@@ -351,20 +341,15 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None, pair_cap
                                 if pairs_checked >= pair_cap:
                                     break
                                 prod = H.multiply_sections(a, b, c, v1, v2)
-                                if prod == "truncated":
-                                    continue
                                 pairs_checked += 1
-                                c1 = ext.express((a, b), v1)
-                                c2 = ext.express((b, c), v2)
+                                c1 = ext.express((a, b), d1, v1)
+                                c2 = ext.express((b, c), d2, v2)
                                 want = {}
                                 for e1, x1 in c1.items():
                                     for e2, x2 in c2.items():
-                                        t = ext.multiply(e1, e2)
-                                        if t == "truncated":
-                                            continue
-                                        for z, cz in t.items():
+                                        for z, cz in ext.multiply(e1, e2).items():
                                             want[z] = want.get(z, 0) + x1 * x2 * cz
-                                got = ext.express((a, c), prod)
+                                got = ext.express((a, c), d1 + d2, prod)
                                 want = {k: v for k, v in want.items() if v}
                                 if got != want:
                                     ok_products = False

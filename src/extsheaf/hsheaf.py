@@ -14,6 +14,12 @@ and everything else is zero.  Restrictions kill dropped variables and
 push K-monomials through the input maps; the product multiplies
 polynomial parts twisted by the support-correction monomial and composes
 K-parts.
+
+The product is homogeneous.  Where the three blocks meet at a face they
+share one K-module, and the twist is the product of X_v over
+∇(Δ_a, Δ_b, Δ_c), where |∇(Δ_a, Δ_b, Δ_c)| = d_ab + d_bc - d_ac.  So the
+product of stalk labels of degrees i and j has degree i + j, and callers
+bound i + j by the cutoff before they multiply.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import mono, mono_degree, mono_mul, monomials_of_degree, twist_factor, twisted_tensor
+from .algebra import mono, mono_mul, monomials_of_degree, twist_factor, twisted_tensor
 from .faces import FacePoint, SymmetricDatum, build_faces
 from .isotropy import DatumError, orbit_key
 from .posets import FiniteSpace, GradedSheaf, GradedSpace
@@ -170,89 +176,52 @@ class HSheaf:
         for i in range(n):
             for j in range(n):
                 self.blocks[(i, j)] = Block(datum, catalog, i, j, self.space, cutoff)
-        self._contexts = {}
-        self._gradings = {}
-
-    def block(self, i, j) -> Block:
-        return self.blocks[(i, j)]
+        self._twists = {}
 
     def stalk(self, i, j, face_key) -> GradedSpace:
         return self.blocks[(i, j)].stalk(face_key)
 
-    def _context(self, a, b, c, face_key):
-        """Cached (twist, 2 d_ac, K-module degrees of the H^{ac} stalk) for
-        composing (a,b) with (b,c) at a face, or None for the zero map."""
-        key = (a, b, c, face_key)
-        if key in self._contexts:
-            return self._contexts[key]
-        sab, sbc, sac = (self.blocks[(a, b)].support, self.blocks[(b, c)].support,
-                         self.blocks[(a, c)].support)
-        members = sab.members(), sbc.members(), sac.members()
-        ctx = None
-        if all(face_key in m for m in members):
-            reps = {sab.rep(face_key), sbc.rep(face_key), sac.rep(face_key)}
-            if len(reps) != 1:
-                raise DatumError("support transports disagree on a common face")
-            rep = FacePoint.from_key(reps.pop())
-            la = self.catalog.labels[a].orbit
-            lb = self.catalog.labels[b].orbit
-            lc = self.catalog.labels[c].orbit
-            tw = twist_factor(rep.orbit, la, lb, lc)
-            if tw is not None:
-                ctx = (tw,) + self._grading(a, c, face_key)
-        self._contexts[key] = ctx
-        return ctx
-
     def product_twist(self, a, b, c, face_key):
         """Twist monomial for composing (a,b) with (b,c) into (a,c) at a face.
 
-        Returns the monomial (possibly 1) or None for the zero map; the
-        triple must be alive at the face, i.e. the face lies in all
-        three supports, whose transports then agree.
+        Returns the monomial (possibly 1), or None for the zero map: the
+        face misses one of the three supports, or the correction set is
+        not alive on it.  On a face in all three supports the transports
+        agree.  Cached per (a, b, c, face).
         """
-        ctx = self._context(a, b, c, face_key)
-        return None if ctx is None else ctx[0]
+        key = (a, b, c, face_key)
+        if key in self._twists:
+            return self._twists[key]
+        sab, sbc, sac = (self.blocks[(a, b)].support, self.blocks[(b, c)].support,
+                         self.blocks[(a, c)].support)
+        tw = None
+        if all(face_key in s.members() for s in (sab, sbc, sac)):
+            reps = {sab.rep(face_key), sbc.rep(face_key), sac.rep(face_key)}
+            if len(reps) != 1:
+                raise DatumError("support transports disagree on a common face")
+            orbit = FacePoint.from_key(reps.pop()).orbit
+            labels = self.catalog.labels
+            tw = twist_factor(orbit, labels[a].orbit, labels[b].orbit, labels[c].orbit)
+        self._twists[key] = tw
+        return tw
 
     def compose(self, a, b, c, face_key, xlab, ylab):
         """Stalk-level product of x ∈ H^{ab} and y ∈ H^{bc} at a face.
 
-        Returns (label in H^{ac}, coefficient), None for the zero map, or
-        the string "truncated" when the product escapes the cutoff.  The
-        coefficient is always 1: the twist only contributes a monomial.
+        Returns (label in H^{ac}, coefficient) or None for the zero map.
+        The coefficient is always 1: the twist only contributes a monomial.
         """
-        ctx = self._context(a, b, c, face_key)
-        if ctx is None:
+        tw = self.product_twist(a, b, c, face_key)
+        if tw is None:
             return None
-        tw, twod, degrees = ctx
         (pmx, kmx), (pmy, kmy) = xlab, ylab
-        pm = mono(*pmx, *pmy, *tw)
-        km = tuple(x + y for x, y in zip(kmx, kmy))
-        d = twod + mono_degree(pm) + sum(dd * e for dd, e in zip(degrees, km))
-        if d > self.cutoff:
-            return "truncated"
-        return ((pm, km), ONE)
-
-    def _grading(self, i, j, face_key):
-        """Cached (2 d_ij, K-module degrees) grading the H^{ij} stalk at a face."""
-        key = (i, j, face_key)
-        g = self._gradings.get(key)
-        if g is None:
-            blk = self.blocks[(i, j)]
-            rep = FacePoint.from_key(blk.support.rep(face_key))
-            g = self._gradings[key] = (2 * blk.support.d, self.datum.kdata.module(rep.j).degrees)
-        return g
-
-    def label_degree(self, i, j, face_key, lab):
-        pm, km = lab
-        twod, degrees = self._grading(i, j, face_key)
-        return twod + mono_degree(pm) + sum(dd * e for dd, e in zip(degrees, km))
+        return ((mono(*pmx, *pmy, *tw), tuple(x + y for x, y in zip(kmx, kmy))), ONE)
 
     def multiply_sections(self, a, b, c, xvec, yvec):
         """Facewise product of section vectors of H^{ab} and H^{bc}.
 
         Vectors are sparse dicts over (face key, stalk label); the result
-        is a vector over H^{ac} coordinates, or the string "truncated"
-        when a facewise product escapes the cutoff.
+        is a vector over H^{ac} coordinates.
         """
         by_face_y = {}
         for (f, lab), cv in yvec.items():
@@ -263,8 +232,6 @@ class HSheaf:
                 z = self.compose(a, b, c, f, xlab, ylab)
                 if z is None:
                     continue
-                if z == "truncated":
-                    return "truncated"
                 lab, cz = z
                 key = (f, lab)
                 v = out.get(key, 0) + cx * cy * cz
@@ -360,7 +327,7 @@ def check_diagonal_units(H: HSheaf):
 
 def check_restriction_product(H: HSheaf, max_degree=None):
     """Restriction commutes with the product on covering pairs."""
-    cut = H.cutoff if max_degree is None else max_degree
+    cut = H.cutoff if max_degree is None else min(max_degree, H.cutoff)
     bad = []
     n = len(H.catalog)
     pairs = H.space.covering_pairs()
@@ -379,7 +346,7 @@ def check_restriction_product(H: HSheaf, max_degree=None):
                                 for yl in labsy:
                                     z = H.compose(a, b, c, f1, xl, yl)
                                     zr = {}
-                                    if isinstance(z, tuple):
+                                    if z is not None:
                                         zr = bac.sheaf.apply(f1, f2, {z[0]: z[1]})
                                     xr = bab.sheaf.apply(f1, f2, {xl: ONE})
                                     yr = bbc.sheaf.apply(f1, f2, {yl: ONE})
@@ -387,12 +354,10 @@ def check_restriction_product(H: HSheaf, max_degree=None):
                                     for xl2, cx in xr.items():
                                         for yl2, cy in yr.items():
                                             z2 = H.compose(a, b, c, f2, xl2, yl2)
-                                            if isinstance(z2, tuple):
+                                            if z2 is not None:
                                                 lab, cz = z2
                                                 prod[lab] = prod.get(lab, 0) + cx * cy * cz
                                     prod = {k: v for k, v in prod.items() if v}
-                                    if z == "truncated":
-                                        continue
                                     if prod != zr:
                                         bad.append((a, b, c, f1, f2, xl, yl))
     return bad

@@ -276,3 +276,45 @@ class TestDigestPin:
 
     def test_check_all_digests(self):
         self._check("check-all", "checkall-shipped")
+
+
+class TestSymmetricTypes:
+    """Wrong JSON types in a symmetric document exit 1 and name their path."""
+
+    def _validate(self, tmp_path, edit):
+        p = _edited(tmp_path, "synthetic_symmetric_rank1", edit)
+        return invoke_json("--input", str(p), "--command", "validate")
+
+    def _label(self, tmp_path, orbit, character):
+        return self._validate(tmp_path, lambda d: d.update(
+            labels=[{"orbit": [], "character": "0"}, {"orbit": orbit, "character": character}]))
+
+    def test_non_bit_character(self, tmp_path):
+        code, payload = self._label(tmp_path, [], "x")
+        assert code == 1
+        assert "labels[1].character" in payload["error"]["message"]
+
+    def test_integer_orbit(self, tmp_path):
+        code, payload = self._label(tmp_path, 3, "0")
+        assert code == 1
+        assert "labels[1].orbit" in payload["error"]["message"]
+
+    def test_integer_divisor(self, tmp_path):
+        code, payload = self._validate(tmp_path, lambda d: d["symmetric"].update(V=[1]))
+        assert code == 1
+        assert "symmetric.V" in payload["error"]["message"]
+
+    def test_orbit_that_is_not_a_list(self, tmp_path):
+        code, payload = self._validate(tmp_path, lambda d: d["symmetric"].update(S=[5]))
+        assert code == 1
+        assert "symmetric.S[0]" in payload["error"]["message"]
+
+    def test_non_integer_jmap_entry(self, tmp_path):
+        code, payload = self._validate(tmp_path, lambda d: d["symmetric"]["Jmap"].update(v=["a"]))
+        assert code == 1
+        assert "symmetric.Jmap['v'][0]" in payload["error"]["message"]
+
+    def test_subspace_that_is_not_a_list(self, tmp_path):
+        code, payload = self._validate(tmp_path, lambda d: d["symmetric"]["D_subspaces"].update(v="zz"))
+        assert code == 1
+        assert "symmetric.D_subspaces['v']" in payload["error"]["message"]

@@ -1,6 +1,8 @@
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from extsheaf import cli
 from extsheaf.extalg import concentration_check, ext_algebra, ext_module, vanishing_report
 from extsheaf.fans import Fan, toric_datum
@@ -233,3 +235,51 @@ class TestDegreeBoundedTable:
             assert ext._table
             for x, y in ext._table:
                 assert ext.basis[x].degree + ext.basis[y].degree <= ext.cutoff
+
+
+class TestHomogeneousProducts:
+    NAMES = ("p1_trivial", "p1_halfint", "canonical_l1", "synthetic_symmetric_rank1")
+
+    def test_product_entries_have_the_summed_degree(self):
+        for name in self.NAMES:
+            doc = cli.load_document(str(DATA / f"{name}.json"))
+            _, _, _, H, _ = cli._build(doc, doc["cutoff"])
+            ext = ext_algebra(H)
+            entries = 0
+            for x, bx in enumerate(ext.basis):
+                for blk in _composable(ext, x):
+                    for y in ext.partners(x, blk):
+                        by = ext.basis[y]
+                        (a, b), (_, c) = bx.block, by.block
+                        sheaf = H.blocks[(a, c)].sheaf
+                        for f, lab in H.multiply_sections(a, b, c, bx.vector, by.vector):
+                            assert sheaf.degree(f, lab) == bx.degree + by.degree, (name, x, y)
+                            entries += 1
+            assert entries > 0, name
+
+
+class TestProductContract:
+    def test_multiply_past_the_cutoff_raises(self):
+        H, ext = build_ext(P1)
+        x = ext.by_block[(0, 0)][-1]
+        y = next(y for y in ext.by_block[(0, 0)]
+                 if ext.basis[x].degree + ext.basis[y].degree > ext.cutoff)
+        table, truncated = dict(ext._table), ext.truncated_pairs
+        with pytest.raises(ValueError):
+            ext.multiply(x, y)
+        assert ext._table == table and ext.truncated_pairs == truncated
+
+    def test_express_rejects_a_section_of_another_degree(self):
+        H, ext = build_ext(P1)
+        x = next(i for i in ext.by_block[(0, 0)] if ext.basis[i].degree == 2)
+        assert ext.express((0, 0), 2, ext.basis[x].vector) == {x: 1}
+        assert ext.express((0, 0), 4, ext.basis[x].vector) is None
+
+    def test_express_rejects_a_sum_of_two_degrees(self):
+        H, ext = build_ext(P1)
+        x = next(i for i in ext.by_block[(0, 0)] if ext.basis[i].degree == 0)
+        y = next(i for i in ext.by_block[(0, 0)] if ext.basis[i].degree == 2)
+        vec = dict(ext.basis[x].vector)
+        vec.update(ext.basis[y].vector)
+        for degree in (0, 2):
+            assert ext.express((0, 0), degree, vec) is None

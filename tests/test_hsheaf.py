@@ -1,7 +1,9 @@
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
-from extsheaf.algebra import mono
+from extsheaf import cli
+from extsheaf.algebra import mono, nabla
 from extsheaf.fans import Fan, toric_datum
 from extsheaf.hsheaf import (
     build_H,
@@ -16,6 +18,7 @@ from extsheaf.hsheaf import (
 from extsheaf.isotropy import build_catalog
 
 ONE = Fraction(1)
+DATA = Path(__file__).resolve().parents[1] / "src" / "extsheaf" / "data"
 
 P1 = Fan(rank=1, overlattice_gens=(), rays=((1,), (-1,)), max_cones=((0,), (1,)))
 P1_HALF = Fan(rank=1, overlattice_gens=((1,),), rays=((1,), (-1,)), max_cones=((0,), (1,)))
@@ -176,3 +179,15 @@ class TestProduct:
             blk = H.blocks[(a, a)]
             for key in sorted(blk.support.members()):
                 assert ((), ()) in (blk.stalk(key).basis or {}).get(0, ())
+
+
+class TestProductDegree:
+    def test_nabla_size_is_the_degree_shift(self):
+        """|∇(Δa, Δb, Δc)| = d_ab + d_bc - d_ac for every label triple of every shipped document."""
+        for path in sorted(DATA.glob("*.json")):
+            _, _, catalog, H, _ = cli._build(cli.load_document(str(path)), 0)
+            n = len(catalog)
+            for a, b, c in itertools.product(range(n), repeat=3):
+                orbits = [catalog.labels[k].orbit for k in (a, b, c)]
+                d = {pair: H.blocks[pair].support.d for pair in ((a, b), (b, c), (a, c))}
+                assert len(nabla(*orbits)) == d[(a, b)] + d[(b, c)] - d[(a, c)], (path.name, a, b, c)
