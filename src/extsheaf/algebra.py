@@ -8,7 +8,7 @@ by the product of X_v over the support-correction set computed by
 face at hand, everything else maps to 0.
 
 Sign actions of F2^k are diagonal on chosen generators, so a character
-is an F2 row vector evaluated multiplicatively as +-1.
+is an F2 bit row (see ``f2``) evaluated multiplicatively as +-1.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import f2
 from .linalg import Eliminator
 from .posets import GradedSpace
 
@@ -86,26 +87,7 @@ def twist_factor(face_divisors, da, db, dc):
 
 
 # ---------------------------------------------------------------------------
-# characters and diagonal two-group modules
-
-
-def character(bits):
-    """F2 functional on F2^k given by a bit row; evaluates to +-1."""
-    return tuple(int(b) % 2 for b in bits)
-
-
-def char_add(a, b):
-    return tuple((x + y) % 2 for x, y in zip(a, b))
-
-
-def char_eval(chi, vec):
-    """+1 or -1: the sign of chi on a group element given as bits."""
-    return -1 if sum(x * y for x, y in zip(chi, vec)) % 2 else 1
-
-
-def char_compose(chi, matrix_rows):
-    """Pull chi back along the group map sending basis vector i to matrix_rows[i]."""
-    return tuple(sum(x * y for x, y in zip(row, chi)) % 2 for row in matrix_rows)
+# diagonal two-group modules
 
 
 @dataclass(frozen=True)
@@ -125,10 +107,10 @@ class TwoGroupModule:
             raise ValueError("sign rows must match the group rank")
 
     def monomial_character(self, exps):
-        chi = tuple(0 for _ in range(self.rank))
+        chi = (0,) * self.rank
         for e, s in zip(exps, self.signs):
             if e % 2:
-                chi = char_add(chi, s)
+                chi = f2.add(chi, s)
         return chi
 
     def monomials(self, degree):
@@ -164,7 +146,7 @@ def twisted_tensor(module: TwoGroupModule, rho, rhop, cutoff) -> GradedSpace:
     the surviving monomials form the basis.
     """
     _check_chars(module, rho, rhop)
-    target = char_add(rho, rhop)
+    target = f2.add(rho, rhop)
     basis = {}
     for d in range(0, cutoff + 1, 2):
         keep = [m for m in module.monomials(d) if module.monomial_character(m) == target]
@@ -198,9 +180,9 @@ def twisted_tensor_relations(module: TwoGroupModule, rho, rhop, cutoff) -> Grade
             for u in group:
                 for w in group:
                     for wp in group:
-                        lhs = (m, char_add(char_add(wp, u), w))
-                        sign = char_eval(chi, w)
-                        rhs_coeff = char_eval(rhop, w) * char_eval(rho, wp)
+                        lhs = (m, f2.add(f2.add(wp, u), w))
+                        sign = (-1) ** f2.dot(chi, w)
+                        rhs_coeff = (-1) ** (f2.dot(rhop, w) + f2.dot(rho, wp))
                         row = {}
                         row[colpos[lhs]] = row.get(colpos[lhs], 0) + sign
                         row[colpos[(m, u)]] = row.get(colpos[(m, u)], 0) - rhs_coeff
@@ -236,7 +218,7 @@ class TwistedElement:
 
     @staticmethod
     def make(module, rho, rhop, coeffs):
-        target = char_add(rho, rhop)
+        target = f2.add(rho, rhop)
         for exps, _ in coeffs.items():
             if module.monomial_character(exps) != target:
                 raise ValueError("monomial is killed by the balanced relations")

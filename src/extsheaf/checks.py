@@ -19,7 +19,6 @@ from .hsheaf import (
     check_restriction_product,
     check_transport_identity,
     check_vanishing_pattern,
-    support_sets,
     validate_support_facts,
 )
 from .oracles import brute_sections, identity_fuzz, pp_hilbert, quadrant_check
@@ -61,12 +60,10 @@ def poset_axiom_checks(H: HSheaf):
 def sheaf_structure_checks(H: HSheaf, rng: random.Random):
     out = []
     bad = []
-    for i in range(len(H.catalog)):
-        for j in range(len(H.catalog)):
-            sup = support_sets(H.datum, H.catalog, i, j)
-            probs = validate_support_facts(H.space, H.datum, sup)
-            if probs:
-                bad.append({"block": [i, j], "problems": probs[:2]})
+    for (i, j), blk in sorted(H.blocks.items()):
+        probs = validate_support_facts(H.space, H.datum, blk.support)
+        if probs:
+            bad.append({"block": [i, j], "problems": probs[:2]})
     out.append(_entry("sheaf.support-facts", not bad, counterexamples=bad[:3]))
     v = check_vanishing_pattern(H)
     out.append(_entry("sheaf.stalk-vanishing-pattern", not v, counterexamples=[list(map(repr, x)) for x in v[:3]]))

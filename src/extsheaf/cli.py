@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
+from . import f2
 from .checks import run_battery
 from .extalg import ext_algebra
 from .faces import FacePoint, KData, SymmetricDatum, downward_closed_families, g_stable_open
 from .fans import Fan, toric_datum
-from .hsheaf import build_H, support_sets, validate_support_facts
+from .hsheaf import build_H, validate_support_facts
 from .isotropy import DatumError, IsotropyFamily, build_catalog
 from .posets import cech_cohomology
 
@@ -113,25 +115,60 @@ def _str_row(row, where):
         raise SchemaError(f"{where} must be a list of strings")
 
 
+def _bit_row(row, where):
+    _int_row(row, where)
+    for c, b in enumerate(row):
+        if b not in (0, 1):
+            raise SchemaError(f"{where}[{c}] must be 0 or 1")
+
+
+def _bit_rows(rows, where):
+    for r, row in enumerate(rows):
+        _bit_row(row, f"{where}[{r}]")
+
+
+def _polynomial(poly, where):
+    """[[coefficient, exponents], ...]: integer exponents, an integer or rational-string coefficient."""
+    if not isinstance(poly, list):
+        raise SchemaError(f"{where} must be a list of [coefficient, exponents] pairs")
+    for t, term in enumerate(poly):
+        if not isinstance(term, list) or len(term) != 2:
+            raise SchemaError(f"{where}[{t}] must be a [coefficient, exponents] pair")
+        coeff, exps = term
+        if isinstance(coeff, str):
+            try:
+                Fraction(coeff)
+            except (ValueError, ZeroDivisionError):
+                raise SchemaError(f"{where}[{t}][0] must be an integer or a rational string")
+        elif not isinstance(coeff, int) or isinstance(coeff, bool):
+            raise SchemaError(f"{where}[{t}][0] must be an integer or a rational string")
+        _int_row(exps, f"{where}[{t}][1]")
+
+
 def _check_kdatum(kdatum):
-    """Per-J entries and restrictions carry every key the K-datum reads."""
+    """Per-J entries and restrictions carry every key the K-datum reads, with JSON types."""
     for jk, entry in kdatum.items():
         where = f"symmetric.Kdatum[{jk!r}]"
         if not isinstance(entry, dict):
             raise SchemaError(f"{where} must be an object")
         if jk == "restrictions":
             for pair, r in entry.items():
+                at = f"{where}[{pair!r}]"
                 if not isinstance(r, dict):
-                    raise SchemaError(f"{where}[{pair!r}] must be an object")
-                _need(r, "tau_map", list, where=f"{where}[{pair!r}]")
+                    raise SchemaError(f"{at} must be an object")
+                _bit_rows(_need(r, "tau_map", list, where=at), f"{at}.tau_map")
+                if "gens" in r:
+                    for g, poly in enumerate(_need(r, "gens", list, where=at)):
+                        _polynomial(poly, f"{at}.gens[{g}]")
             continue
         _need(entry, "tau_rank", int, where=where)
-        _need(entry, "to_open", list, where=where)
+        _bit_rows(_need(entry, "to_open", list, where=where), f"{where}.to_open")
         for g, gen in enumerate(_need(entry, "generators", list, where=where)):
+            at = f"{where}.generators[{g}]"
             if not isinstance(gen, dict):
-                raise SchemaError(f"{where}.generators[{g}] must be an object")
-            _need(gen, "degree", int, where=f"{where}.generators[{g}]")
-            _need(gen, "signs", list, where=f"{where}.generators[{g}]")
+                raise SchemaError(f"{at} must be an object")
+            _need(gen, "degree", int, where=at)
+            _bit_row(_need(gen, "signs", list, where=at), f"{at}.signs")
 
 
 def _orbit_from_key(key):
@@ -159,11 +196,11 @@ def document_datum(doc):
         jmap = {_orbit_from_key(k): tuple(v) for k, v in s["Jmap"].items()}
         datum = SymmetricDatum(V=tuple(s["V"]), S=[tuple(x) for x in s["S"]], l=s["l"],
                                Jmap=jmap, isotropy=fam, kdata=kdata, mode="symmetric")
-        dbasis = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
+        dbasis = f2.identity(m)
     labels = doc.get("labels", "all")
     if labels != "all":
         labels = [(_orbit_from_key("+".join(e["orbit"]) if isinstance(e["orbit"], list) else e["orbit"]),
-                   tuple(int(b) for b in e["character"]))
+                   f2.bits(e["character"]))
                   for e in labels]
     return datum, dbasis, labels, fan
 
@@ -228,12 +265,10 @@ def cmd_validate(doc, path, cutoff, seed):
     datum, dbasis, catalog, H, fan = _build(doc, cutoff)
     checks = [{"name": "schema", "status": "pass"},
               {"name": "datum-invariants", "status": "pass"}]
-    for i in range(len(catalog)):
-        for j in range(len(catalog)):
-            sup = support_sets(datum, catalog, i, j)
-            problems = validate_support_facts(H.space, datum, sup)
-            if problems:
-                raise DatumError(f"support facts fail on block {i}:{j}: {problems[0]}")
+    for (i, j), blk in sorted(H.blocks.items()):
+        problems = validate_support_facts(H.space, datum, blk.support)
+        if problems:
+            raise DatumError(f"support facts fail on block {i}:{j}: {problems[0]}")
     checks.append({"name": "support-facts", "status": "pass"})
     payload = {"meta": _meta(path, cutoff, seed, "validate"), "checks": checks}
     return 0, payload
@@ -268,7 +303,7 @@ def parse_faces_output(payload):
 
 
 def parse_labels_output(payload):
-    return [(tuple(sorted(e["orbit"])), tuple(int(b) for b in e["character"]))
+    return [(tuple(sorted(e["orbit"])), f2.bits(e["character"]))
             for e in payload["labels"]]
 
 

@@ -14,8 +14,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import TwoGroupModule, char_add, char_compose
+from . import f2
+from .algebra import TwoGroupModule
 from .isotropy import DatumError, IsotropyFamily, orbit_key
+from .linalg import exact
 from .posets import FiniteSpace
 
 ONE = 1
@@ -66,27 +68,28 @@ class KData:
         self.trivial = entries is None
         self.entries = {}
         js = [tuple(sorted(c)) for k in range(l + 1) for c in itertools.combinations(range(1, l + 1), k)]
+        pairs = {f"{jkey(j)}>{jkey(jp)}": (j, jp)
+                 for j in js for jp in js if set(j) < set(jp) and len(jp) == len(j) + 1}
         if entries is None:
-            ident = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
+            ident = f2.identity(m)
             for j in js:
                 self.entries[j] = {
                     "tau_rank": m,
                     "to_open": ident,
                     "generators": (),
                 }
-            self._restrictions = {}
-            for j in js:
-                for jp in js:
-                    if set(j) < set(jp) and len(jp) == len(j) + 1:
-                        self._restrictions[(j, jp)] = {"tau_map": ident, "gens": ()}
+            self._restrictions = {pair: {"tau_map": ident, "gens": ()} for pair in pairs.values()}
         else:
+            unknown = sorted(set(entries) - {jkey(j) for j in js} - {"restrictions"})
+            if unknown:
+                raise DatumError(f"K-datum key {unknown[0]!r} is not a subset J of 1..{l}")
             for j in js:
                 if jkey(j) not in entries:
                     raise DatumError(f"K-datum entry missing for J = {jkey(j)}")
                 e = entries[jkey(j)]
-                gens = tuple((int(g["degree"]), tuple(int(b) for b in g["signs"])) for g in e.get("generators", ()))
+                gens = tuple((int(g["degree"]), f2.bits(g["signs"])) for g in e.get("generators", ()))
                 rank = int(e["tau_rank"])
-                to_open = tuple(tuple(int(b) for b in row) for row in e["to_open"])
+                to_open = tuple(f2.bits(row) for row in e["to_open"])
                 if len(to_open) != rank or any(len(r) != m for r in to_open):
                     raise DatumError(f"to_open at J = {jkey(j)} must be a {rank} x {m} bit matrix")
                 if any(len(s) != rank for _, s in gens):
@@ -94,20 +97,20 @@ class KData:
                 if any(d <= 0 or d % 2 for d, _ in gens):
                     raise DatumError("K-datum generator degrees must be positive even integers")
                 self.entries[j] = {"tau_rank": rank, "to_open": to_open, "generators": gens}
-            self._restrictions = {}
             rest = entries.get("restrictions", {})
-            for j in js:
-                for jp in js:
-                    if set(j) < set(jp) and len(jp) == len(j) + 1:
-                        key = f"{jkey(j)}>{jkey(jp)}"
-                        if key not in rest:
-                            raise DatumError(f"K-datum restriction missing for {key}")
-                        r = rest[key]
-                        tau_map = tuple(tuple(int(b) for b in row) for row in r["tau_map"])
-                        gens = tuple(
-                            tuple((tuple(int(e) for e in exps), _rational(c)) for c, exps in poly)
-                            for poly in r.get("gens", ()))
-                        self._restrictions[(j, jp)] = {"tau_map": tau_map, "gens": gens}
+            unknown = sorted(set(rest) - set(pairs))
+            if unknown:
+                raise DatumError(f"K-datum restriction {unknown[0]!r} is not a covering pair J>J'")
+            self._restrictions = {}
+            for key, pair in pairs.items():
+                if key not in rest:
+                    raise DatumError(f"K-datum restriction missing for {key}")
+                r = rest[key]
+                tau_map = tuple(f2.bits(row) for row in r["tau_map"])
+                gens = tuple(
+                    tuple((tuple(int(e) for e in exps), exact(Fraction(str(c)))) for c, exps in poly)
+                    for poly in r.get("gens", ()))
+                self._restrictions[pair] = {"tau_map": tau_map, "gens": gens}
             self._validate()
         self._module_cache = {}
         self._chain_cache = {}
@@ -123,17 +126,15 @@ class KData:
 
     def char_at(self, j, rho):
         """Character of tau_J induced from a character of D via to_open."""
-        return char_compose(rho, self.entries[tuple(sorted(j))]["to_open"])
+        return f2.pullback(rho, self.entries[tuple(sorted(j))]["to_open"])
 
     def restriction_data(self, j, jp):
         """Composite (tau_map, generator image polynomials) for J ⊆ J'."""
         j, jp = tuple(sorted(j)), tuple(sorted(jp))
         if j == jp:
             e = self.entries[j]
-            ident = tuple(tuple(1 if a == b else 0 for b in range(e["tau_rank"])) for a in range(e["tau_rank"]))
-            gens = tuple(((tuple(1 if a == b else 0 for b in range(len(e["generators"]))), ONE),)
-                         for a in range(len(e["generators"])))
-            return {"tau_map": ident, "gens": gens}
+            gens = tuple(((exps, ONE),) for exps in f2.identity(len(e["generators"])))
+            return {"tau_map": f2.identity(e["tau_rank"]), "gens": gens}
         key = (j, jp)
         if key in self._chain_cache:
             mid = None
@@ -146,7 +147,7 @@ class KData:
 
     def _compose(self, first, second, n_out):
         # group maps compose tau_{J'} -> tau_mid -> tau_J
-        tau = tuple(_f2_matmul_row(row, first["tau_map"]) for row in second["tau_map"])
+        tau = tuple(f2.image(row, first["tau_map"]) for row in second["tau_map"])
         gens = []
         for poly in first["gens"]:  # image of a J-generator in mid-generators
             acc = {}
@@ -176,8 +177,7 @@ class KData:
                 raise DatumError(f"tau_map for {jkey(j)}>{jkey(jp)} has the wrong shape")
             # t-compatibility: to_open_{J'} = tau_map . to_open_J
             for row, target in zip(r["tau_map"], ejp["to_open"]):
-                img = _f2_matmul_row(row, ej["to_open"])
-                if img != tuple(target):
+                if f2.image(row, ej["to_open"]) != tuple(target):
                     raise DatumError(f"to_open maps for {jkey(j)}>{jkey(jp)} are incompatible")
             if len(r["gens"]) != len(ej["generators"]):
                 raise DatumError(f"restriction {jkey(j)}>{jkey(jp)} must cover every generator")
@@ -186,7 +186,7 @@ class KData:
                 degrees=tuple(d for d, _ in ejp["generators"]),
                 signs=tuple(s for _, s in ejp["generators"]))
             for (deg, sign), poly in zip(ej["generators"], r["gens"]):
-                pulled = char_compose(sign, r["tau_map"])
+                pulled = f2.pullback(sign, r["tau_map"])
                 for exps, coeff in poly:
                     if len(exps) != len(ejp["generators"]):
                         raise DatumError("restriction image has the wrong number of exponents")
@@ -208,22 +208,6 @@ class KData:
                     paths.append(self._compose(a, b, len(self.entries[jp]["generators"])))
                 if paths[0] != paths[1]:
                     raise DatumError(f"K-datum restrictions around {jkey(j)}..{jkey(jp)} do not commute")
-
-
-def _rational(c):
-    """A JSON coefficient as an exact rational: an int when it is integral."""
-    q = Fraction(str(c))
-    return q.numerator if q.denominator == 1 else q
-
-
-def _f2_matmul_row(row, matrix_rows):
-    """Image of a bit row under the map sending basis i to matrix_rows[i]."""
-    width = len(matrix_rows[0]) if matrix_rows else 0
-    out = tuple(0 for _ in range(width))
-    for bit, mrow in zip(row, matrix_rows):
-        if bit:
-            out = char_add(out, mrow)
-    return out
 
 
 def _poly_one(nvars):

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .isotropy import DatumError, IsotropyFamily, f2_echelon, f2_coordinates
+from . import f2
+from .isotropy import DatumError, IsotropyFamily
 from .linalg import abs_det, kernel_basis, solve_in_span
 
 
@@ -145,7 +146,7 @@ class Fan:
 
     def ray_class_mod2(self, ray_index):
         """Class of the N'-primitive ray generator in N'/N as a bit row in (Z/2)^n."""
-        return tuple(x % 2 for x in self.doubled_primitive(ray_index))
+        return f2.bits(self.doubled_primitive(ray_index))
 
     def _cone_matrix(self, cone):
         rows = []
@@ -251,19 +252,18 @@ def toric_isotropy(fan: Fan):
     generators (the lattice points of span σ form a direct summand of N'
     by smoothness).  Returns (family, D-basis rows in (Z/2)^n).
     """
-    dbasis = f2_echelon([tuple(x % 2 for x in g) for g in fan.overlattice_gens])
+    dbasis = f2.echelon(fan.overlattice_gens)
     m = len(dbasis)
     names = fan.ray_names()
     ray_coords = {}
     for i in range(len(fan.rays)):
         cls = fan.ray_class_mod2(i)
-        coords = f2_coordinates(dbasis, cls)
+        coords = f2.coordinates(dbasis, cls)
         if coords is None:
             raise DatumError("internal: ray class escapes N'/N")
         ray_coords[names[i]] = coords
     subspaces = {}
     for orbit in fan.orbit_sets():
-        rows = [ray_coords[v] for v in orbit]
-        subspaces[orbit] = f2_echelon(rows) if rows else ()
+        subspaces[orbit] = f2.echelon(ray_coords[v] for v in orbit)
     fam = IsotropyFamily(m=m, subspaces=subspaces, mode="toric")
     return fam, dbasis

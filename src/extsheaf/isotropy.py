@@ -6,6 +6,7 @@ indexed by the orbit set S encodes every tau_Δ = D / D_Δ.  A label is an
 orbit together with a character of D vanishing on its subspace; around
 each divisor the character either extends (+1) or forces extension by
 zero (-1), which yields the forbidden-divisor set of the label.
+Subspaces are reduced echelon bit rows; the arithmetic is in ``f2``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .algebra import character
+from . import f2
 
 
 class DatumError(ValueError):
@@ -21,64 +22,13 @@ class DatumError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# F2 row spaces
-
-
-def f2_echelon(rows):
-    """Reduced row echelon form over F2; returns tuple of pivot rows."""
-    rows = [tuple(int(x) % 2 for x in r) for r in rows]
-    out = []
-    pivots = []
-    for row in rows:
-        for p, r in zip(pivots, out):
-            if row[p]:
-                row = tuple((a + b) % 2 for a, b in zip(row, r))
-        if any(row):
-            p = next(i for i, x in enumerate(row) if x)
-            # back-substitute into earlier rows
-            out = [tuple((a + b) % 2 for a, b in zip(r, row)) if r[p] else r for r in out]
-            out.append(row)
-            pivots = sorted(pivots + [p])
-            order = sorted(range(len(out)), key=lambda k: next(i for i, x in enumerate(out[k]) if x))
-            out = [out[k] for k in order]
-    return tuple(out)
-
-
-def f2_in_span(rows, vec):
-    vec = tuple(int(x) % 2 for x in vec)
-    for r in f2_echelon(rows):
-        p = next(i for i, x in enumerate(r) if x)
-        if vec[p]:
-            vec = tuple((a + b) % 2 for a, b in zip(vec, r))
-    return not any(vec)
-
-
-def f2_coordinates(echelon_rows, vec):
-    """Coordinates of vec in the span of reduced echelon rows, or None."""
-    vec = tuple(int(x) % 2 for x in vec)
-    coords = []
-    for r in echelon_rows:
-        p = next(i for i, x in enumerate(r) if x)
-        if vec[p]:
-            coords.append(1)
-            vec = tuple((a + b) % 2 for a, b in zip(vec, r))
-        else:
-            coords.append(0)
-    return tuple(coords) if not any(vec) else None
-
-
-def char_vanishes_on(chi, rows):
-    return all(sum(a * b for a, b in zip(chi, r)) % 2 == 0 for r in rows)
+# characters
 
 
 def characters_vanishing_on(m, rows):
     """All F2 functionals on F2^m that kill the span of rows, sorted."""
-    out = []
-    for bits in itertools.product((0, 1), repeat=m):
-        chi = character(bits)
-        if char_vanishes_on(chi, rows):
-            out.append(chi)
-    return sorted(out)
+    return sorted(chi for chi in itertools.product((0, 1), repeat=m)
+                  if not any(f2.pullback(chi, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +49,7 @@ class IsotropyFamily:
     mode: str = "symmetric"  # or "toric"
 
     def __post_init__(self):
-        subs = {orbit_key(k): f2_echelon(v) for k, v in self.subspaces.items()}
+        subs = {orbit_key(k): f2.echelon(v) for k, v in self.subspaces.items()}
         object.__setattr__(self, "subspaces", subs)
         if orbit_key(()) not in subs:
             raise DatumError("the empty orbit is missing from the family")
@@ -115,9 +65,8 @@ class IsotropyFamily:
                 raise DatumError(f"symmetric mode needs dim D_Δ = |Δ| at {key}")
         for a, b in itertools.permutations(subs, 2):
             if set(a) <= set(b):
-                for row in subs[a]:
-                    if not f2_in_span(subs[b], row):
-                        raise DatumError(f"family is not monotone between {a} and {b}")
+                if any(f2.coordinates(subs[b], row) is None for row in subs[a]):
+                    raise DatumError(f"family is not monotone between {a} and {b}")
 
     @property
     def orbits(self):
@@ -142,9 +91,8 @@ class QuotientGroup:
 
 def component_group(fam: IsotropyFamily, divisors) -> QuotientGroup:
     rows = fam.subspace(divisors)
-    pivots = {next(i for i, x in enumerate(r) if x) for r in rows}
-    reps = tuple(tuple(1 if i == j else 0 for i in range(fam.m))
-                 for j in range(fam.m) if j not in pivots)
+    pivots = {r.index(1) for r in rows}
+    reps = tuple(e for j, e in enumerate(f2.identity(fam.m)) if j not in pivots)
     return QuotientGroup(rank=fam.m - len(rows), reps=reps, subspace=rows)
 
 
@@ -169,7 +117,7 @@ def monodromy(fam: IsotropyFamily, label: Label, v) -> int:
         raise DatumError(f"divisor {v!r} already lies in the orbit")
     bigger = orbit_key(label.orbit + (v,))
     rows = fam.subspace(bigger)  # raises if not an orbit
-    return 1 if char_vanishes_on(label.char, rows) else -1
+    return -1 if any(f2.pullback(label.char, rows)) else 1
 
 
 def delta_prime(fam: IsotropyFamily, label: Label, all_divisors):
@@ -215,12 +163,12 @@ def build_catalog(fam: IsotropyFamily, all_divisors, selection="all") -> LabelCa
         labels = []
         seen = set()
         for orbit, chi in selection:
-            lab = Label(orbit=orbit_key(orbit), char=character(chi))
+            lab = Label(orbit=orbit_key(orbit), char=f2.bits(chi))
             if lab.orbit not in fam.subspaces:
                 raise DatumError(f"label orbit {lab.orbit} is not in the orbit set")
             if len(lab.char) != fam.m:
                 raise DatumError("label character length must equal the rank of D")
-            if not char_vanishes_on(lab.char, fam.subspaces[lab.orbit]):
+            if any(f2.pullback(lab.char, fam.subspaces[lab.orbit])):
                 raise DatumError(f"character of {lab.name()} does not vanish on its subspace")
             if lab in seen:
                 raise DatumError(f"duplicate label {lab.name()}")
@@ -232,7 +180,7 @@ def build_catalog(fam: IsotropyFamily, all_divisors, selection="all") -> LabelCa
     for lab, dp in zip(labels, dps):
         lo, hi = set(lab.orbit), set(all_divisors) - set(dp)
         for key in fam.orbits:
-            if lo <= set(key) <= hi and not char_vanishes_on(lab.char, fam.subspaces[key]):
+            if lo <= set(key) <= hi and any(f2.pullback(lab.char, fam.subspaces[key])):
                 raise DatumError(
                     f"character of {lab.name()} fails to vanish on D_Δ for Δ={key};"
                     " inconsistent extension data")

@@ -2,7 +2,8 @@
 
 Vectors are dicts mapping hashable column keys to nonzero exact
 rationals: an int until a division forces a Fraction, and a Fraction
-only from a pivot other than +-1.  Never a float.  The oracle module
+only from a pivot other than +-1; the integral entries of a row scaled
+by such a pivot stay ints.  Never a float.  The oracle module
 carries its own independent dense elimination (see oracles.py).
 """
 
@@ -48,6 +49,11 @@ def _subtract(row, pivot_row, c):
             row.pop(k, None)
 
 
+def exact(q):
+    """A Fraction as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Eliminator:
     """Incremental row echelon store over Q with sparse rows.
 
@@ -87,7 +93,7 @@ class Eliminator:
             row = {k: -a for k, a in row.items()}
         elif p != 1:
             inv = Fraction(1) / p
-            row = {k: a * inv for k, a in row.items()}
+            row = {k: exact(a * inv) for k, a in row.items()}
         # keep stored rows fully reduced against each other
         for other in self.pivots.values():
             c = other.get(col)

@@ -8,7 +8,6 @@ from extsheaf.algebra import (
     TRIVIAL_MODULE,
     TwistedElement,
     TwoGroupModule,
-    character,
     hilbert_series,
     mono,
     monomials_of_degree,
@@ -18,6 +17,7 @@ from extsheaf.algebra import (
     twisted_tensor,
     twisted_tensor_relations,
 )
+from extsheaf.f2 import bits
 from extsheaf.posets import GradedSpace
 
 subsets = st.sets(st.sampled_from("abcdefgh"))
@@ -73,7 +73,7 @@ class TestTwistedTensor:
 
     def test_z2_on_scalars(self):
         mod = TwoGroupModule(rank=1, degrees=(), signs=())
-        sign, triv = character([1]), character([0])
+        sign, triv = bits([1]), bits([0])
         assert twisted_tensor(mod, sign, sign, 4).dims == {0: 1}
         assert twisted_tensor(mod, triv, sign, 4).dims == {}
         assert relation_dims(mod, sign, sign, 4) == [1, 0, 0, 0, 0]
@@ -81,7 +81,7 @@ class TestTwistedTensor:
 
     def test_z2_sign_action_on_polynomial(self):
         mod = TwoGroupModule(rank=1, degrees=(2,), signs=((1,),))
-        triv = character([0])
+        triv = bits([0])
         out = twisted_tensor(mod, triv, triv, 8)
         assert out.hilbert(8) == [1, 0, 0, 0, 1, 0, 0, 0, 1]
         assert relation_dims(mod, triv, triv, 8) == out.hilbert(8)
@@ -111,7 +111,7 @@ class TestTwistedProduct:
 
     def test_unit_times_unit(self):
         mod = TwoGroupModule(rank=1, degrees=(), signs=())
-        triv = character([0])
+        triv = bits([0])
         one = TwistedElement.make(mod, triv, triv, {(): Fraction(1)})
         assert twisted_product(one, one) == one
 
@@ -123,20 +123,20 @@ class TestTwistedProduct:
 
     def test_even_powers_compose(self):
         mod = self.z2x()
-        triv = character([0])
+        triv = bits([0])
         x2 = TwistedElement.make(mod, triv, triv, {(2,): Fraction(1)})
         x4 = twisted_product(x2, x2)
         assert x4.coeffs == (((4,), Fraction(1)),)
 
     def test_survivor_validation(self):
         mod = self.z2x()
-        triv = character([0])
+        triv = bits([0])
         with pytest.raises(ValueError):
             TwistedElement.make(mod, triv, triv, {(1,): Fraction(1)})
 
     def test_non_composable(self):
         mod = TwoGroupModule(rank=1, degrees=(), signs=())
-        sign, triv = character([1]), character([0])
+        sign, triv = bits([1]), bits([0])
         a = TwistedElement.make(mod, sign, sign, {(): Fraction(1)})
         b = TwistedElement.make(mod, triv, triv, {(): Fraction(1)})
         with pytest.raises(ValueError):
@@ -145,7 +145,7 @@ class TestTwistedProduct:
     def test_associativity_on_survivors(self):
         # chain triv -> sign -> triv -> triv across three composable elements
         mod = TwoGroupModule(rank=1, degrees=(2, 4), signs=((1,), (0,)))
-        triv, sign = character([0]), character([1])
+        triv, sign = bits([0]), bits([1])
         x = TwistedElement.make(mod, triv, triv, {(0, 1): Fraction(1), (2, 0): Fraction(-1)})
         y = TwistedElement.make(mod, sign, triv, {(1, 1): Fraction(2)})
         z = TwistedElement.make(mod, triv, sign, {(1, 0): Fraction(1)})

@@ -257,8 +257,72 @@ class TestIncompleteKdatum:
         assert "'tau_map'" in payload["error"]["message"]
 
 
+class TestKdatumTypes:
+    """Wrong JSON types in K-datum rows and polynomials exit 1 and name their path."""
+
+    def _validate(self, tmp_path, edit):
+        p = _edited(tmp_path, "synthetic_symmetric_rank1", lambda d: edit(d["symmetric"]["Kdatum"]))
+        return invoke_json("--input", str(p), "--command", "validate")
+
+    def test_non_bit_signs(self, tmp_path):
+        code, payload = self._validate(tmp_path, lambda k: k["-"]["generators"][0].update(signs=["a"]))
+        assert code == 1
+        assert "symmetric.Kdatum['-'].generators[0].signs[0]" in payload["error"]["message"]
+
+    def test_non_bit_to_open(self, tmp_path):
+        code, payload = self._validate(tmp_path, lambda k: k["1"].update(to_open=[["x"]]))
+        assert code == 1
+        assert "symmetric.Kdatum['1'].to_open[0][0]" in payload["error"]["message"]
+
+    def _restriction(self, tmp_path, **edit):
+        return self._validate(tmp_path, lambda k: k["restrictions"]["->1"].update(edit))
+
+    def test_non_bit_tau_map(self, tmp_path):
+        code, payload = self._restriction(tmp_path, tau_map=[["x"]])
+        assert code == 1
+        assert "symmetric.Kdatum['restrictions']['->1'].tau_map[0][0]" in payload["error"]["message"]
+
+    def test_malformed_gens_polynomial(self, tmp_path):
+        at = "symmetric.Kdatum['restrictions']['->1'].gens[0][0]"
+        code, payload = self._restriction(tmp_path, gens=[[["1", ["q"]]]])
+        assert code == 1
+        assert at + "[1][0]" in payload["error"]["message"]
+        code, payload = self._restriction(tmp_path, gens=[[["x", [1]]]])
+        assert code == 1
+        assert at + "[0]" in payload["error"]["message"]
+
+
+class TestUnknownKdatumKeys:
+    """A K-datum key that names no J set or no covering pair is a datum error."""
+
+    def _validate(self, tmp_path, edit):
+        p = _edited(tmp_path, "synthetic_symmetric_rank1", lambda d: edit(d["symmetric"]["Kdatum"]))
+        return invoke_json("--input", str(p), "--command", "validate")
+
+    def test_unknown_j_key(self, tmp_path):
+        code, payload = self._validate(tmp_path, lambda k: k.update(zz=k["-"]))
+        assert code == 2
+        assert "'zz'" in payload["error"]["message"]
+
+    def test_unknown_restriction_key(self, tmp_path):
+        code, payload = self._validate(tmp_path, lambda k: k["restrictions"].update(x={"tau_map": [[1]]}))
+        assert code == 2
+        assert "'x'" in payload["error"]["message"]
+
+
 class TestDigestPin:
-    """ext and check-all stdout at seed 2026 match the benchmark's recorded digests."""
+    """ext and check-all stdout at seed 2026 match the benchmark's recorded digests;
+    labels stdout matches the digests recorded below."""
+
+    LABELS = {
+        "canonical_l1": "ce75cb738d76a7a964d456a219466ef587c098db96ee5acc28bc80c015df0443",
+        "canonical_l2": "1c4f96d9768a9c83b343e53359e63cbb98628784a2bda33fda2a5e2a684b0d79",
+        "p1_halfint": "334b984a6816f7698bb40a330fa2a1cf96c6f559a6d9f2d65b810aaf0452e096",
+        "p1_trivial": "c9d60f64dc1c2f8651bfee6196b0f613058b45517b7d0615bcc055117e254033",
+        "p1xp1": "07affe07de365b857303da13d3ec1473c7c0593b29ce14269c0a3321ff64eaf6",
+        "p2": "2b0527d1040263f64fcce97f3b2220b0407bd0601b034fa0a2bfcaf67dc8e8d2",
+        "synthetic_symmetric_rank1": "7e9b3c53a71b280c123f2fc9853c456d5e3632ffb34e6fa03b153d9843f7862b",
+    }
 
     DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
     NAMES = ("p1_trivial", "p1_halfint", "canonical_l1", "synthetic_symmetric_rank1")
@@ -276,6 +340,12 @@ class TestDigestPin:
 
     def test_check_all_digests(self):
         self._check("check-all", "checkall-shipped")
+
+    def test_labels_digests(self):
+        for name, digest in self.LABELS.items():
+            code, text = invoke("--input", str(DATA / f"{name}.json"), "--command", "labels")
+            assert code == 0, text
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
 
 
 class TestSymmetricTypes:

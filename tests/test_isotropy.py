@@ -1,5 +1,6 @@
 import pytest
 
+from extsheaf.f2 import echelon
 from extsheaf.fans import Fan, toric_isotropy
 from extsheaf.isotropy import (
     DatumError,
@@ -8,7 +9,6 @@ from extsheaf.isotropy import (
     build_catalog,
     component_group,
     delta_prime,
-    f2_echelon,
     monodromy,
 )
 
@@ -28,7 +28,7 @@ P1_FAN = dict(rank=1, overlattice_gens=((1,),), rays=((1,), (-1,)), max_cones=((
 
 class TestF2:
     def test_echelon(self):
-        rows = f2_echelon([(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+        rows = echelon([(1, 1, 0), (0, 1, 1), (1, 0, 1)])
         assert rows == ((1, 0, 1), (0, 1, 1))
 
     def test_family_monotonicity_enforced(self):

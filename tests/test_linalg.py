@@ -113,6 +113,14 @@ class TestIntFirst:
         (row,) = kernel_basis([{0: 1, 1: 2}], range(2))
         assert row == {0: 1, 1: Fraction(-1, 2)}
 
+    def test_scaled_rows_keep_integral_entries_as_ints(self):
+        (row,) = kernel_basis([{0: 1, 1: 2}], range(2))
+        assert type(row[0]) is int and type(row[1]) is Fraction
+        elim = Eliminator()
+        elim.add({0: 2, 1: 4, 2: 3})
+        assert elim.pivots[0] == {0: 1, 1: 2, 2: Fraction(3, 2)}
+        assert [type(c) for c in elim.pivots[0].values()] == [int, int, Fraction]
+
     def test_never_a_float(self):
         rng = random.Random(7)
         for _ in range(60):
