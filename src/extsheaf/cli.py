@@ -15,12 +15,12 @@ from fractions import Fraction
 
 from . import f2
 from .checks import run_battery
-from .extalg import ext_algebra
+from .extalg import diagonal_unit, ext_algebra
 from .faces import FacePoint, KData, SymmetricDatum, downward_closed_families, g_stable_open
 from .fans import Fan, toric_datum
 from .hsheaf import build_H, validate_support_facts
 from .isotropy import DatumError, IsotropyFamily, build_catalog
-from .posets import cech_cohomology
+from .posets import cech_cohomology, global_sections
 
 DEFAULT_CUTOFF = 20
 DEFAULT_SEED = 2026
@@ -254,15 +254,21 @@ def _meta(doc_path, cutoff, seed, command):
 # commands
 
 
-def _build(doc, cutoff):
+def _datum_catalog(doc):
+    """(datum, D-basis rows, label catalog, fan-or-None) of a document."""
     datum, dbasis, labels, fan = document_datum(doc)
-    catalog = build_catalog(datum.isotropy, datum.V, labels)
+    return datum, dbasis, build_catalog(datum.isotropy, datum.V, labels), fan
+
+
+def _build(doc, cutoff, prebuilt=None):
+    """Datum, D-basis, catalog, H and fan; prebuilt is a _datum_catalog result to reuse."""
+    datum, dbasis, catalog, fan = prebuilt or _datum_catalog(doc)
     H = build_H(datum, catalog, cutoff)
     return datum, dbasis, catalog, H, fan
 
 
-def cmd_validate(doc, path, cutoff, seed):
-    datum, dbasis, catalog, H, fan = _build(doc, cutoff)
+def cmd_validate(doc, path, cutoff, seed, prebuilt=None):
+    datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
     checks = [{"name": "schema", "status": "pass"},
               {"name": "datum-invariants", "status": "pass"}]
     for (i, j), blk in sorted(H.blocks.items()):
@@ -274,15 +280,15 @@ def cmd_validate(doc, path, cutoff, seed):
     return 0, payload
 
 
-def cmd_faces(doc, path, cutoff, seed):
-    datum, dbasis, catalog, H, fan = _build(doc, cutoff)
+def cmd_faces(doc, path, cutoff, seed, prebuilt=None):
+    datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
     faces = [{"orbit": list(f.orbit), "J": list(f.j)} for f in datum.faces()]
     payload = {"meta": _meta(path, cutoff, seed, "faces"), "faces": faces}
     return 0, payload
 
 
-def cmd_labels(doc, path, cutoff, seed):
-    datum, dbasis, catalog, H, fan = _build(doc, cutoff)
+def cmd_labels(doc, path, cutoff, seed, prebuilt=None):
+    datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
     labels = []
     for k, lab in enumerate(catalog.labels):
         labels.append({
@@ -318,12 +324,21 @@ def _parse_block(text, catalog):
     return a, b
 
 
-def cmd_hilbert(doc, path, cutoff, seed, block=None):
-    datum, dbasis, catalog, H, fan = _build(doc, cutoff)
-    ext = ext_algebra(H)
+def cmd_hilbert(doc, path, cutoff, seed, block=None, prebuilt=None):
+    """Block Hilbert series from the ranks of the section systems; no ext basis is built.
+
+    Every diagonal unit is checked, as ext does, whatever block is shown.
+    """
+    datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
     blocks = sorted(H.blocks) if block is None else [block]
+    series = {}
+    for b in sorted(set(blocks) | {(a, a) for a in range(len(catalog))}):
+        sec = global_sections(H.space, H.space.points, H.blocks[b].sheaf, cutoff)
+        if b[0] == b[1]:
+            diagonal_unit(H.blocks[b].sheaf, sec)
+        series[b] = sec.hilbert(cutoff)
     payload = {"meta": _meta(path, cutoff, seed, "hilbert"), "blocks": [
-        {"alpha": i, "beta": j, "hilbert": ext.block_hilbert((i, j))}
+        {"alpha": i, "beta": j, "hilbert": series[(i, j)]}
         for i, j in blocks]}
     return 0, payload
 
@@ -341,8 +356,8 @@ def _basis_entry(ext, idx):
     }
 
 
-def cmd_ext(doc, path, cutoff, seed, block=None):
-    datum, dbasis, catalog, H, fan = _build(doc, cutoff)
+def cmd_ext(doc, path, cutoff, seed, block=None, prebuilt=None):
+    datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
     ext = ext_algebra(H)
     blocks = sorted(H.blocks) if block is None else [block]
     shown = set(blocks)
@@ -370,8 +385,8 @@ def cmd_ext(doc, path, cutoff, seed, block=None):
     return 0, payload
 
 
-def cmd_cohomology(doc, path, cutoff, seed):
-    datum, dbasis, catalog, H, fan = _build(doc, cutoff)
+def cmd_cohomology(doc, path, cutoff, seed, prebuilt=None):
+    datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
     opens = []
     for fam in downward_closed_families(datum):
         U = g_stable_open(datum, H.space, fam)
@@ -388,8 +403,8 @@ def cmd_cohomology(doc, path, cutoff, seed):
     return 0, payload
 
 
-def cmd_check_all(doc, path, cutoff, seed):
-    datum, dbasis, catalog, H, fan = _build(doc, cutoff)
+def cmd_check_all(doc, path, cutoff, seed, prebuilt=None):
+    datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
     ext = ext_algebra(H)
     report = run_battery(H, ext, seed, fan=fan)
     checks = [{"name": e.name, "status": "pass" if e.ok else "fail", "details": e.details}
@@ -430,11 +445,8 @@ def run(argv, out=None):
         cutoff = args.cutoff if args.cutoff is not None else doc.get("cutoff", DEFAULT_CUTOFF)
         if cutoff < 0 or cutoff % 2:
             raise SchemaError("cutoff must be a nonnegative even integer")
-        block = None
-        if args.block is not None:
-            datum, dbasis, labels, fan = document_datum(doc)
-            catalog = build_catalog(datum.isotropy, datum.V, labels)
-            block = _parse_block(args.block, catalog)
+        prebuilt = _datum_catalog(doc)
+        block = None if args.block is None else _parse_block(args.block, prebuilt[2])
         handlers = {
             "validate": cmd_validate,
             "faces": cmd_faces,
@@ -444,9 +456,9 @@ def run(argv, out=None):
         }
         if args.command in ("ext", "hilbert"):
             fn = cmd_ext if args.command == "ext" else cmd_hilbert
-            code, payload = fn(doc, args.input, cutoff, args.seed, block=block)
+            code, payload = fn(doc, args.input, cutoff, args.seed, block=block, prebuilt=prebuilt)
         else:
-            code, payload = handlers[args.command](doc, args.input, cutoff, args.seed)
+            code, payload = handlers[args.command](doc, args.input, cutoff, args.seed, prebuilt=prebuilt)
         out.write(emit_json(payload) if args.format == "json" else emit_tsv(payload))
         return code
     except SchemaError as exc:

@@ -61,11 +61,8 @@ class ExtAlgebra:
                 self._degrees[(i, j)] = [self.basis[k].degree for k in ids]
         self.idempotents = {}
         for a in range(n):
-            vec = self._unit_vector(a)
-            coeffs = self.express((a, a), 0, vec)
-            if coeffs is None:
-                raise DatumError("diagonal unit is not a global section")
-            self.idempotents[a] = coeffs
+            vec = diagonal_unit(H.blocks[(a, a)].sheaf, self.sections[(a, a)])
+            self.idempotents[a] = self.express((a, a), 0, vec)
 
     # -- coordinates
 
@@ -82,16 +79,6 @@ class ExtAlgebra:
         coords, ids = self._coord[key]
         out = coords.of(vector)
         return None if out is None else {ids[t]: c for t, c in out.items()}
-
-    def _unit_vector(self, a):
-        blk = self.H.blocks[(a, a)]
-        vec = {}
-        for key in sorted(blk.support.members()):
-            st = blk.stalk(key)
-            for pm, km in (st.basis or {}).get(0, ()):
-                if pm == () and not any(km):
-                    vec[(key, (pm, km))] = ONE
-        return vec
 
     # -- products
 
@@ -166,6 +153,23 @@ class ExtAlgebra:
 
 def ext_algebra(H: HSheaf) -> ExtAlgebra:
     return ExtAlgebra(H)
+
+
+def diagonal_unit(sheaf, sections):
+    """The degree-0 unit of a diagonal block, as a family over its stalks.
+
+    The unit label (1, trivial K-monomial) of every stalk that has one.
+    Raises DatumError unless the family lies in sections, the block's
+    global sections; the constraint rows decide that, no basis needed.
+    """
+    vec = {}
+    for p in sorted(sheaf.stalks):
+        for pm, km in sheaf.stalks[p].basis.get(0, ()):
+            if pm == () and not any(km):
+                vec[(p, (pm, km))] = ONE
+    if not sections.contains(0, vec):
+        raise DatumError("diagonal unit is not a global section")
+    return vec
 
 
 @dataclass

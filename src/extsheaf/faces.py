@@ -130,19 +130,18 @@ class KData:
 
     def restriction_data(self, j, jp):
         """Composite (tau_map, generator image polynomials) for J ⊆ J'."""
-        j, jp = tuple(sorted(j)), tuple(sorted(jp))
-        if j == jp:
-            e = self.entries[j]
-            gens = tuple(((exps, ONE),) for exps in f2.identity(len(e["generators"])))
-            return {"tau_map": f2.identity(e["tau_rank"]), "gens": gens}
-        key = (j, jp)
-        if key in self._chain_cache:
-            mid = None
-        else:
-            mid = tuple(sorted(set(j) | {min(set(jp) - set(j))}))
-            step = self._restrictions[(j, mid)]
-            rest = self.restriction_data(mid, jp)
-            self._chain_cache[key] = self._compose(step, rest, len(self.entries[jp]["generators"]))
+        key = tuple(sorted(j)), tuple(sorted(jp))
+        if key not in self._chain_cache:
+            j, jp = key
+            if j == jp:
+                e = self.entries[j]
+                gens = tuple(((exps, ONE),) for exps in f2.identity(len(e["generators"])))
+                data = {"tau_map": f2.identity(e["tau_rank"]), "gens": gens}
+            else:
+                mid = tuple(sorted(set(j) | {min(set(jp) - set(j))}))
+                data = self._compose(self._restrictions[(j, mid)], self.restriction_data(mid, jp),
+                                     len(self.entries[jp]["generators"]))
+            self._chain_cache[key] = data
         return self._chain_cache[key]
 
     def _compose(self, first, second, n_out):
@@ -269,17 +268,21 @@ class SymmetricDatum:
             raise DatumError("isotropy family mode does not match the datum mode")
         if self.kdata.m != self.isotropy.m or self.kdata.l != self.l:
             raise DatumError("K-datum shape does not match the datum")
+        self._faces = None
 
     def faces(self):
-        out = []
-        full = set(range(1, self.l + 1))
-        for s in self.S:
-            base = self.Jmap[s]
-            extra = sorted(full - base)
-            for k in range(len(extra) + 1):
-                for add in itertools.combinations(extra, k):
-                    out.append(FacePoint(orbit=s, j=tuple(sorted(base | set(add)))))
-        return sorted(out, key=lambda f: (f.orbit, f.j))
+        """Every face (Δ, J), sorted; enumerated on the first call only."""
+        if self._faces is None:
+            out = []
+            full = set(range(1, self.l + 1))
+            for s in self.S:
+                base = self.Jmap[s]
+                extra = sorted(full - base)
+                for k in range(len(extra) + 1):
+                    for add in itertools.combinations(extra, k):
+                        out.append(FacePoint(orbit=s, j=tuple(sorted(base | set(add)))))
+            self._faces = tuple(sorted(out, key=lambda f: (f.orbit, f.j)))
+        return list(self._faces)
 
 
 def build_faces(datum: SymmetricDatum) -> FiniteSpace:

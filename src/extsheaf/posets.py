@@ -53,6 +53,7 @@ class FiniteSpace:
                 if i != j and i in up[j]:
                     raise SpaceError(f"antisymmetry fails on ({i!r}, {j!r})")
         self._up = {p: frozenset(s) for p, s in up.items()}
+        self._hasse = None
 
     def leq(self, i, j):
         return j in self._up[i]
@@ -76,15 +77,24 @@ class FiniteSpace:
         return [(i, j) for i in dom for j in sorted(self._up[i]) if j != i and j in dset]
 
     def covering_pairs(self, within=None):
-        """Hasse edges (i, j): i < j with nothing strictly between."""
-        dom = set(self.points if within is None else within)
-        out = []
-        for i in sorted(dom):
-            ups = [j for j in self._up[i] if j != i and j in dom]
-            for j in sorted(ups):
-                if not any(k != i and k != j and self.leq(i, k) and self.leq(k, j) for k in ups):
-                    out.append((i, j))
-        return out
+        """Hasse edges (i, j): i < j with nothing strictly between, as a sorted tuple.
+
+        The diagram is computed once per space.  within, if given, must
+        be open: an open set is up-closed, so every point between two of
+        its points lies in it, and its Hasse edges are the edges of the
+        whole space with both ends inside it.
+        """
+        if self._hasse is None:
+            self._hasse = tuple(
+                (i, j) for i in self.points
+                for j in sorted(self._up[i] - {i})
+                if not any(k != i and k != j and self.leq(k, j) for k in self._up[i]))
+        if within is None:
+            return self._hasse
+        dom = set(within)
+        if not self.is_open(dom):
+            raise SpaceError("covering_pairs needs an open set")
+        return tuple(e for e in self._hasse if e[0] in dom and e[1] in dom)
 
 
 def minimal_open(space: FiniteSpace, i):
@@ -253,16 +263,39 @@ def _compose(first, second):
 
 
 class SectionSpace(GradedSpace):
-    """Sections over an open set with explicit basis vectors.
+    """Sections over an open set: dimensions by rank, basis vectors on demand.
 
-    vectors[d] is a tuple of sparse dicts over (point, label) columns,
-    echelonized against the canonical column order.
+    rows[d] is the reduced echelon form of the degree-d compatibility
+    constraints over the (point, label) columns columns[d], so dims[d] is
+    len(columns[d]) minus the rank.  vectors[d], a tuple of sparse dicts
+    echelonized against the canonical column order, is built by
+    kernel_basis the first time vectors is read.
     """
 
-    def __init__(self, vectors_by_degree, columns_by_degree):
-        self.vectors = {d: tuple(vs) for d, vs in vectors_by_degree.items() if vs}
+    def __init__(self, rows_by_degree, columns_by_degree):
+        self.rows = rows_by_degree
         self.columns = columns_by_degree
-        super().__init__(basis={d: tuple(min(v) for v in vs) for d, vs in self.vectors.items()})
+        self._vectors = None
+        super().__init__(dims={d: len(cols) - len(rows_by_degree[d])
+                               for d, cols in columns_by_degree.items()})
+
+    @property
+    def vectors(self):
+        if self._vectors is None:
+            self._vectors = {}
+            for d in sorted(self.columns):
+                vs = kernel_basis(self.rows[d], self.columns[d])
+                if vs:
+                    self._vectors[d] = tuple(vs)
+        return self._vectors
+
+    def contains(self, degree, vector):
+        """Whether a sparse vector over (point, label) columns is a section of the given degree."""
+        cols = set(self.columns.get(degree, ()))
+        if any(k not in cols for k in vector):
+            return False
+        return all(sum(c * vector.get(k, 0) for k, c in row.items()) == 0
+                   for row in self.rows.get(degree, ()))
 
 
 def _section_columns(U, sheaf, cutoff):
@@ -285,35 +318,40 @@ def _check_cutoff(sheaf, cutoff):
 def global_sections(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff) -> SectionSpace:
     """Compatible families (s_i) with restriction(i,j)(s_i) = s_j, degreewise.
 
-    Constraints are imposed incrementally along the covering pairs of U;
-    functoriality makes the remaining comparable pairs redundant.  (The
-    brute-force oracle in oracles.py instead assembles every comparable
-    pair into one system with its own elimination.)
+    One pass over the covering pairs of U imposes the constraints of
+    every degree; functoriality makes the remaining comparable pairs
+    redundant.  Only the ranks are taken here, so the dimensions cost
+    no kernel basis.  (The brute-force oracle in oracles.py instead
+    assembles every comparable pair into one system with its own
+    elimination.)
     """
     U = tuple(sorted(U))
     if not space.is_open(U):
         raise SpaceError("global_sections needs an open set")
     _check_cutoff(sheaf, cutoff)
     cols = _section_columns(U, sheaf, cutoff)
-    edges = space.covering_pairs(within=U)
-    vectors = {}
-    for d in sorted(cols):
-        elim = Eliminator()
-        for i, j in edges:
-            m = sheaf.restriction(i, j)
-            rows = {t: {(j, t): -ONE} for t in sheaf.stalks[j].basis.get(d, ())}
-            for s in sheaf.stalks[i].basis.get(d, ()):
+    elims = {d: Eliminator() for d in cols}
+    targets = {}    # point -> its labels under the cutoff with their degrees, by repr
+    for i, j in space.covering_pairs(within=U):
+        if not sheaf.stalks[j].dims:
+            continue            # nothing to match, and no restriction to compose
+        if j not in targets:
+            targets[j] = sorted(((t, d) for d, labs in sheaf.stalks[j].basis.items() if d <= cutoff
+                                 for t in labs), key=lambda td: repr(td[0]))
+        m = sheaf.restriction(i, j)
+        rows = {t: {(j, t): -ONE} for t, _ in targets[j]}
+        for d, labs in sheaf.stalks[i].basis.items():
+            if d > cutoff:
+                continue
+            for s in labs:
                 for t, c in m.get(s, ()):
                     if sheaf.degree(j, t) != d:
                         raise SpaceError("restriction map is not degree-preserving")
                     row = rows[t]
                     row[(i, s)] = row.get((i, s), 0) + c
-            for t in sorted(rows, key=repr):
-                row = {k: v for k, v in rows[t].items() if v}
-                if row:
-                    elim.add(row)
-        vectors[d] = kernel_basis(list(elim.pivots.values()), cols[d])
-    return SectionSpace(vectors, cols)
+        for t, d in targets[j]:
+            elims[d].add({k: v for k, v in rows[t].items() if v})
+    return SectionSpace({d: list(e.pivots.values()) for d, e in elims.items()}, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,16 @@ import io
 import json
 from pathlib import Path
 
+from extsheaf import cli
 from extsheaf.cli import (
     load_document,
     parse_faces_output,
     parse_labels_output,
     run,
 )
+from extsheaf.extalg import ExtAlgebra
+from extsheaf.isotropy import build_catalog
+from extsheaf.posets import SectionSpace
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "extsheaf" / "data"
 
@@ -324,6 +328,31 @@ class TestDigestPin:
         "synthetic_symmetric_rank1": "7e9b3c53a71b280c123f2fc9853c456d5e3632ffb34e6fa03b153d9843f7862b",
     }
 
+    # hilbert stdout as JSON, as TSV and with --block 0:0
+    HILBERT = {
+        "canonical_l1": ("0bcad5bf2b706dff16a549ea3b82868cf3550cc8d3d48f866c3faafb1e8722d7",
+                        "5eccb13b0b55dce614bc01cc25f25bacaa59de1f27ac1e7bee48f29d68878680",
+                        "8b338f5fa331f6a737593f14027cb5c3d3ce46e8c0b9c7f7b88ff9bce6301f3f"),
+        "canonical_l2": ("c997235878ddf0d084ab9f0273d8751c36fabfab01030ab735b2caed7f673e69",
+                        "ecd907c244571572bd160a246e8887e57a63ef1b007b4c78192086be878cfe46",
+                        "72d74eec53c81af30fe5bc660f32a2cc58891bd167ed41131589eb022b26fda4"),
+        "p1_halfint": ("75d0b929e84d43b08246252369a4195788a9f8682b52c1d31a77725a8012fc5e",
+                      "35d73022cbeb3b652e6874b5fe5b49616a8a8bde832accc10f898a59f6b40743",
+                      "ff53f1a2318766f8a90454153e4c3dd780c74704301aace1919793630a9a1716"),
+        "p1_trivial": ("ec62d592b818ed5f4cf261326b06f276d8505a53456ec63527e5661aab015567",
+                      "02b99ba6d6785fc161643b09e0013f57a9b4fbf4fb841015eb2489aaae09153d",
+                      "ab6d327db632f2b2ae053313aed0bb25e671580dcb1d2eee51fa76c2b68af4d1"),
+        "p1xp1": ("81d36a0e11e4770b1b945eda61c9046418c50a06bb0e624a7ece788ae3cacfd9",
+                 "ff9c1137783ebe2213337cb0bd95a0e4ced21cad16c2170c43f33d7bd528dad8",
+                 "6ebe11f25a7c2d914d58399fc1ebafdaeb874f712ea6960d429f105ae08cf0f8"),
+        "p2": ("8d13903e61ccc9932c6aa7263e1fff1393c344f55d70f63ab055b88da262f5b4",
+              "3001a2ffff733d070de8b446f744647907375a2bb74807ea8326f242e15c22ee",
+              "35b90dc3d90269ad8868c0756391dbf981917e7ceffbef02f2db60baaec7ce5e"),
+        "synthetic_symmetric_rank1": ("716149cadbb3be50a415b8aadd6b5d6493cb0f58d42cdb6412ef6d384af301f1",
+                                     "0f1abd5cc891c12552af5e1b411a5520202127ced82280cf5a41baf1736b855e",
+                                     "bb693a552798e78fae3e9d4f99144f28e89b414818b4fa99c24cbb7c225003f4"),
+    }
+
     DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
     NAMES = ("p1_trivial", "p1_halfint", "canonical_l1", "synthetic_symmetric_rank1")
 
@@ -340,6 +369,14 @@ class TestDigestPin:
 
     def test_check_all_digests(self):
         self._check("check-all", "checkall-shipped")
+
+    def test_hilbert_digests(self):
+        variants = ((), ("--format", "tsv"), ("--block", "0:0"))
+        for name, digests in self.HILBERT.items():
+            for extra, digest in zip(variants, digests):
+                code, text = invoke("--input", str(DATA / f"{name}.json"), "--command", "hilbert", *extra)
+                assert code == 0, text
+                assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, (name, extra)
 
     def test_labels_digests(self):
         for name, digest in self.LABELS.items():
@@ -388,3 +425,43 @@ class TestSymmetricTypes:
         code, payload = self._validate(tmp_path, lambda d: d["symmetric"]["D_subspaces"].update(v="zz"))
         assert code == 1
         assert "symmetric.D_subspaces['v']" in payload["error"]["message"]
+
+
+class TestBuildOnce:
+    """A --block command builds the datum and its label catalog once."""
+
+    def test_block_commands_build_one_catalog(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_catalog(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_catalog", counting)
+        for command in ("hilbert", "ext"):
+            calls.clear()
+            code, _ = invoke("--input", str(DATA / "p1_trivial.json"), "--command", command,
+                             "--block", "0:0")
+            assert code == 0
+            assert len(calls) == 1, command
+
+
+class TestHilbertUnitCheck:
+    """hilbert builds no ext basis but still rejects a diagonal unit that is not a section."""
+
+    def test_no_ext_algebra(self, monkeypatch):
+        def refuse(self, H):
+            raise AssertionError("hilbert built an ext algebra")
+
+        monkeypatch.setattr(ExtAlgebra, "__init__", refuse)
+        code, payload = invoke_json("--input", str(DATA / "p1xp1.json"), "--command", "hilbert")
+        assert code == 0 and len(payload["blocks"]) == 81
+
+    def test_unit_off_the_sections_exits_2(self, monkeypatch):
+        monkeypatch.setattr(SectionSpace, "contains", lambda self, degree, vector: False)
+        for extra in ((), ("--block", "0:1")):
+            code, payload = invoke_json("--input", str(DATA / "p1_trivial.json"),
+                                        "--command", "hilbert", *extra)
+            assert code == 2
+            assert payload["error"] == {"kind": "datum-invalid",
+                                        "message": "diagonal unit is not a global section"}

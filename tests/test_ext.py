@@ -1,13 +1,21 @@
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from extsheaf import cli
-from extsheaf.extalg import concentration_check, ext_algebra, ext_module, vanishing_report
+from extsheaf.extalg import (
+    concentration_check,
+    diagonal_unit,
+    ext_algebra,
+    ext_module,
+    vanishing_report,
+)
 from extsheaf.fans import Fan, toric_datum
 from extsheaf.hsheaf import build_H
-from extsheaf.isotropy import build_catalog
+from extsheaf.isotropy import DatumError, build_catalog
+from extsheaf.posets import FiniteSpace, GradedSheaf, GradedSpace, global_sections
 
 ONE = Fraction(1)
 
@@ -283,3 +291,70 @@ class TestProductContract:
         vec.update(ext.basis[y].vector)
         for degree in (0, 2):
             assert ext.express((0, 0), degree, vec) is None
+
+
+P3 = Fan(rank=3, overlattice_gens=(),
+         rays=((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+         max_cones=tuple(itertools.combinations(range(4), 3)))
+F1 = Fan(rank=2, overlattice_gens=(), rays=((1, 0), (0, 1), (-1, 1), (0, -1)),
+         max_cones=((0, 1), (1, 2), (2, 3), (3, 0)))
+P1X3 = Fan(rank=3, overlattice_gens=(),
+           rays=tuple(tuple(s if k == i else 0 for k in range(3)) for i in range(3) for s in (1, -1)),
+           max_cones=tuple(tuple(2 * i + s for i, s in enumerate(signs))
+                           for signs in itertools.product((0, 1), repeat=3)))
+
+
+def _shipped_H():
+    for path in sorted(DATA.glob("*.json")):
+        doc = cli.load_document(str(path))
+        yield path.stem, cli._build(doc, doc["cutoff"])[3]
+
+
+def _H(fan, cutoff):
+    datum, _ = toric_datum(fan)
+    return build_H(datum, build_catalog(datum.isotropy, datum.V, "all"), cutoff)
+
+
+class TestRankDimensions:
+    """Section dimensions are read off ranks; they must count the kernel basis."""
+
+    def _check(self, name, H):
+        for b, blk in sorted(H.blocks.items()):
+            sec = global_sections(H.space, H.space.points, blk.sheaf, H.cutoff)
+            by_rank = sec.hilbert(H.cutoff)
+            assert sec._vectors is None
+            by_basis = [len(sec.vectors.get(d, ())) for d in range(H.cutoff + 1)]
+            assert by_rank == by_basis, (name, b)
+
+    def test_shipped_documents(self):
+        names = []
+        for name, H in _shipped_H():
+            self._check(name, H)
+            names.append(name)
+        assert len(names) == 7
+
+    def test_generated_fans(self):
+        for name, fan in (("P^3", P3), ("F_1", F1), ("(P^1)^3", P1X3)):
+            self._check(name, _H(fan, 8))
+
+
+def _unit_label_sheaf(scale):
+    """Two points a < b, each stalk the unit label in degree 0; restriction multiplies by scale."""
+    sp = FiniteSpace(["a", "b"], [("a", "b")])
+    u = ((), ())
+    stalks = {p: GradedSpace(basis={0: (u,)}) for p in sp.points}
+    return sp, GradedSheaf(sp, stalks, {("a", "b"): {u: ((u, scale),)}})
+
+
+class TestDiagonalUnitCheck:
+    def test_unit_section_passes(self):
+        sp, sh = _unit_label_sheaf(1)
+        vec = diagonal_unit(sh, global_sections(sp, sp.points, sh, 0))
+        assert vec == {("a", ((), ())): 1, ("b", ((), ())): 1}
+
+    def test_unit_off_the_sections_fails(self):
+        sp, sh = _unit_label_sheaf(2)
+        sec = global_sections(sp, sp.points, sh, 0)
+        assert sec.dims == {0: 1}
+        with pytest.raises(DatumError, match="diagonal unit is not a global section"):
+            diagonal_unit(sh, sec)

@@ -173,3 +173,20 @@ class TestKData:
         }
         with pytest.raises(DatumError):
             KData(m=0, l=1, entries=entries)
+
+    def test_identity_restriction_is_cached(self):
+        kd = self.kdatum_rank1()
+        first = kd.restriction_data((1,), (1,))
+        assert first == {"tau_map": ((1,),), "gens": ((((1,), 1),),)}
+        assert kd.restriction_data((1,), (1,)) is first
+        assert kd.apply_restriction((1,), (1,), (2,)) == {(2,): 1}
+
+
+class TestFaceList:
+    def test_faces_are_enumerated_once_and_copied_out(self):
+        datum = canonical_datum(2)
+        first = datum.faces()
+        assert first == sorted(first, key=lambda f: (f.orbit, f.j))
+        first.pop()
+        assert len(datum.faces()) == len(first) + 1
+        assert build_faces(datum).points == tuple(sorted(f.key() for f in datum.faces()))

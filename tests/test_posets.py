@@ -1,7 +1,10 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from extsheaf import cli
+from extsheaf.faces import downward_closed_families, g_stable_open
 from extsheaf.posets import (
     FiniteSpace,
     GradedSheaf,
@@ -14,6 +17,7 @@ from extsheaf.posets import (
 )
 
 ONE = Fraction(1)
+DATA = Path(__file__).resolve().parents[1] / "src" / "extsheaf" / "data"
 
 
 def constant_sheaf(space, gens=("c",)):
@@ -189,3 +193,60 @@ class TestSections:
         hs = cech_cohomology(sp, sp.points, sh, cut)
         assert hs[0].dims == sec.dims
         assert all(not h.dims for h in hs[1:])
+
+
+def brute_hasse(space, dom):
+    """Covering pairs inside dom straight from the definition."""
+    return tuple((i, j) for i in sorted(dom) for j in sorted(dom)
+                 if i != j and space.leq(i, j)
+                 and not any(k not in (i, j) and space.leq(i, k) and space.leq(k, j) for k in dom))
+
+
+class TestHasseEdges:
+    def test_cached_tuple_matches_brute_force(self):
+        for sp in (chain_space(), vee_space(), pseudo_circle()):
+            edges = sp.covering_pairs()
+            assert isinstance(edges, tuple)
+            assert edges == brute_hasse(sp, sp.points)
+            assert sp.covering_pairs() is edges
+
+    def test_within_an_open(self):
+        sp = pseudo_circle()
+        for U in [("a",), ("a", "b"), ("a", "b", "c"), sp.points]:
+            assert sp.is_open(U)
+            assert sp.covering_pairs(within=U) == brute_hasse(sp, U)
+
+    def test_within_rejects_non_open(self):
+        with pytest.raises(SpaceError):
+            vee_space().covering_pairs(within=("c",))
+
+    def test_shipped_face_spaces(self):
+        for path in sorted(DATA.glob("*.json")):
+            doc = cli.load_document(str(path))
+            datum, _, catalog, H, _ = cli._build(doc, 0)
+            edges = H.space.covering_pairs()
+            assert isinstance(edges, tuple), path.stem
+            assert edges == brute_hasse(H.space, H.space.points), path.stem
+            for fam in downward_closed_families(datum):
+                U = g_stable_open(datum, H.space, fam)
+                assert H.space.covering_pairs(within=U) == brute_hasse(H.space, U), (path.stem, fam)
+
+
+class TestLazySections:
+    def test_dimensions_before_vectors(self):
+        sp = pseudo_circle()
+        sec = global_sections(sp, sp.points, constant_sheaf(sp, gens=("x", "y")), 2)
+        assert sec.dims == {0: 2}
+        assert sec._vectors is None
+        assert [len(vs) for d, vs in sorted(sec.vectors.items())] == [2]
+        assert sec.vectors is sec.vectors
+
+    def test_contains(self):
+        sp = chain_space()
+        sh = constant_sheaf(sp)
+        sec = global_sections(sp, sp.points, sh, 0)
+        assert sec.contains(0, {("a", "c"): 1, ("b", "c"): 1})
+        assert sec.contains(0, {})
+        assert not sec.contains(0, {("a", "c"): 1})
+        assert not sec.contains(0, {("a", "c"): 1, ("b", "c"): 2})
+        assert not sec.contains(2, {("a", "c"): 1, ("b", "c"): 1})
