@@ -20,7 +20,7 @@ from .faces import FacePoint, KData, SymmetricDatum, downward_closed_families, g
 from .fans import Fan, toric_datum
 from .hsheaf import build_H, validate_support_facts
 from .isotropy import DatumError, IsotropyFamily, build_catalog
-from .posets import cech_cohomology, global_sections
+from .posets import cech_cohomology
 
 DEFAULT_CUTOFF = 20
 DEFAULT_SEED = 2026
@@ -328,12 +328,13 @@ def cmd_hilbert(doc, path, cutoff, seed, block=None, prebuilt=None):
     """Block Hilbert series from the ranks of the section systems; no ext basis is built.
 
     Every diagonal unit is checked, as ext does, whatever block is shown.
+    Sections are solved once per distinct block sheaf.
     """
     datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
     blocks = sorted(H.blocks) if block is None else [block]
     series = {}
     for b in sorted(set(blocks) | {(a, a) for a in range(len(catalog))}):
-        sec = global_sections(H.space, H.space.points, H.blocks[b].sheaf, cutoff)
+        sec = H.sections(H.blocks[b])
         if b[0] == b[1]:
             diagonal_unit(H.blocks[b].sheaf, sec)
         series[b] = sec.hilbert(cutoff)

@@ -48,7 +48,7 @@ class ExtAlgebra:
         n = len(self.catalog)
         for i in range(n):
             for j in range(n):
-                sec = global_sections(H.space, H.space.points, H.blocks[(i, j)].sheaf, H.cutoff)
+                sec = H.sections(H.blocks[(i, j)])
                 self.sections[(i, j)] = sec
                 ids = []
                 for d in sorted(sec.vectors):

@@ -326,11 +326,25 @@ def g_stable_open(datum: SymmetricDatum, space: FiniteSpace, sprime):
 
 
 def downward_closed_families(datum: SymmetricDatum):
-    """All downward-closed subfamilies of S (the G-stable opens), sorted."""
-    out = []
+    """All downward-closed subfamilies of S (the G-stable opens), sorted.
+
+    Order ideals are enumerated recursively as bit masks over S: orbits
+    are decided by size, and an orbit may join only once every orbit one
+    divisor smaller beneath it has, so only order ideals are visited.
+    """
     ss = list(datum.S)
-    for mask in range(1 << len(ss)):
-        fam = {ss[i] for i in range(len(ss)) if mask >> i & 1}
-        if all(tuple(sub) in fam for s in fam for k in range(len(s)) for sub in itertools.combinations(s, k)):
-            out.append(tuple(sorted(fam)))
-    return sorted(out)
+    bit = {s: 1 << k for k, s in enumerate(ss)}
+    order = sorted(ss, key=len)
+    need = [sum(bit[sub] for sub in itertools.combinations(s, len(s) - 1)) if s else 0 for s in order]
+    masks = []
+
+    def rec(k, mask):
+        if k == len(order):
+            masks.append(mask)
+            return
+        rec(k + 1, mask)
+        if need[k] & mask == need[k]:
+            rec(k + 1, mask | bit[order[k]])
+
+    rec(0, 0)
+    return sorted(tuple(s for k, s in enumerate(ss) if mask >> k & 1) for mask in masks)

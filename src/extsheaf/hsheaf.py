@@ -20,6 +20,14 @@ share one K-module, and the twist is the product of X_v over
 ∇(Δ_a, Δ_b, Δ_c), where |∇(Δ_a, Δ_b, Δ_c)| = d_ab + d_bc - d_ac.  So the
 product of stalk labels of degrees i and j has degree i + j, and callers
 bound i + j by the cutoff before they multiply.
+
+HSheaf builds each distinct block sheaf once.  A block sees its label
+pair only through the shift 2 d_ab and, at each member face, the
+transport rep and the K-character χ_a + χ_b at the rep's J; blocks that
+agree on these share one GradedSheaf (read-only: Block.sheaf and
+Block.zero point at the shared objects), and HSheaf.sections solves the
+global sections over the whole space once per distinct sheaf for
+hilbert and ext.
 """
 
 from __future__ import annotations
@@ -27,10 +35,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import f2
 from .algebra import mono, mono_mul, monomials_of_degree, twist_factor, twisted_tensor
 from .faces import FacePoint, SymmetricDatum, build_faces
 from .isotropy import DatumError, orbit_key
-from .posets import FiniteSpace, GradedSheaf, GradedSpace
+from .posets import FiniteSpace, GradedSheaf, GradedSpace, SectionSpace, global_sections
 
 ONE = 1
 
@@ -43,8 +52,12 @@ class BlockSupport:
     d: int
     dab_prime: tuple      # symmetric difference of the forbidden sets
 
-    def members(self):
-        return set(self.fab) | set(self.fab_prime)
+    def __post_init__(self):
+        self._members = frozenset(self.fab) | frozenset(self.fab_prime)
+
+    def members(self) -> frozenset:
+        """fab ⊔ fab_prime, built once."""
+        return self._members
 
     def rep(self, face_key):
         return self.transport.get(face_key, face_key)
@@ -106,77 +119,136 @@ def validate_support_facts(space: FiniteSpace, datum: SymmetricDatum, sup: Block
 
 
 class Block:
-    """One block H^{ab}: support, graded sheaf, and stalk bases."""
+    """One block H^{ab}: its own support, and the graded sheaf it shares
+    with every block of the same signature (read-only)."""
 
-    def __init__(self, datum, catalog, i, j, space, cutoff):
+    def __init__(self, H, i, j):
         self.i, self.j = i, j
-        self.support = support_sets(datum, catalog, i, j)
-        self.cutoff = cutoff
-        la, lb = catalog.labels[i], catalog.labels[j]
-        kdata = datum.kdata
-        self._kparts = {}     # J -> GradedSpace of surviving K-monomials
-        stalks = {}
-        twod = 2 * self.support.d
-        members = self.support.members()
-        for key in sorted(members):
-            rep = FacePoint.from_key(self.support.rep(key))
-            jkey = rep.j
-            if jkey not in self._kparts:
-                module = kdata.module(jkey)
-                chi_a = kdata.char_at(jkey, la.char)
-                chi_b = kdata.char_at(jkey, lb.char)
-                self._kparts[jkey] = twisted_tensor(module, chi_a, chi_b, cutoff)
-            kpart = self._kparts[jkey]
-            basis = {}
-            for kd, kms in (kpart.basis or {}).items():
-                for pd in range(0, cutoff - twod - kd + 1, 2):
-                    d = twod + kd + pd
-                    for pm in monomials_of_degree(rep.orbit, pd // 2):
-                        for km in kms:
-                            basis.setdefault(d, []).append((pm, km))
-            basis = {d: tuple(sorted(b)) for d, b in basis.items()}
-            stalks[key] = GradedSpace(basis=basis)
-        restrictions = {}
-        for f1, f2 in space.covering_pairs():
-            if f1 in members and f2 in members:
-                restrictions[(f1, f2)] = self._restriction_map(datum, f1, f2, stalks)
-        self.sheaf = GradedSheaf(space, stalks, restrictions)
-        self.zero = all(not st.dims for st in stalks.values())
-
-    def rep_point(self, key):
-        return FacePoint.from_key(self.support.rep(key))
-
-    def _restriction_map(self, datum, key1, key2, stalks):
-        rep1, rep2 = self.rep_point(key1), self.rep_point(key2)
-        keep = set(rep2.orbit)
-        out = {}
-        for labs in (stalks[key1].basis or {}).values():
-            for pm, km in labs:
-                if not set(v for v, _ in pm) <= keep:
-                    out[(pm, km)] = ()
-                    continue
-                img = datum.kdata.apply_restriction(rep1.j, rep2.j, km)
-                out[(pm, km)] = tuple(sorted(((pm, km2), c) for km2, c in img.items()))
-        return out
+        self.support = support_sets(H.datum, H.catalog, i, j)
+        self.cutoff = H.cutoff
+        self.sheaf, self.zero = H.shared_sheaf(H.signature(self.support, i, j))
 
     def stalk(self, key) -> GradedSpace:
         return self.sheaf.stalks.get(key, GradedSpace())
 
 
 class HSheaf:
-    """All blocks of H over the face space, with the twisted product."""
+    """All blocks of H over the face space, with the twisted product.
+
+    Each distinct block sheaf is built once.  A block depends on its
+    label pair only through its signature: the shift 2 d_ab and, per
+    member face, the transport rep and the target χ_a + χ_b at the rep's
+    J.  Stalks, covering-pair restriction maps, sheaves and global
+    sections are memoized on the parts of that signature they read, so
+    blocks with equal signatures point at one read-only GradedSheaf.
+    """
 
     def __init__(self, datum: SymmetricDatum, catalog, cutoff: int):
         self.datum = datum
         self.catalog = catalog
         self.cutoff = cutoff
         self.space = build_faces(datum)
-        self.blocks = {}
+        self._points = {key: FacePoint.from_key(key) for key in self.space.points}
+        self._kparts = {}      # (J, target) -> GradedSpace of surviving K-monomials
+        self._monomials = {}   # (orbit, k) -> monomials of degree k
+        self._kimages = {}     # (J, J', K-exponents) -> sorted image terms
+        self._stalks = {}      # (rep, 2 d_ab, target) -> GradedSpace
+        self._maps = {}        # (rep1, rep2, 2 d_ab, target at rep1) -> label map
+        self._sheaves = {}     # signature -> (GradedSheaf, zero)
+        self._sections = {}    # GradedSheaf -> SectionSpace over the whole space
         n = len(catalog)
-        for i in range(n):
-            for j in range(n):
-                self.blocks[(i, j)] = Block(datum, catalog, i, j, self.space, cutoff)
+        self.blocks = {(i, j): Block(self, i, j) for i in range(n) for j in range(n)}
         self._twists = {}
+
+    # -- the shared pieces
+
+    def signature(self, support: BlockSupport, i, j):
+        """(2 d_ab, sorted (member, rep, χ_i + χ_j at the rep's J) triples)."""
+        kdata, la, lb = self.datum.kdata, self.catalog.labels[i], self.catalog.labels[j]
+        targets, entries = {}, []
+        for key in sorted(support.members()):
+            rep = support.rep(key)
+            jkey = self._points[rep].j
+            if jkey not in targets:
+                targets[jkey] = f2.add(kdata.char_at(jkey, la.char), kdata.char_at(jkey, lb.char))
+            entries.append((key, rep, targets[jkey]))
+        return 2 * support.d, tuple(entries)
+
+    def stalk_space(self, rep, twod, target) -> GradedSpace:
+        """Q[X_v; v ∈ Δ_rep] ⊗ (K-monomials of character target at J_rep), shifted by twod."""
+        key = (rep, twod, target)
+        if key not in self._stalks:
+            point = self._points[rep]
+            kpart = self._kpart(point.j, target)
+            cutoff = self.cutoff
+            basis = {}
+            for kd, kms in kpart.basis.items():
+                for pd in range(0, cutoff - twod - kd + 1, 2):
+                    d = twod + kd + pd
+                    for pm in self._monomials_of(point.orbit, pd // 2):
+                        for km in kms:
+                            basis.setdefault(d, []).append((pm, km))
+            self._stalks[key] = GradedSpace(basis={d: tuple(sorted(b)) for d, b in basis.items()})
+        return self._stalks[key]
+
+    def _kpart(self, jkey, target):
+        if (jkey, target) not in self._kparts:
+            module = self.datum.kdata.module(jkey)
+            self._kparts[(jkey, target)] = twisted_tensor(module, target, (0,) * module.rank, self.cutoff)
+        return self._kparts[(jkey, target)]
+
+    def _monomials_of(self, orbit, k):
+        if (orbit, k) not in self._monomials:
+            self._monomials[(orbit, k)] = monomials_of_degree(orbit, k)
+        return self._monomials[(orbit, k)]
+
+    def _restriction_map(self, rep1, rep2, twod, target):
+        """Label map stalk(rep1) -> stalk(rep2): dropped variables die, K-monomials map through J -> J'."""
+        key = (rep1, rep2, twod, target)
+        if key not in self._maps:
+            p1, p2 = self._points[rep1], self._points[rep2]
+            keep = set(p2.orbit)
+            out = {}
+            for labs in self.stalk_space(rep1, twod, target).basis.values():
+                for pm, km in labs:
+                    if not set(v for v, _ in pm) <= keep:
+                        out[(pm, km)] = ()
+                        continue
+                    out[(pm, km)] = tuple(((pm, km2), c) for km2, c in self._kimage(p1.j, p2.j, km))
+            self._maps[key] = out
+        return self._maps[key]
+
+    def _kimage(self, j1, j2, km):
+        key = (j1, j2, km)
+        if key not in self._kimages:
+            self._kimages[key] = tuple(sorted(self.datum.kdata.apply_restriction(j1, j2, km).items()))
+        return self._kimages[key]
+
+    def shared_sheaf(self, signature):
+        """(GradedSheaf, zero) of a block signature, built on its first request."""
+        if signature not in self._sheaves:
+            twod, entries = signature
+            stalks, at = {}, {}
+            for key, rep, target in entries:
+                stalks[key] = self.stalk_space(rep, twod, target)
+                at[key] = (rep, target)
+            restrictions = {}
+            for p, q in self.space.covering_pairs():
+                if p in at and q in at:
+                    (rep1, target), (rep2, _) = at[p], at[q]
+                    restrictions[(p, q)] = self._restriction_map(rep1, rep2, twod, target)
+            sheaf = GradedSheaf(self.space, stalks, restrictions)
+            self._sheaves[signature] = (sheaf, all(not st.dims for st in stalks.values()))
+        return self._sheaves[signature]
+
+    def sections(self, block) -> SectionSpace:
+        """Global sections of a block over the whole space, solved once per distinct sheaf."""
+        if block.sheaf not in self._sections:
+            self._sections[block.sheaf] = global_sections(self.space, self.space.points, block.sheaf,
+                                                          self.cutoff)
+        return self._sections[block.sheaf]
+
+    # -- stalks and the product
 
     def stalk(self, i, j, face_key) -> GradedSpace:
         return self.blocks[(i, j)].stalk(face_key)

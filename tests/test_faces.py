@@ -1,6 +1,10 @@
 import itertools
+import time
+from pathlib import Path
 
 import pytest
+
+from extsheaf import cli
 
 from extsheaf.faces import (
     FacePoint,
@@ -15,6 +19,8 @@ from extsheaf.faces import (
 from extsheaf.fans import Fan, toric_isotropy
 from extsheaf.isotropy import DatumError, IsotropyFamily
 from extsheaf.posets import validate_intersection_axiom
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "extsheaf" / "data"
 
 
 def canonical_datum(l):
@@ -40,6 +46,10 @@ P1 = Fan(rank=1, overlattice_gens=(), rays=((1,), (-1,)), max_cones=((0,), (1,))
 P1XP1 = Fan(rank=2, overlattice_gens=(),
             rays=((1, 0), (-1, 0), (0, 1), (0, -1)),
             max_cones=((0, 2), (0, 3), (1, 2), (1, 3)))
+P1X3 = Fan(rank=3, overlattice_gens=(),
+           rays=tuple(tuple(s if k == i else 0 for k in range(3)) for i in range(3) for s in (1, -1)),
+           max_cones=tuple(tuple(2 * i + s for i, s in enumerate(signs))
+                           for signs in itertools.product((0, 1), repeat=3)))
 P2 = Fan(rank=2, overlattice_gens=(),
          rays=((1, 0), (0, 1), (-1, -1)),
          max_cones=((0, 1), (1, 2), (0, 2)))
@@ -133,6 +143,35 @@ class TestOpensAndClosedFaces:
         cf = closed_face(datum, ("v1",)).key()
         others = [p for p in sp.points if FacePoint.from_key(p).orbit == ("v1",)]
         assert all(sp.leq(cf, o) for o in others)
+
+
+def mask_scan_families(datum):
+    """Oracle: every subfamily of S, kept when it holds all proper subsets of its members."""
+    out = []
+    ss = list(datum.S)
+    for mask in range(1 << len(ss)):
+        fam = {ss[i] for i in range(len(ss)) if mask >> i & 1}
+        if all(tuple(sub) in fam for s in fam for k in range(len(s)) for sub in itertools.combinations(s, k)):
+            out.append(tuple(sorted(fam)))
+    return sorted(out)
+
+
+class TestDownwardClosedFamilies:
+    def test_matches_the_mask_scan(self):
+        datums = [cli.document_datum(cli.load_document(str(path)))[0]
+                  for path in sorted(DATA.glob("*.json"))]
+        datums += [canonical_datum(l) for l in (1, 2, 3)]
+        assert len(datums) == 10
+        for datum in datums:
+            assert downward_closed_families(datum) == mask_scan_families(datum)
+
+    def test_p1_cubed_is_fast(self):
+        datum = toric_datum(P1X3)
+        assert len(datum.S) == 27
+        t0 = time.perf_counter()
+        families = downward_closed_families(datum)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(families) == 15_936 and families == sorted(families)
 
 
 class TestKData:

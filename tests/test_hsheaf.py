@@ -2,8 +2,10 @@ import itertools
 from fractions import Fraction
 from pathlib import Path
 
-from extsheaf import cli
+from extsheaf import cli, f2, hsheaf
 from extsheaf.algebra import mono, nabla
+from extsheaf.extalg import ext_algebra
+from extsheaf.faces import FacePoint
 from extsheaf.fans import Fan, toric_datum
 from extsheaf.hsheaf import (
     build_H,
@@ -191,3 +193,155 @@ class TestProductDegree:
                 orbits = [catalog.labels[k].orbit for k in (a, b, c)]
                 d = {pair: H.blocks[pair].support.d for pair in ((a, b), (b, c), (a, c))}
                 assert len(nabla(*orbits)) == d[(a, b)] + d[(b, c)] - d[(a, c)], (path.name, a, b, c)
+
+
+# ---------------------------------------------------------------------------
+# shared block sheaves
+
+P3 = Fan(rank=3, overlattice_gens=(), rays=((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+         max_cones=tuple(itertools.combinations(range(4), 3)))
+F1 = Fan(rank=2, overlattice_gens=(), rays=((1, 0), (0, 1), (-1, 1), (0, -1)),
+         max_cones=((0, 1), (1, 2), (2, 3), (3, 0)))
+P1X3 = Fan(rank=3, overlattice_gens=(),
+           rays=tuple(tuple(s if k == i else 0 for k in range(3)) for i in range(3) for s in (1, -1)),
+           max_cones=tuple(tuple(2 * i + s for i, s in enumerate(signs))
+                           for signs in itertools.product((0, 1), repeat=3)))
+
+
+def shipped_and_fans(cutoff=8):
+    """H of the shipped documents at their own cutoffs, then P^3, F_1 and (P^1)^3."""
+    out = []
+    for path in sorted(DATA.glob("*.json")):
+        doc = cli.load_document(str(path))
+        out.append((path.stem, cli._build(doc, doc.get("cutoff", 20))[3]))
+    for name, fan in (("p3", P3), ("f1", F1), ("p1x3", P1X3)):
+        out.append((name, build(fan, cutoff)[2]))
+    return out
+
+
+def target_at(H, i, j, face_key):
+    """χ_i + χ_j at the J of a face, from the K-datum alone."""
+    kdata = H.datum.kdata
+    jj = FacePoint.from_key(face_key).j
+    return f2.add(kdata.char_at(jj, H.catalog.labels[i].char), kdata.char_at(jj, H.catalog.labels[j].char))
+
+
+def oracle_stalk(H, i, j, key):
+    """Stalk basis of block (i, j) at a member face, straight from the formula
+    Q[X_v; v ∈ Δ_rep] ⊗ (K-monomials at J_rep of character χ_i + χ_j), unit in degree 2 d_ij."""
+    sup = H.blocks[(i, j)].support
+    rep = FacePoint.from_key(sup.rep(key))
+    gens = H.datum.kdata.entries[rep.j]["generators"]
+    target = target_at(H, i, j, sup.rep(key))
+    twod, cut = 2 * sup.d, H.cutoff
+    kms = []
+    for exps in itertools.product(*(range(cut // d + 1) for d, _ in gens)):
+        chi = tuple(0 for _ in target)
+        for e, (_, signs) in zip(exps, gens):
+            if e % 2:
+                chi = f2.add(chi, signs)
+        if chi == target:
+            kms.append((sum(e * d for e, (d, _) in zip(exps, gens)), tuple(exps)))
+    basis = {}
+    for pexps in itertools.product(range(cut // 2 + 1), repeat=len(rep.orbit)):
+        pm = tuple((v, e) for v, e in zip(rep.orbit, pexps) if e)
+        for kd, km in kms:
+            d = twod + 2 * sum(pexps) + kd
+            if d <= cut:
+                basis.setdefault(d, []).append((pm, km))
+    return {d: tuple(sorted(b)) for d, b in basis.items()}
+
+
+def oracle_restriction(H, i, j, key1, key2, basis):
+    """Covering-pair map: variables off Δ_rep2 die, K-monomials go through J_rep1 -> J_rep2."""
+    sup = H.blocks[(i, j)].support
+    rep1, rep2 = FacePoint.from_key(sup.rep(key1)), FacePoint.from_key(sup.rep(key2))
+    out = {}
+    for labs in basis.values():
+        for pm, km in labs:
+            if any(v not in rep2.orbit for v, _ in pm):
+                out[(pm, km)] = ()
+            else:
+                img = H.datum.kdata.apply_restriction(rep1.j, rep2.j, km)
+                out[(pm, km)] = tuple(sorted(((pm, k2), c) for k2, c in img.items() if c))
+    return out
+
+
+def oracle_signature(H, i, j):
+    sup = H.blocks[(i, j)].support
+    return 2 * sup.d, tuple((key, sup.rep(key), target_at(H, i, j, sup.rep(key)))
+                            for key in sorted(set(sup.fab) | set(sup.fab_prime)))
+
+
+class TestSharedSheaves:
+    def test_stalks_and_maps_match_a_per_block_construction(self):
+        for name, H in shipped_and_fans():
+            pairs = H.space.covering_pairs()
+            for (i, j), blk in H.blocks.items():
+                members = set(blk.support.fab) | set(blk.support.fab_prime)
+                bases = {key: oracle_stalk(H, i, j, key) for key in members}
+                for key in H.space.points:
+                    assert (blk.stalk(key).basis or {}) == bases.get(key, {}), (name, i, j, key)
+                for f1, f2_ in pairs:
+                    if f1 in members and f2_ in members:
+                        want = oracle_restriction(H, i, j, f1, f2_, bases[f1])
+                        assert blk.sheaf.restriction(f1, f2_) == want, (name, i, j, f1, f2_)
+                assert blk.zero == all(not any(b.values()) for b in bases.values())
+
+    def test_one_sheaf_per_signature(self):
+        for name, H in shipped_and_fans():
+            by_sig = {}
+            for (i, j), blk in H.blocks.items():
+                by_sig.setdefault(oracle_signature(H, i, j), set()).add(id(blk.sheaf))
+            assert all(len(ids) == 1 for ids in by_sig.values()), name
+            assert len({id(b.sheaf) for b in H.blocks.values()}) == len(by_sig), name
+            if name == "p1x3":
+                assert len(H.blocks) == 729 and len(by_sig) == 84
+
+    def test_sharing_blocks_agree_on_the_character(self):
+        for name, H in shipped_and_fans():
+            owner = {}
+            for (i, j), blk in sorted(H.blocks.items()):
+                first = owner.setdefault(id(blk.sheaf), (i, j))
+                for key in blk.support.members():
+                    assert target_at(H, i, j, key) == target_at(H, *first, key), (name, first, (i, j), key)
+
+    def test_stalk_key_carries_the_character(self):
+        doc = cli.load_document(str(DATA / "synthetic_symmetric_rank1.json"))
+        H = cli._build(doc, 8)[3]
+        gens = H.datum.kdata.entries[(1,)]["generators"]
+        assert gens == ((2, (1,)),)
+        even = H.stalk_space("v|1", 0, (0,))
+        odd = H.stalk_space("v|1", 0, (1,))
+        assert even is not odd and even.basis != odd.basis
+        assert {km[0] % 2 for labs in even.basis.values() for _, km in labs} == {0}
+        assert {km[0] % 2 for labs in odd.basis.values() for _, km in labs} == {1}
+        assert H.stalk_space("v|1", 0, (0,)) is even
+
+    def _count_sections(self, monkeypatch):
+        seen = []
+        real = hsheaf.global_sections
+
+        def counting(space, U, sheaf, cutoff):
+            seen.append(sheaf)
+            return real(space, U, sheaf, cutoff)
+
+        monkeypatch.setattr(hsheaf, "global_sections", counting)
+        return seen
+
+    def test_hilbert_solves_each_distinct_sheaf_once(self, monkeypatch):
+        for path in (DATA / "p1xp1.json", DATA / "canonical_l2.json"):
+            doc = cli.load_document(str(path))
+            H = cli._build(doc, 8)[3]
+            seen = self._count_sections(monkeypatch)
+            cli.cmd_hilbert(doc, str(path), 8, 0)
+            assert len(seen) == len({id(s) for s in seen})
+            assert len(seen) == len({id(b.sheaf) for b in H.blocks.values()}) < len(H.blocks)
+
+    def test_ext_solves_each_distinct_sheaf_once(self, monkeypatch):
+        for fan in (P1X3, P3):
+            H = build(fan, 4)[2]
+            seen = self._count_sections(monkeypatch)
+            ext_algebra(H)
+            assert sorted(map(id, seen)) == sorted({id(b.sheaf) for b in H.blocks.values()})
+            assert len(seen) < len(H.blocks)
