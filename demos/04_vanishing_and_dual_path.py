@@ -1,9 +1,11 @@
 """The two verification theorems at work on P^1 x P^1.
 
 Every G-stable open (downward-closed family of orbits) must have
-vanishing higher Čech cohomology for every block of H, and the Čech
-H^0 over the full minimal-open cover must agree with the section
-solver: two independent code paths to the extension algebra.
+vanishing higher cohomology for every block of H, computed from the
+chain complex of the open (the stalk at p_r over each strict chain
+p_0 < ... < p_r), and the H^0 of that complex over the whole space,
+the kernel of d^0 across every comparable pair, must agree with the
+section solver: two independent code paths to the extension algebra.
 """
 
 from extsheaf import Fan, build_H, build_catalog, ext_algebra, toric_datum

@@ -25,6 +25,7 @@ from .faces import (
     build_faces,
     closed_face,
     downward_closed_families,
+    family_name,
     g_stable_open,
     orbit_space,
 )

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import f2
 from .checks import run_battery
 from .extalg import diagonal_unit, ext_algebra
-from .faces import FacePoint, KData, SymmetricDatum, downward_closed_families, g_stable_open
+from .faces import FacePoint, KData, SymmetricDatum, downward_closed_families, family_name, g_stable_open
 from .fans import Fan, toric_datum
 from .hsheaf import build_H, validate_support_facts
 from .isotropy import DatumError, IsotropyFamily, build_catalog
@@ -281,14 +281,14 @@ def cmd_validate(doc, path, cutoff, seed, prebuilt=None):
 
 
 def cmd_faces(doc, path, cutoff, seed, prebuilt=None):
-    datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
+    datum, dbasis, catalog, fan = prebuilt or _datum_catalog(doc)
     faces = [{"orbit": list(f.orbit), "J": list(f.j)} for f in datum.faces()]
     payload = {"meta": _meta(path, cutoff, seed, "faces"), "faces": faces}
     return 0, payload
 
 
 def cmd_labels(doc, path, cutoff, seed, prebuilt=None):
-    datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
+    datum, dbasis, catalog, fan = prebuilt or _datum_catalog(doc)
     labels = []
     for k, lab in enumerate(catalog.labels):
         labels.append({
@@ -391,7 +391,6 @@ def cmd_cohomology(doc, path, cutoff, seed, prebuilt=None):
     opens = []
     for fam in downward_closed_families(datum):
         U = g_stable_open(datum, H.space, fam)
-        name = ",".join("+".join(s) if s else "-" for s in fam) or "(empty)"
         blocks = []
         for (i, j), blk in sorted(H.blocks.items()):
             if blk.zero:
@@ -399,7 +398,7 @@ def cmd_cohomology(doc, path, cutoff, seed, prebuilt=None):
             hs = cech_cohomology(H.space, U, blk.sheaf, cutoff)
             tables = {str(p): h.hilbert(cutoff) for p, h in enumerate(hs) if p == 0 or h.dims}
             blocks.append({"alpha": i, "beta": j, "cech": tables})
-        opens.append({"name": name, "blocks": blocks})
+        opens.append({"name": family_name(fam), "blocks": blocks})
     payload = {"meta": _meta(path, cutoff, seed, "cohomology"), "opens": opens}
     return 0, payload
 

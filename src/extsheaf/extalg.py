@@ -1,8 +1,11 @@
 """Global sections of H with the face-wise product: the extension algebra.
 
-The algebra is computed blockwise as compatible families; the Čech path
-over the full minimal-open cover is a second, independent route to the
-same answer and is exposed as a verification report
+The algebra is computed blockwise as compatible families.  Sheaf
+cohomology from the chain complex of the face poset (stalk at p_r over
+each strict chain p_0 < ... < p_r, see posets.cech_cohomology) is a
+second, independent route to the same answer: its H^0 is the kernel of
+d^0 over every comparable pair, not the covering-pair solve of
+global_sections.  It is exposed as a verification report
 (concentration_check), together with the vanishing report over all
 G-stable opens.
 """
@@ -12,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .faces import FacePoint, downward_closed_families, g_stable_open
+from .faces import FacePoint, downward_closed_families, family_name, g_stable_open
 from .hsheaf import HSheaf
 from .isotropy import DatumError
 from .linalg import Coordinates, rank
@@ -224,7 +227,7 @@ def vanishing_report(H: HSheaf, cutoff=None) -> Report:
     datum = H.datum
     for fam in downward_closed_families(datum):
         U = g_stable_open(datum, H.space, fam)
-        famname = ",".join("+".join(s) if s else "-" for s in fam) or "(empty)"
+        famname = family_name(fam)
         for (i, j), blk in sorted(H.blocks.items()):
             if blk.zero:
                 continue
@@ -297,11 +300,12 @@ def _mv_surjectivity(H: HSheaf, delta, family, cutoff):
 
 
 def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None, pair_cap=4000) -> Report:
-    """Čech complex over the full minimal-open cover of the whole space:
-    positive degrees vanish and H^0 matches the section algebra
-    degreewise, as subspaces of the stalk product, and on structure
-    constants (all composable pairs up to pair_cap, then a deterministic
-    truncation of the pair list)."""
+    """Cohomology of each block over the whole space from the chain
+    complex of the face poset: positive degrees vanish and H^0 (the
+    kernel of d^0 across every comparable pair) matches the section
+    algebra degreewise, as subspaces of the stalk product, and on
+    structure constants (all composable pairs up to pair_cap, then a
+    deterministic truncation of the pair list)."""
     cutoff = H.cutoff if cutoff is None else cutoff
     if ext is None:
         ext = ext_algebra(H)
@@ -317,7 +321,7 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None, pair_cap
         sec = ext.sections[(i, j)]
         dims_match = hs[0].dims == dict(sec.dims)
         span_match = True
-        vecs = getattr(hs[0], "h0_vectors", {})
+        vecs = hs[0].h0_vectors
         for d, vs in vecs.items():
             secv = list(sec.vectors.get(d, ()))
             # span(A) = span(B) exactly when rank A = rank B = rank(A + B)

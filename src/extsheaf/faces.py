@@ -348,3 +348,9 @@ def downward_closed_families(datum: SymmetricDatum):
 
     rec(0, 0)
     return sorted(tuple(s for k, s in enumerate(ss) if mask >> k & 1) for mask in masks)
+
+
+def family_name(fam):
+    """Display name of a family of orbits: divisors joined by '+', '-' for the
+    empty orbit, orbits joined by ','; '(empty)' for the empty family."""
+    return ",".join("+".join(s) if s else "-" for s in fam) or "(empty)"

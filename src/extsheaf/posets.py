@@ -1,11 +1,14 @@
-"""Finite T0 spaces as posets, graded sheaves on them, sections and Čech cohomology.
+"""Finite T0 spaces as posets, graded sheaves on them, sections and cohomology.
 
 A finite T0 space is encoded by its specialization order: ``i <= j``
 means the point i lies in the closure of {j}, so the minimal open set
 around i is U_i = {j : i <= j}.  A set O is open iff U_i is contained in
 O for every i in O.  Sheaves of graded Q-vector spaces are given by
 their stalks (= sections over minimal opens) and restriction maps along
-the order; sections over any open are compatible families.
+the order; sections over any open are compatible families.  Sheaf
+cohomology over an open U is computed by the chain complex of U: in
+degree r, one copy of the stalk at p_r for each strict chain
+p_0 < ... < p_r in U (cech_cohomology).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .linalg import Coordinates, Eliminator, kernel_basis, rank as sparse_rank
+from .linalg import Eliminator, kernel_basis, rank as sparse_rank
 
 ONE = 1
 
@@ -355,81 +358,23 @@ def global_sections(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff) -> Sectio
 
 
 # ---------------------------------------------------------------------------
-# Čech cohomology over the full minimal-open cover
-
-
-class _Gamma:
-    """Sections over an intersection of minimal opens, with coordinates.
-
-    Fast path: the open is U_m for a unique minimum point m and the
-    coordinates are the stalk labels at m (sections over U_m are exactly
-    the stalk).  General path (posets violating the intersection axiom):
-    an echelonized basis of compatible families.
-    """
-
-    def __init__(self, space, sheaf, opens, cutoff):
-        self.open = opens
-        pts = set(opens)
-        minima = [p for p in opens if pts <= set(space.minimal_open(p))]
-        if minima:
-            m = minima[0]
-            self.min_point = m
-            self.cols = {d: [(m, lab) for lab in sheaf.stalks[m].basis.get(d, ())]
-                         for d in sheaf.stalks[m].dims if d <= cutoff}
-        else:
-            self.min_point = None
-            self.sec = global_sections(space, opens, sheaf, cutoff)
-            self.coords = {}
-            self.cols = {d: list(range(len(self.sec.vectors.get(d, ())))) for d in self.sec.dims}
-
-    def dim(self, d):
-        return len(self.cols.get(d, ()))
-
-    def family(self, d, col_index):
-        """The compatible family behind one coordinate."""
-        if self.min_point is not None:
-            return {self.cols[d][col_index]: ONE}
-        return dict(self.sec.vectors[d][col_index])
-
-    def express(self, d, family):
-        """Coordinates of a compatible family on this open."""
-        if self.min_point is not None:
-            m = self.min_point
-            return {(m, lab): c for (p, lab), c in family.items() if p == m and c}
-        if d not in self.coords:
-            self.coords[d] = Coordinates(self.sec.vectors.get(d, ()))
-        out = self.coords[d].of(family)
-        if out is None:
-            raise SpaceError("family is not a section over the intersection")
-        return out
-
-
-def _restrict_family(space, sheaf, family, dst_open):
-    """Restrict a compatible family (given by its nonzero seeds) to a smaller open."""
-    by_point = {}
-    for (p, lab), c in family.items():
-        by_point.setdefault(p, {})[lab] = c
-    out = {}
-    for q in sorted(dst_open):
-        if q in by_point:
-            vec = by_point[q]
-        else:
-            donors = sorted(p for p in by_point if space.leq(p, q))
-            vec = sheaf.apply(donors[0], q, by_point[donors[0]]) if donors else {}
-        for lab, c in vec.items():
-            if c:
-                out[(q, lab)] = c
-    return out
+# cohomology from the chains of U
 
 
 def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
-    """Ordered Čech cohomology of sheaf over U for the cover {U_i : i in U}.
+    """Sheaf cohomology of sheaf over the open U, from the chain complex of U.
 
-    Terms are sections over the intersections U_{i_0} ∩ ... ∩ U_{i_r},
-    i_0 < ... < i_r in the ambient point order, with the alternating
-    face differential (da)_{i_0..i_{r+1}} = sum_k (-1)^k a_{.. without
-    i_k ..}.  Returns one GradedSpace per Čech degree; the p = 0 entry
-    additionally carries the kernel families on attribute h0_vectors.
+    On a finite T0 space, cohomology over U is the derived limit of the
+    stalks over the poset U, which the cosimplicial complex of its
+    chains computes (Bousfield-Kan): C^r is the sum, over strict chains
+    p_0 < ... < p_r in U, of the stalk at p_r, and
+    (da)_{p_0..p_{r+1}} = sum_{k<=r} (-1)^k a_{.. without p_k ..}
+    + (-1)^{r+1} restriction(p_r, p_{r+1}) a_{p_0..p_r}.  Coordinates
+    are stalk labels throughout, degreewise up to cutoff.  Returns one
+    GradedSpace per cohomological degree, trailing zeros dropped; the
+    degree-0 entry also carries on attribute h0_vectors the kernel of
+    d^0 (compatible families across every comparable pair) over the
+    (point, label) columns of U.
     """
     U = tuple(sorted(U))
     if not space.is_open(U):
@@ -441,82 +386,60 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
         out.h0_vectors = {}
         return [out]
 
-    opens = {p: frozenset(space.minimal_open(p)) for p in U}
-    gammas = {}
+    labels = {p: {d: labs for d, labs in sheaf.stalks[p].basis.items() if d <= cutoff} for p in U}
+    chains = [[(p,) for p in U]]    # chains[r]: the chains p_0 < ... < p_r, sorted; the last is empty
+    while chains[-1]:
+        chains.append([c + (q,) for c in chains[-1] for q in space.minimal_open(c[-1]) if q != c[-1]])
 
-    def gamma(chain):
-        inter = frozenset.intersection(*(opens[p] for p in chain))
-        if inter not in gammas:
-            gammas[inter] = _Gamma(space, sheaf, tuple(sorted(inter)), cutoff) if inter else None
-        return gammas[inter]
+    pulled = {}
 
-    chains_by_level = []
-    for r in range(len(U)):
-        chains = []
-        for c in itertools.combinations(U, r + 1):
-            g = gamma(c)
-            if g is not None and any(g.dim(d) for d in degrees):
-                chains.append((c, g))
-        chains_by_level.append(chains)
+    def pullback(i, j):
+        """restriction(i, j) read backwards: target label -> ((source label, coefficient), ...)."""
+        if (i, j) not in pulled:
+            back = {}
+            m = sheaf.restriction(i, j) if labels[i] else {}
+            for d, labs in labels[i].items():
+                for s in labs:
+                    for t, c in m.get(s, ()):
+                        if sheaf.degree(j, t) != d:
+                            raise SpaceError("restriction map is not degree-preserving")
+                        back.setdefault(t, []).append((s, c))
+            pulled[(i, j)] = back
+        return pulled[(i, j)]
 
-    ranks = {}      # (r, d) -> rank of d^r : C^r -> C^{r+1}
-    cdims = {}      # (r, d) -> dim C^r_d
-    kernel0 = {}
-
-    for r, chains in enumerate(chains_by_level):
-        index = dict(chains)
+    ranks = {}      # (r, d) -> rank of d^r : C^r -> C^{r+1} in degree d
+    h0 = {}
+    for r in range(len(chains) - 1):
+        rows = {d: [] for d in degrees}
+        last = -ONE if r % 2 == 0 else ONE      # (-1)^{r+1}
+        for t in chains[r + 1]:
+            if not labels[t[-1]]:
+                continue
+            faces = [(t[:k] + t[k + 1:], ONE if k % 2 == 0 else -ONE) for k in range(r + 1)]
+            back = pullback(t[-2], t[-1])
+            for d, labs in labels[t[-1]].items():
+                for lab in labs:
+                    row = {(f, lab): e for f, e in faces}
+                    for s, c in back.get(lab, ()):
+                        row[(t[:-1], s)] = last * c
+                    rows[d].append(row)
         for d in degrees:
-            cdims[(r, d)] = sum(g.dim(d) for _, g in chains)
-        nxt = chains_by_level[r + 1] if r + 1 < len(chains_by_level) else []
-        rows_by_degree = {d: {} for d in degrees}
-        for tchain, tg in nxt:
-            for k in range(len(tchain)):
-                schain = tchain[:k] + tchain[k + 1:]
-                sg = index.get(schain)
-                if sg is None:
-                    continue
-                sign = ONE if k % 2 == 0 else -ONE
-                for d in degrees:
-                    if not sg.dim(d) or not tg.dim(d):
-                        continue
-                    for ci in range(sg.dim(d)):
-                        fam = _restrict_family(space, sheaf, sg.family(d, ci), tg.open)
-                        for tcol, cval in tg.express(d, fam).items():
-                            key = (tchain, tcol)
-                            row = rows_by_degree[d].setdefault(key, {})
-                            row[(schain, ci if sg.min_point is None else sg.cols[d][ci])] = \
-                                row.get((schain, ci if sg.min_point is None else sg.cols[d][ci]), 0) + sign * cval
-                    # column key: coordinate index for solved Γ, stalk label for fast path
-        for d in degrees:
-            rows = [r_ for _, r_ in sorted(rows_by_degree[d].items(), key=lambda kv: repr(kv[0])) if r_]
             if r == 0:
-                cols0 = [(c, col) for c, g in chains for col in g.cols.get(d, ())]
-                kernel0[d] = kernel_basis(rows, cols0)
-                ranks[(r, d)] = len(cols0) - len(kernel0[d])
+                cols = [((p,), lab) for p in U for lab in labels[p].get(d, ())]
+                h0[d] = tuple({(c[0], lab): v for (c, lab), v in vec.items()}
+                              for vec in kernel_basis(rows[d], cols))
+                ranks[(r, d)] = len(cols) - len(h0[d])
             else:
-                ranks[(r, d)] = sparse_rank(rows)
+                ranks[(r, d)] = sparse_rank(rows[d])
 
     out = []
-    for r, chains in enumerate(chains_by_level):
-        dims = {}
-        for d in degrees:
-            n = cdims.get((r, d), 0) - ranks.get((r, d), 0) - ranks.get((r - 1, d), 0)
-            if n:
-                dims[d] = n
-        gs = GradedSpace(dims=dims)
-        if r == 0:
-            gs.h0_vectors = {d: tuple(_flatten_chain_vec(v) for v in kernel0.get(d, ()))
-                             for d in degrees}
-        out.append(gs)
+    for r, level in enumerate(chains[:-1]):
+        dims = {d: -ranks[(r, d)] - ranks.get((r - 1, d), 0) for d in degrees}
+        for c in level:
+            for d, labs in labels[c[-1]].items():
+                dims[d] += len(labs)
+        out.append(GradedSpace(dims=dims))
+    out[0].h0_vectors = h0
     while len(out) > 1 and not out[-1].dims:
         out.pop()
     return out
-
-
-def _flatten_chain_vec(vec):
-    """Rewrite a C^0 kernel vector over ((point,), (point, label)) columns
-    to plain stalk coordinates (point, label)."""
-    out = {}
-    for (chain, coord), c in vec.items():
-        out[coord] = out.get(coord, 0) + c
-    return {k: v for k, v in out.items() if v}

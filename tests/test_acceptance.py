@@ -112,7 +112,7 @@ def test_criterion_5_concentration_dual_path():
         datum, catalog, H, ext, fan = built(name)
         rep = concentration_check(H, ext, CUTOFF)
         ok = ok and rep.ok
-    report(5, ok, "Čech H^0 over the full cover matches the section algebra degreewise and on products")
+    report(5, ok, "H^0 of the chain complex of the face poset matches the section algebra degreewise and on products")
 
 
 def test_criterion_6_algebra_laws_and_poset_axioms():

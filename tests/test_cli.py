@@ -316,7 +316,17 @@ class TestUnknownKdatumKeys:
 
 class TestDigestPin:
     """ext and check-all stdout at seed 2026 match the benchmark's recorded digests;
-    labels stdout matches the digests recorded below."""
+    labels and cohomology stdout match the digests recorded below."""
+
+    COHOMOLOGY = {
+        "canonical_l1": "3d779ce2fc471566104b3f71235723c2e09639c524abf93d4081a133c33eddde",
+        "canonical_l2": "e78f8ff21a12cbd60ebb3ee97d9513e97ef5c5852e23c1210b41734efa080111",
+        "p1_halfint": "ad9ea0a2c119b4d8fca59cfe48b55f0191cfa4560d969fa021d7be879fd603ac",
+        "p1_trivial": "7ff2fdb9c200693c2e39857f519cf135dc6639f1062bbb08e2f1342510ace900",
+        "p1xp1": "59c9c44726f470b75c3413bc06225954b712a0d33dae971e51b6712e63cd5799",
+        "p2": "962f366b74c1f101cb1533bbe1759c6285da099ed7da84a2e812f0563e08f0ba",
+        "synthetic_symmetric_rank1": "50091f53f5f4dcc9fd83352c5135b629a99e3211a02b2edf29fd06da8c28c5b6",
+    }
 
     LABELS = {
         "canonical_l1": "ce75cb738d76a7a964d456a219466ef587c098db96ee5acc28bc80c015df0443",
@@ -383,6 +393,21 @@ class TestDigestPin:
             code, text = invoke("--input", str(DATA / f"{name}.json"), "--command", "labels")
             assert code == 0, text
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
+
+    def test_cohomology_digests(self):
+        for name, digest in self.COHOMOLOGY.items():
+            code, text = invoke("--input", str(DATA / f"{name}.json"), "--command", "cohomology")
+            assert code == 0, text
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
+
+    def test_faces_and_labels_build_no_sheaf(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("faces and labels must not build H")
+
+        monkeypatch.setattr(cli, "build_H", refuse)
+        for command in ("faces", "labels"):
+            code, text = invoke("--input", str(DATA / "p2.json"), "--command", command)
+            assert code == 0, text
 
 
 class TestSymmetricTypes:

@@ -5,6 +5,7 @@ import pytest
 
 from extsheaf import cli
 from extsheaf.faces import downward_closed_families, g_stable_open
+from extsheaf.oracles import brute_sections
 from extsheaf.posets import (
     FiniteSpace,
     GradedSheaf,
@@ -38,6 +39,14 @@ def vee_space():
 def pseudo_circle():
     # two open points a, b; two closed points c, d, each below both
     return FiniteSpace(["a", "b", "c", "d"], [("c", "a"), ("c", "b"), ("d", "a"), ("d", "b")])
+
+
+def pseudo_sphere():
+    # minimal 6-point model of S^2: c1, c2 < b1, b2 < a1, a2
+    below = [("c1", "b1"), ("c1", "b2"), ("c2", "b1"), ("c2", "b2"),
+             ("b1", "a1"), ("b1", "a2"), ("b2", "a1"), ("b2", "a2")]
+    above = [(c, a) for c in ("c1", "c2") for a in ("a1", "a2")]
+    return FiniteSpace(["a1", "a2", "b1", "b2", "c1", "c2"], below + above)
 
 
 class TestFiniteSpace:
@@ -122,6 +131,29 @@ class TestCech:
         h2 = cech_cohomology(sp2, sp2.points, sh2, 2)
         assert [h.dims for h in h1] == [h.dims for h in h2]
 
+    def test_pseudo_sphere(self):
+        # U_c1 ∩ U_c2 is a pseudo-circle, so the minimal-open cover is not
+        # Leray here; the chain complex still gives the cohomology of S^2
+        sp = pseudo_sphere()
+        hs = cech_cohomology(sp, sp.points, constant_sheaf(sp), 2)
+        assert [h.dims for h in hs] == [{0: 1}, {}, {0: 1}]
+
+    def test_h0_matches_brute_sections(self):
+        # every G-stable open and every nonzero block of two shipped documents
+        for name in ("p2", "canonical_l2"):
+            doc = cli.load_document(str(DATA / f"{name}.json"))
+            cutoff = doc["cutoff"]
+            datum, _, _, H, _ = cli._build(doc, cutoff)
+            for fam in downward_closed_families(datum):
+                U = g_stable_open(datum, H.space, fam)
+                for (i, j), blk in sorted(H.blocks.items()):
+                    if blk.zero:
+                        continue
+                    hs = cech_cohomology(H.space, U, blk.sheaf, cutoff)
+                    want = brute_sections(H.space, U, blk.sheaf, cutoff).dims
+                    assert hs[0].dims == want, (name, fam, i, j)
+                    assert {d: len(vs) for d, vs in hs[0].h0_vectors.items() if vs} == want, (name, fam, i, j)
+
     def test_non_open_rejected(self):
         sp = vee_space()
         with pytest.raises(SpaceError):
@@ -131,6 +163,13 @@ class TestCech:
         sp = chain_space()
         stalks = {p: GradedSpace(basis={4: ("u",)}) for p in sp.points}
         sh = GradedSheaf(sp, stalks, {("a", "b"): {"u": (("u", ONE),)}})
+        with pytest.raises(SpaceError):
+            cech_cohomology(sp, sp.points, sh, 2)
+
+    def test_degree_changing_restriction_rejected(self):
+        sp = chain_space()
+        stalks = {"a": GradedSpace(basis={0: ("u",)}), "b": GradedSpace(basis={2: ("v",)})}
+        sh = GradedSheaf(sp, stalks, {("a", "b"): {"u": (("v", ONE),)}})
         with pytest.raises(SpaceError):
             cech_cohomology(sp, sp.points, sh, 2)
 
