@@ -31,6 +31,18 @@ def _entry(name, ok, **details):
     return ReportEntry(name=name, ok=bool(ok), details=details)
 
 
+def _per_block_sheaf(H: HSheaf, compute):
+    """[((i, j), compute(sheaf of block (i, j)))] in block order, with compute
+    called once per distinct sheaf: blocks that share a sheaf share the result."""
+    done = {}
+    out = []
+    for key, blk in sorted(H.blocks.items()):
+        if blk.sheaf not in done:
+            done[blk.sheaf] = compute(blk.sheaf)
+        out.append((key, done[blk.sheaf]))
+    return out
+
+
 def poset_axiom_checks(H: HSheaf):
     sp = H.space
     out = []
@@ -70,8 +82,7 @@ def sheaf_structure_checks(H: HSheaf, rng: random.Random):
     t = check_transport_identity(H)
     out.append(_entry("sheaf.transport-identity", not t, counterexamples=[list(map(repr, x)) for x in t[:3]]))
     bad = []
-    for (i, j), blk in sorted(H.blocks.items()):
-        probs = blk.sheaf.validate_functoriality()
+    for (i, j), probs in _per_block_sheaf(H, lambda sheaf: sheaf.validate_functoriality()):
         if probs:
             bad.append({"block": [i, j], "problems": [list(map(repr, p)) for p in probs[:2]]})
     out.append(_entry("sheaf.restriction-functoriality", not bad, counterexamples=bad[:3]))
@@ -100,18 +111,24 @@ def _sampled_triples(H: HSheaf, rng: random.Random, count=400):
                         pool.append((f, a, b, d, lab))
     if not pool:
         return True
+    partners = {}
+
+    def composable(f, b):
+        """Stalk labels (c, degree, label) of the blocks (b, c) at f, built once per (f, b)."""
+        if (f, b) not in partners:
+            partners[(f, b)] = [(c, d2, lab) for c in labels
+                                for d2, labs in sorted((H.blocks[(b, c)].stalk(f).basis or {}).items())
+                                for lab in labs if f in H.blocks[(b, c)].support.members()]
+        return partners[(f, b)]
+
     for _ in range(count):
         f, a, b, d1, x = pool[rng.randrange(len(pool))]
         # pick composable partners at the same face
-        ys = [(c, d2, lab) for c in labels
-              for d2, labs in sorted((H.blocks[(b, c)].stalk(f).basis or {}).items())
-              for lab in labs if f in H.blocks[(b, c)].support.members()]
+        ys = composable(f, b)
         if not ys:
             continue
         c, d2, y = ys[rng.randrange(len(ys))]
-        zs = [(dd, d3, lab) for dd in labels
-              for d3, labs in sorted((H.blocks[(c, dd)].stalk(f).basis or {}).items())
-              for lab in labs if f in H.blocks[(c, dd)].support.members()]
+        zs = composable(f, c)
         if not zs:
             continue
         dd, d3, z = zs[rng.randrange(len(zs))]
@@ -162,10 +179,15 @@ def section_algebra_checks(H: HSheaf, ext: ExtAlgebra, rng: random.Random, full_
 
 def _section_associativity(H, ext, rng, full, sample=600):
     n = len(ext.catalog)
+    follow = {}
 
     def followers(x, degree):
+        """Ids y composable after x with degree + deg y <= cutoff; they depend
+        only on the column label b of x and the degree, so are built once per (b, degree)."""
         b = ext.basis[x].block[1]
-        return [y for c in range(n) for y in ext.partners(x, (b, c), degree)]
+        if (b, degree) not in follow:
+            follow[(b, degree)] = [y for c in range(n) for y in ext.partners(x, (b, c), degree)]
+        return follow[(b, degree)]
 
     def all_triples():
         for x in range(len(ext.basis)):
@@ -212,8 +234,8 @@ def oracle_checks(H: HSheaf, ext: ExtAlgebra, seed: int, fan=None):
     rng = random.Random(seed)
     # sections: brute force vs incremental on every block over the whole space
     bad = []
-    for (i, j), blk in sorted(H.blocks.items()):
-        got = brute_sections(H.space, H.space.points, blk.sheaf, H.cutoff)
+    brute = _per_block_sheaf(H, lambda sheaf: brute_sections(H.space, H.space.points, sheaf, H.cutoff))
+    for (i, j), got in brute:
         want = ext.sections[(i, j)]
         if got.dims != dict(want.dims):
             bad.append({"block": [i, j], "brute": got.dims, "sections": dict(want.dims)})

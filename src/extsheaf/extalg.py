@@ -221,18 +221,23 @@ class Report:
 def vanishing_report(H: HSheaf, cutoff=None) -> Report:
     """Čech cohomology of H' vanishes in positive degrees on every
     G-stable open, and the closed-face sections surject onto the
-    punctured-star sections in the Mayer-Vietoris step."""
+    punctured-star sections in the Mayer-Vietoris step.
+
+    Blocks that share a sheaf give the same complex on the same open, so
+    the report computes one complex per (sheaf, open) and keeps only its
+    higher dimensions, for this call only.
+    """
     cutoff = H.cutoff if cutoff is None else cutoff
     entries = []
     datum = H.datum
+    higher = {}     # (sheaf, open) -> [dims of H^1, H^2, ...]
     for fam in downward_closed_families(datum):
         U = g_stable_open(datum, H.space, fam)
         famname = family_name(fam)
         for (i, j), blk in sorted(H.blocks.items()):
             if blk.zero:
                 continue
-            hs = cech_cohomology(H.space, U, blk.sheaf, cutoff)
-            nonzero = {p: h.dims for p, h in enumerate(hs) if p > 0 and h.dims}
+            nonzero = {p: dims for p, dims in enumerate(_higher(H, U, blk.sheaf, cutoff, higher), 1) if dims}
             entries.append(ReportEntry(
                 name=f"vanishing[{famname}][{i}:{j}]",
                 ok=not nonzero,
@@ -244,41 +249,55 @@ def vanishing_report(H: HSheaf, cutoff=None) -> Report:
                 continue
             if not delta:
                 continue
-            ok, detail = _mv_surjectivity(H, delta, fam, cutoff)
+            ok, detail = _mv_surjectivity(H, delta, fam, cutoff, higher)
             entries.append(ReportEntry(
                 name=f"mv-surjectivity[{famname}][{'+'.join(delta)}]",
                 ok=ok, details=detail))
     return Report(ok=all(e.ok for e in entries), entries=entries)
 
 
-def _mv_surjectivity(H: HSheaf, delta, family, cutoff):
+def _higher(H: HSheaf, U, sheaf, cutoff, memo):
+    """Dimensions of H^1, H^2, ... of sheaf over the open U (a sorted
+    tuple), from one chain complex per (sheaf, U) kept in memo."""
+    key = (sheaf, U)
+    if key not in memo:
+        memo[key] = [h.dims for h in cech_cohomology(H.space, U, sheaf, cutoff)[1:]]
+    return memo[key]
+
+
+def _mv_surjectivity(H: HSheaf, delta, family, cutoff, higher):
     """The Mayer-Vietoris step of the vanishing argument, blockwise.
 
     A block only sees the part of the variety away from its forbidden
     divisors, so the induction family is restricted accordingly before
     peeling the orbit delta; sections over the punctured star must be
     hit by the closed-face stalk, and the punctured star itself carries
-    no higher cohomology.
+    no higher cohomology (higher: the memo of vanishing_report).  A
+    block enters only through its sheaf and its region, so each region
+    and each passing (sheaf, open) pair is settled once per call.
     """
     datum = H.datum
     cf = FacePoint(orbit=delta, j=tuple(sorted(datum.Jmap[delta]))).key()
     star = set(H.space.minimal_open(cf))
     detail = {"closed_face": cf}
+    opens = {}      # region -> its G-stable open
+    settled = set()     # (sheaf, U') pairs that passed
     for (i, j), blk in sorted(H.blocks.items()):
         if blk.zero:
             continue
         forbidden = set(H.catalog.dprime(i)) | set(H.catalog.dprime(j))
         if set(delta) & forbidden:
             continue
-        region = [s for s in family if not set(s) & forbidden and s != delta]
-        w = set(g_stable_open(datum, H.space, region))
-        uprime = tuple(sorted(star & w))
-        if not uprime:
+        region = tuple(s for s in family if not set(s) & forbidden and s != delta)
+        if region not in opens:
+            opens[region] = set(g_stable_open(datum, H.space, region))
+        uprime = tuple(sorted(star & opens[region]))
+        if not uprime or (blk.sheaf, uprime) in settled:
             continue
-        hs = cech_cohomology(H.space, uprime, blk.sheaf, cutoff)
-        if any(h.dims for h in hs[1:]):
+        hs = _higher(H, uprime, blk.sheaf, cutoff, higher)
+        if any(hs):
             detail["block"] = [i, j]
-            detail["higher"] = [h.dims for h in hs[1:]]
+            detail["higher"] = hs
             return False, detail
         sec = global_sections(H.space, uprime, blk.sheaf, cutoff)
         st = blk.stalk(cf)
@@ -296,6 +315,7 @@ def _mv_surjectivity(H: HSheaf, delta, family, cutoff):
                 detail["degree"] = d
                 detail["intersection"] = list(uprime)
                 return False, detail
+        settled.add((blk.sheaf, uprime))
     return True, detail
 
 
@@ -305,33 +325,44 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None, pair_cap
     kernel of d^0 across every comparable pair) matches the section
     algebra degreewise, as subspaces of the stalk product, and on
     structure constants (all composable pairs up to pair_cap, then a
-    deterministic truncation of the pair list)."""
+    deterministic truncation of the pair list).
+
+    The complex and its comparison with the sections (solved once per
+    sheaf by HSheaf.sections) are computed once per distinct block
+    sheaf; blocks that share a sheaf share its read-only H^0 basis.
+    """
     cutoff = H.cutoff if cutoff is None else cutoff
     if ext is None:
         ext = ext_algebra(H)
     entries = []
     whole = H.space.points
+    per_sheaf = {}      # sheaf -> (higher, H^0 dims, H^0 basis, spans match)
     cech_bases = {}
     for (i, j), blk in sorted(H.blocks.items()):
-        hs = cech_cohomology(H.space, whole, blk.sheaf, cutoff)
-        higher = {p: h.dims for p, h in enumerate(hs) if p > 0 and h.dims}
+        sec = ext.sections[(i, j)]
+        if blk.sheaf not in per_sheaf:
+            hs = cech_cohomology(H.space, whole, blk.sheaf, cutoff)
+            vecs = hs[0].h0_vectors
+            span_match = all(_same_span(vs, list(sec.vectors.get(d, ()))) for d, vs in vecs.items())
+            per_sheaf[blk.sheaf] = ({p: h.dims for p, h in enumerate(hs) if p > 0 and h.dims},
+                                    hs[0].dims, vecs, span_match)
+        higher, h0_dims, vecs, span_match = per_sheaf[blk.sheaf]
         entries.append(ReportEntry(
             name=f"concentration[{i}:{j}]", ok=not higher,
             details={"block": [i, j], "higher": {str(k): v for k, v in higher.items()}}))
-        sec = ext.sections[(i, j)]
-        dims_match = hs[0].dims == dict(sec.dims)
-        span_match = True
-        vecs = hs[0].h0_vectors
-        for d, vs in vecs.items():
-            secv = list(sec.vectors.get(d, ()))
-            # span(A) = span(B) exactly when rank A = rank B = rank(A + B)
-            span_match &= rank(vs) == rank(secv) == rank(list(vs) + secv)
         entries.append(ReportEntry(
-            name=f"dual-path[{i}:{j}]", ok=dims_match and span_match,
-            details={"block": [i, j], "cech": {str(k): v for k, v in hs[0].dims.items()},
+            name=f"dual-path[{i}:{j}]", ok=h0_dims == dict(sec.dims) and span_match,
+            details={"block": [i, j], "cech": {str(k): v for k, v in h0_dims.items()},
                      "sections": {str(k): v for k, v in sec.dims.items()}}))
         cech_bases[(i, j)] = vecs
     # structure constants along the Čech bases against the section table
+    expressed = {}      # (block, degree) -> section coordinates of each Čech basis vector
+
+    def coordinates(block, d, vs):
+        if (block, d) not in expressed:
+            expressed[(block, d)] = [ext.express(block, d, v) for v in vs]
+        return expressed[(block, d)]
+
     pairs_checked = 0
     ok_products = True
     n = len(H.catalog)
@@ -344,14 +375,13 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None, pair_cap
                     for d2, vs2 in sorted(cech_bases[(b, c)].items()):
                         if d1 + d2 > cutoff:
                             continue
-                        for v1 in vs1:
-                            for v2 in vs2:
+                        cs2 = coordinates((b, c), d2, vs2)
+                        for v1, c1 in zip(vs1, coordinates((a, b), d1, vs1)):
+                            for v2, c2 in zip(vs2, cs2):
                                 if pairs_checked >= pair_cap:
                                     break
                                 prod = H.multiply_sections(a, b, c, v1, v2)
                                 pairs_checked += 1
-                                c1 = ext.express((a, b), d1, v1)
-                                c2 = ext.express((b, c), d2, v2)
                                 want = {}
                                 for e1, x1 in c1.items():
                                     for e2, x2 in c2.items():
@@ -365,3 +395,8 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None, pair_cap
         name="dual-path-products", ok=ok_products,
         details={"pairs_checked": pairs_checked}))
     return Report(ok=all(e.ok for e in entries), entries=entries)
+
+
+def _same_span(vs, ws):
+    # span(A) = span(B) exactly when rank A = rank B = rank(A + B)
+    return rank(vs) == rank(ws) == rank(list(vs) + ws)

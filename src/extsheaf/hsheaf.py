@@ -32,7 +32,6 @@ hilbert and ext.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import f2
@@ -403,6 +402,14 @@ def check_restriction_product(H: HSheaf, max_degree=None):
     bad = []
     n = len(H.catalog)
     pairs = H.space.covering_pairs()
+    images = {}     # (sheaf, f1, f2, label) -> restriction of the label, shared by the blocks of a sheaf
+
+    def image(sheaf, f1, f2, lab):
+        key = (sheaf, f1, f2, lab)
+        if key not in images:
+            images[key] = sheaf.apply(f1, f2, {lab: ONE})
+        return images[key]
+
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -415,13 +422,13 @@ def check_restriction_product(H: HSheaf, max_degree=None):
                             if d1 + d2 > cut:
                                 continue
                             for xl in labsx:
+                                xr = image(bab.sheaf, f1, f2, xl)
                                 for yl in labsy:
                                     z = H.compose(a, b, c, f1, xl, yl)
                                     zr = {}
                                     if z is not None:
                                         zr = bac.sheaf.apply(f1, f2, {z[0]: z[1]})
-                                    xr = bab.sheaf.apply(f1, f2, {xl: ONE})
-                                    yr = bbc.sheaf.apply(f1, f2, {yl: ONE})
+                                    yr = image(bbc.sheaf, f1, f2, yl)
                                     prod = {}
                                     for xl2, cx in xr.items():
                                         for yl2, cy in yr.items():
@@ -442,18 +449,17 @@ def check_face_local_associativity(H: HSheaf):
     bad = []
     n = len(H.catalog)
     for f in H.space.points:
-        for a, b, c, d in itertools.product(range(n), repeat=4):
-            if f not in H.blocks[(a, b)].support.members():
-                continue
-            if f not in H.blocks[(b, c)].support.members():
-                continue
-            if f not in H.blocks[(c, d)].support.members():
-                continue
-            # (x*y)*z path: twists for (a,b,c) then (a,c,d)
-            left = _twist_chain(H, f, (a, b, c), (a, c, d))
-            right = _twist_chain(H, f, (b, c, d), (a, b, d))
-            if left != right:
-                bad.append((f, a, b, c, d, left, right))
+        # only the chains a -> b -> c -> d of blocks supported at f, in lexicographic order
+        succ = [[y for y in range(n) if f in H.blocks[(x, y)].support.members()] for x in range(n)]
+        for a in range(n):
+            for b in succ[a]:
+                for c in succ[b]:
+                    for d in succ[c]:
+                        # (x*y)*z path: twists for (a,b,c) then (a,c,d)
+                        left = _twist_chain(H, f, (a, b, c), (a, c, d))
+                        right = _twist_chain(H, f, (b, c, d), (a, b, d))
+                        if left != right:
+                            bad.append((f, a, b, c, d, left, right))
     return bad
 
 

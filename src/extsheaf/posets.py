@@ -192,13 +192,14 @@ class GradedSheaf:
             for d, labs in st.basis.items():
                 for lab in labs:
                     self._degree_of[(p, lab)] = d
+        # sheaves are read-only once built, so the lowest occupied degree is fixed
+        self._min_degree = min((d for st in self.stalks.values() for d in st.dims), default=None)
 
     def degree(self, point, label):
         return self._degree_of[(point, label)]
 
     def min_degree(self):
-        degs = [d for st in self.stalks.values() for d in st.dims]
-        return min(degs) if degs else None
+        return self._min_degree
 
     def restriction(self, i, j):
         """Restriction map stalk(i) -> stalk(j) for i <= j, as a label map."""

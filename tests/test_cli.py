@@ -316,7 +316,19 @@ class TestUnknownKdatumKeys:
 
 class TestDigestPin:
     """ext and check-all stdout at seed 2026 match the benchmark's recorded digests;
-    labels and cohomology stdout match the digests recorded below."""
+    check-all at seed 7, labels and cohomology stdout match the digests recorded below."""
+
+    # check-all --seed 7: the seeded samplers (sampled triples, quadrant samples,
+    # identity fuzz) draw other elements than at 2026
+    CHECK_ALL_SEED7 = {
+        "canonical_l1": "d7c2a56a16129f110c35ca41810c26cb723f6c2e140dcb3e4925f8cb5dc0fa90",
+        "canonical_l2": "c30e4a3e1a7d057040985cbc77ce37dfd4c36fc0fb39b21ec6ee8fa981dddf92",
+        "p1_halfint": "e2bdeac00bcbf7de2ef584957937e99b8d99216ae199d3a794e9c96f5af94b2e",
+        "p1_trivial": "4418d01c4782738e569e57ed8967e6aec16bf2426849900f364ff142f1e127d5",
+        "p1xp1": "ba61a6edaddde9a7420953e9c807500e14e699cc2eb01506588472e278d21215",
+        "p2": "0e12b3e739bb0d269919b8bd60e36c94a70a5ffa3d0a0d4f03380db33bd55063",
+        "synthetic_symmetric_rank1": "58f901aaf84ce6631abe46ba0dc883df21d916a370a73081dc0e8653f614ee41",
+    }
 
     COHOMOLOGY = {
         "canonical_l1": "3d779ce2fc471566104b3f71235723c2e09639c524abf93d4081a133c33eddde",
@@ -379,6 +391,13 @@ class TestDigestPin:
 
     def test_check_all_digests(self):
         self._check("check-all", "checkall-shipped")
+
+    def test_check_all_digests_at_seed_7(self):
+        for name, digest in self.CHECK_ALL_SEED7.items():
+            code, text = invoke("--input", str(DATA / f"{name}.json"), "--command", "check-all",
+                                "--seed", "7")
+            assert code == 0, text
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
 
     def test_hilbert_digests(self):
         variants = ((), ("--format", "tsv"), ("--block", "0:0"))

@@ -1,10 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from extsheaf import cli
+from extsheaf import checks, cli, extalg
 from extsheaf.extalg import (
     concentration_check,
     diagonal_unit,
@@ -12,6 +13,7 @@ from extsheaf.extalg import (
     ext_module,
     vanishing_report,
 )
+from extsheaf.faces import downward_closed_families, g_stable_open
 from extsheaf.fans import Fan, toric_datum
 from extsheaf.hsheaf import build_H
 from extsheaf.isotropy import DatumError, build_catalog
@@ -315,6 +317,10 @@ def _H(fan, cutoff):
     return build_H(datum, build_catalog(datum.isotropy, datum.V, "all"), cutoff)
 
 
+def _document_H(name, cutoff=8):
+    return cli._build(cli.load_document(str(DATA / f"{name}.json")), cutoff)[3]
+
+
 class TestRankDimensions:
     """Section dimensions are read off ranks; they must count the kernel basis."""
 
@@ -358,3 +364,117 @@ class TestDiagonalUnitCheck:
         assert sec.dims == {0: 1}
         with pytest.raises(DatumError, match="diagonal unit is not a global section"):
             diagonal_unit(sh, sec)
+
+
+class TestReportsComputeOnce:
+    """vanishing_report and concentration_check build one Čech complex per
+    (sheaf, open), and the Mayer-Vietoris step one open per region."""
+
+    NAMES = ("p1xp1", "canonical_l2")
+
+    def _count_cech(self, monkeypatch):
+        seen = []
+        real = extalg.cech_cohomology
+
+        def counting(space, U, sheaf, cutoff):
+            seen.append((sheaf, tuple(sorted(U))))
+            return real(space, U, sheaf, cutoff)
+
+        monkeypatch.setattr(extalg, "cech_cohomology", counting)
+        return seen
+
+    def test_vanishing_one_complex_per_sheaf_and_open(self, monkeypatch):
+        for name in self.NAMES:
+            H = _document_H(name)
+            seen = self._count_cech(monkeypatch)
+            rep = vanishing_report(H)
+            assert rep.ok, name
+            assert len(seen) == len(set(seen)), name
+            # every (open, nonzero block) of the report is covered, by fewer complexes than blocks
+            wanted = {(blk.sheaf, g_stable_open(H.datum, H.space, fam))
+                      for fam in downward_closed_families(H.datum)
+                      for blk in H.blocks.values() if not blk.zero}
+            assert wanted <= set(seen), name
+            visits = sum(e.name.startswith("vanishing[") for e in rep.entries)
+            assert len(wanted) < visits, name
+
+    def test_concentration_one_complex_per_sheaf(self, monkeypatch):
+        for name in self.NAMES:
+            H = _document_H(name)
+            ext = ext_algebra(H)
+            seen = self._count_cech(monkeypatch)
+            assert concentration_check(H, ext).ok, name
+            assert all(U == H.space.points for _, U in seen)
+            assert sorted(id(s) for s, _ in seen) == sorted({id(b.sheaf) for b in H.blocks.values()})
+            assert len(seen) < len(H.blocks), name
+
+    def test_mv_step_one_open_per_region(self, monkeypatch):
+        real_open, real_mv = extalg.g_stable_open, extalg._mv_surjectivity
+        stack, per_call = [], []
+
+        def counting_open(datum, space, region):
+            if stack:
+                stack[-1].append(tuple(region))
+            return real_open(datum, space, region)
+
+        def recording_mv(*args):
+            stack.append([])
+            try:
+                return real_mv(*args)
+            finally:
+                per_call.append(stack.pop())
+
+        monkeypatch.setattr(extalg, "g_stable_open", counting_open)
+        monkeypatch.setattr(extalg, "_mv_surjectivity", recording_mv)
+        for name in self.NAMES:
+            per_call.clear()
+            assert vanishing_report(_document_H(name)).ok, name
+            assert per_call and all(len(regions) == len(set(regions)) for regions in per_call), name
+
+
+class TestBatteryOncePerSheaf:
+    """The battery runs the brute-force section oracle and the functoriality
+    check once per distinct block sheaf, and still reports every block."""
+
+    def test_brute_sections(self, monkeypatch):
+        H = _document_H("p1xp1")
+        ext = ext_algebra(H)
+        seen = []
+        real = checks.brute_sections
+
+        def counting(space, U, sheaf, cutoff):
+            seen.append(sheaf)
+            return real(space, U, sheaf, cutoff)
+
+        monkeypatch.setattr(checks, "brute_sections", counting)
+        entries = {e.name: e for e in checks.oracle_checks(H, ext, seed=2026)}
+        assert entries["oracle.brute-sections"].ok
+        assert sorted(map(id, seen)) == sorted({id(b.sheaf) for b in H.blocks.values()})
+        assert len(seen) < len(H.blocks)
+
+    def test_functoriality(self, monkeypatch):
+        H = _document_H("p1xp1")
+        seen = []
+        real = GradedSheaf.validate_functoriality
+
+        def counting(sheaf):
+            seen.append(sheaf)
+            return real(sheaf)
+
+        monkeypatch.setattr(GradedSheaf, "validate_functoriality", counting)
+        entries = {e.name: e for e in checks.sheaf_structure_checks(H, random.Random(2026))}
+        assert entries["sheaf.restriction-functoriality"].ok
+        assert sorted(map(id, seen)) == sorted({id(b.sheaf) for b in H.blocks.values()})
+
+    def test_a_failing_sheaf_is_reported_for_every_block(self, monkeypatch):
+        H = _document_H("p1xp1")
+        shared = next(b.sheaf for b in H.blocks.values()
+                      if sum(c.sheaf is b.sheaf for c in H.blocks.values()) > 1)
+        owners = [list(key) for key, b in sorted(H.blocks.items()) if b.sheaf is shared]
+        real = GradedSheaf.validate_functoriality
+        monkeypatch.setattr(GradedSheaf, "validate_functoriality",
+                            lambda sheaf: [("p", "q", "r", "s")] if sheaf is shared else real(sheaf))
+        entries = {e.name: e for e in checks.sheaf_structure_checks(H, random.Random(2026))}
+        entry = entries["sheaf.restriction-functoriality"]
+        assert not entry.ok
+        assert [c["block"] for c in entry.details["counterexamples"]] == owners[:3]

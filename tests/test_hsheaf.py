@@ -345,3 +345,40 @@ class TestSharedSheaves:
             ext_algebra(H)
             assert sorted(map(id, seen)) == sorted({id(b.sheaf) for b in H.blocks.values()})
             assert len(seen) < len(H.blocks)
+
+
+def all_quadruples_associativity(H):
+    """Every face against every label quadruple, filtered by support: the oracle
+    for check_face_local_associativity."""
+    bad = []
+    n = len(H.catalog)
+    for f in H.space.points:
+        for a, b, c, d in itertools.product(range(n), repeat=4):
+            if all(f in H.blocks[pair].support.members() for pair in ((a, b), (b, c), (c, d))):
+                left = hsheaf._twist_chain(H, f, (a, b, c), (a, c, d))
+                right = hsheaf._twist_chain(H, f, (b, c, d), (a, b, d))
+                if left != right:
+                    bad.append((f, a, b, c, d, left, right))
+    return bad
+
+
+class TestFaceLocalAssociativity:
+    """Walking only the supported chains finds the same failures, in the same order."""
+
+    def test_shipped_documents_pass(self):
+        for path in sorted(DATA.glob("*.json")):
+            H = cli._build(cli.load_document(str(path)), 8)[3]
+            assert check_face_local_associativity(H) == all_quadruples_associativity(H) == [], path.stem
+
+    def test_same_failures_under_a_wrong_twist(self, monkeypatch):
+        for name in ("p1xp1", "canonical_l2"):
+            H = cli._build(cli.load_document(str(DATA / f"{name}.json")), 8)[3]
+            real = H.product_twist
+
+            def wrong(a, b, c, face_key):
+                tw = real(a, b, c, face_key)
+                return tw if tw is None or a != 1 else mono(*tw, ("spurious", 1))
+
+            monkeypatch.setattr(H, "product_twist", wrong)
+            bad = check_face_local_associativity(H)
+            assert bad and bad == all_quadruples_associativity(H), name

@@ -1,13 +1,16 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from extsheaf import algebra, oracles
 from extsheaf.fans import Fan, toric_datum
 from extsheaf.hsheaf import build_H
 from extsheaf.isotropy import build_catalog
 from extsheaf.oracles import (
+    FuzzReport,
     brute_sections,
     identity_fuzz,
     membership_table_check,
@@ -148,3 +151,63 @@ class TestFuzz:
     def test_degenerate_quadruple(self):
         from extsheaf.algebra import nabla
         assert nabla({"a"}, {"a"}, {"a"}) == set()
+
+
+def counter_fuzz(trials, seed):
+    """identity_fuzz with the cocycle compared as Counter multisets, the
+    engine's nabla recomputed at every use: the oracle for the set form."""
+    engine_nabla, transcription = algebra.nabla, oracles._nabla
+    rng = random.Random(seed)
+    failures = []
+    ground = [f"g{i}" for i in range(8)]
+    for t in range(trials):
+        size = rng.randint(0, len(ground))
+        pool = ground[:size] if size else []
+        quad = [set(rng.sample(pool, rng.randint(0, len(pool)))) if pool else set()
+                for _ in range(4)]
+        a, b, c, d = quad
+        if engine_nabla(a, b, c) != transcription(a, b, c):
+            failures.append({"trial": t, "kind": "transcription", "sets": [sorted(x) for x in quad]})
+        left = Counter(engine_nabla(a, b, c)) + Counter(engine_nabla(a, c, d))
+        right = Counter(engine_nabla(b, c, d)) + Counter(engine_nabla(a, b, d))
+        if left != right:
+            failures.append({"trial": t, "kind": "cocycle", "sets": [sorted(x) for x in quad]})
+        if len(a - b) + len(b - c) != len(a - c) + len(engine_nabla(a, b, c)):
+            failures.append({"trial": t, "kind": "degree", "sets": [sorted(x) for x in quad]})
+        if len(failures) > 10:
+            break
+    return FuzzReport(ok=not failures, trials=trials, seed=seed, failures=failures)
+
+
+WRONG_NABLAS = {
+    "first-term-only": lambda d, dp, dpp: set(dp) - (set(d) | set(dpp)),
+    "second-term-keeps-dp": lambda d, dp, dpp: (set(dp) - (set(d) | set(dpp))) | (set(d) & set(dpp)),
+    "symmetric-difference": lambda d, dp, dpp: set(d) ^ set(dpp),
+    "middle-minus-outer": lambda d, dp, dpp: (set(dp) - set(d)) | (set(dpp) - set(dp)),
+}
+
+
+class TestFuzzSetForm:
+    """The set-algebra cocycle test gives the same FuzzReport as the Counter form."""
+
+    @pytest.mark.parametrize("seed", [2026, 7, 1, 501])
+    def test_same_report(self, seed):
+        assert identity_fuzz(3000, seed) == counter_fuzz(3000, seed)
+
+    @pytest.mark.parametrize("name", sorted(WRONG_NABLAS))
+    def test_same_failures_under_a_wrong_nabla(self, monkeypatch, name):
+        monkeypatch.setattr(algebra, "nabla", WRONG_NABLAS[name])
+        for seed in (2026, 7):
+            got, want = identity_fuzz(3000, seed), counter_fuzz(3000, seed)
+            assert got == want and not got.ok and got.failures, (name, seed)
+
+    def test_cocycle_failures_without_the_transcription_check(self, monkeypatch):
+        # the same wrong formula on both sides: only the cocycle and degree tests can catch it
+        kinds = set()
+        for name, wrong in sorted(WRONG_NABLAS.items()):
+            monkeypatch.setattr(algebra, "nabla", wrong)
+            monkeypatch.setattr(oracles, "_nabla", wrong)
+            got, want = identity_fuzz(3000, 2026), counter_fuzz(3000, 2026)
+            assert got == want and not got.ok, name
+            kinds |= {f["kind"] for f in got.failures}
+        assert kinds == {"cocycle", "degree"}

@@ -166,6 +166,12 @@ class TestCech:
         with pytest.raises(SpaceError):
             cech_cohomology(sp, sp.points, sh, 2)
 
+    def test_min_degree_is_the_lowest_occupied_degree(self):
+        sp = chain_space()
+        stalks = {"a": GradedSpace(basis={4: ("u",), 6: ()}), "b": GradedSpace(basis={2: ("v",)})}
+        assert GradedSheaf(sp, stalks, {("a", "b"): {"u": ()}}).min_degree() == 2
+        assert GradedSheaf(sp, {}, {}).min_degree() is None
+
     def test_degree_changing_restriction_rejected(self):
         sp = chain_space()
         stalks = {"a": GradedSpace(basis={0: ("u",)}), "b": GradedSpace(basis={2: ("v",)})}
