@@ -364,13 +364,12 @@ def cmd_ext(doc, path, cutoff, seed, block=None, prebuilt=None):
     shown = set(blocks)
     out_blocks = []
     for i, j in blocks:
+        right = [(j, c) for c in range(len(catalog)) if (j, c) == (i, j) or (j, c) in shown]
         table = []
         for x in ext.by_block[(i, j)]:
-            for (b2, c) in sorted(ext.by_block):
-                if b2 != j or ((i, j) != (b2, c) and (b2, c) not in shown):
-                    continue
-                for y in ext.partners(x, (b2, c)):
-                    for z, cv in sorted(ext.multiply(x, y).items()):
+            for blk in right:
+                for y, product in ext.row(x, blk):
+                    for z, cv in sorted(product.items()):
                         table.append([ext.basis[x].name, ext.basis[y].name,
                                       ext.basis[z].name, _frac(cv)])
         out_blocks.append({

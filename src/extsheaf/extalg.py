@@ -35,7 +35,13 @@ class BasisElement:
 
 class ExtAlgebra:
     """Graded associative unital algebra presented degreewise by basis
-    and (lazily cached) multiplication table."""
+    and multiplication table.
+
+    The table is read two ways: row by row (row: the nonzero products of
+    one basis element with a block, each computed once and not kept, as
+    the ext command prints them) and pair by pair (multiply: memoized,
+    for the checks, which reuse products).
+    """
 
     def __init__(self, H: HSheaf):
         self.H = H
@@ -48,6 +54,7 @@ class ExtAlgebra:
         self.truncated_pairs = 0
         self._table = {}
         self._coord = {}
+        self._faces = None        # (block, face key) -> ids with an entry there, built by row
         n = len(self.catalog)
         for i in range(n):
             for j in range(n):
@@ -100,17 +107,50 @@ class ExtAlgebra:
             self.truncated_pairs += len(ids) - k
         return ids[:k]
 
+    def row(self, x: int, block):
+        """The nonzero products of basis[x] with the partners of x in block.
+
+        Yields (y, product) in basis order for y in partners(x, block),
+        which counts the degree-truncated pairs.  The product is facewise,
+        so only the partners with an entry at one of the faces of x are
+        multiplied: every other product is zero.  Nothing is memoized.
+        """
+        ids = self.partners(x, block)
+        if not ids:
+            return
+        if self._faces is None:
+            self._faces = {}
+            for b in self.basis:
+                for f in {f for f, _ in b.vector}:
+                    self._faces.setdefault((b.block, f), []).append(b.index)
+        faces = {f for f, _ in self.basis[x].vector}
+        if len(faces) == 1:
+            candidates = self._faces.get((block, faces.pop()), ())
+        else:
+            candidates = sorted({y for f in faces for y in self._faces.get((block, f), ())})
+        last = ids[-1]
+        for y in candidates:
+            if y > last:
+                break
+            out = self._product(x, y)
+            if out:
+                yield y, out
+
     def multiply(self, x: int, y: int):
         """Structure constants of basis[x] * basis[y].
 
         Returns a dict {z index: coefficient}, {} for non-composable
         blocks or zero products.  The product has degree deg x + deg y;
         a pair past the cutoff raises ValueError (partners never yields
-        one).
+        one).  Memoized, for the checks; row computes without the memo.
         """
         key = (x, y)
-        if key in self._table:
-            return self._table[key]
+        if key not in self._table:
+            self._table[key] = self._product(x, y)
+        return self._table[key]
+
+    def _product(self, x: int, y: int):
+        """multiply without the memo."""
         bx, by = self.basis[x], self.basis[y]
         degree = bx.degree + by.degree
         if degree > self.cutoff:
@@ -121,7 +161,6 @@ class ExtAlgebra:
             out = self.express((a, c), degree, self.H.multiply_sections(a, b, c, bx.vector, by.vector))
             if out is None:
                 raise DatumError("product of sections is not a section")
-        self._table[key] = out
         return out
 
     def unit_coeffs(self):
@@ -180,10 +219,14 @@ class ExtModule:
     label: int
     elements: tuple          # basis indices of the column blocks (b, label)
     ext: ExtAlgebra
+    _members: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._members = frozenset(self.elements)
 
     def action(self, e: int, x: int):
         """Left action of algebra basis element e on module element x."""
-        if x not in set(self.elements):
+        if x not in self._members:
             raise DatumError("element is not in the module")
         return self.ext.multiply(e, x)
 

@@ -171,23 +171,42 @@ def abs_det(rows):
 class Coordinates:
     """A fixed basis, echelonized once, for repeated coordinate queries.
 
-    Each basis vector carries a Tag column for its index, so reducing a
-    vector leaves minus its coefficients on the Tag columns.
+    Each basis vector carries a Tag column for its index while the basis
+    is echelonized, so a pivot row's Tag part says which combination of
+    basis vectors its real part is.  The pivot rows are then split: the
+    real parts form the eliminator that queries reduce against, and the
+    Tag parts are kept as (basis index, coefficient) pairs per pivot
+    column, so a query hashes no Tag.
     """
 
     def __init__(self, basis):
-        self.elim = Eliminator()
+        tagged = Eliminator()
         for i, b in enumerate(basis):
-            tagged = dict(b)
-            tagged[Tag(i)] = ONE
-            self.elim.add(tagged)
+            row = dict(b)
+            row[Tag(i)] = ONE
+            tagged.add(row)
+        self.elim = Eliminator()
+        self._combos = {}     # real pivot column -> ((basis index, coefficient), ...)
+        for col, row in tagged.pivots.items():
+            if isinstance(col, Tag):
+                continue    # a dependent basis vector: no real part
+            self.elim.pivots[col] = {k: a for k, a in row.items() if not isinstance(k, Tag)}
+            self._combos[col] = tuple((k.idx, a) for k, a in row.items() if isinstance(k, Tag))
 
     def of(self, vector):
         """Coefficients {basis index: c} of vector, or None outside the span."""
-        _, res = self.elim.coordinates(vector)
-        if any(not isinstance(k, Tag) for k in res):
+        multiples, res = self.elim.coordinates(vector)
+        if res:
             return None
-        return {k.idx: -v for k, v in res.items()}
+        out = {}
+        for col, m in multiples.items():
+            for i, a in self._combos[col]:
+                v = out.get(i, ZERO) + m * a
+                if v:
+                    out[i] = v
+                else:
+                    del out[i]
+        return out
 
 
 def solve_in_span(basis, target):

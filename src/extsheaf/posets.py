@@ -362,6 +362,30 @@ def global_sections(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff) -> Sectio
 # cohomology from the chains of U
 
 
+class CechH0(GradedSpace):
+    """H^0 from cech_cohomology: dimensions by rank, the kernel of d^0 on demand.
+
+    d0_rows[d] are the degree-d rows of d^0 over the ((p,), label)
+    columns of U; h0_vectors, the kernel basis per degree as families
+    over (p, label), is built by kernel_basis the first time it is read.
+    """
+
+    def __init__(self, dims, U, labels, d0_rows):
+        super().__init__(dims=dims)
+        self._U, self._labels, self._rows = U, labels, d0_rows
+        self._vectors = None
+
+    @property
+    def h0_vectors(self):
+        if self._vectors is None:
+            self._vectors = {}
+            for d, rows in self._rows.items():
+                cols = [((p,), lab) for p in self._U for lab in self._labels[p].get(d, ())]
+                self._vectors[d] = tuple({(c[0], lab): v for (c, lab), v in vec.items()}
+                                         for vec in kernel_basis(rows, cols))
+        return self._vectors
+
+
 def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
     """Sheaf cohomology of sheaf over the open U, from the chain complex of U.
 
@@ -372,10 +396,11 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
     (da)_{p_0..p_{r+1}} = sum_{k<=r} (-1)^k a_{.. without p_k ..}
     + (-1)^{r+1} restriction(p_r, p_{r+1}) a_{p_0..p_r}.  Coordinates
     are stalk labels throughout, degreewise up to cutoff.  Returns one
-    GradedSpace per cohomological degree, trailing zeros dropped; the
-    degree-0 entry also carries on attribute h0_vectors the kernel of
-    d^0 (compatible families across every comparable pair) over the
-    (point, label) columns of U.
+    GradedSpace per cohomological degree, trailing zeros dropped.  Every
+    dimension comes from a rank; the degree-0 entry also carries on
+    attribute h0_vectors the kernel of d^0 (compatible families across
+    every comparable pair) over the (point, label) columns of U, built
+    by kernel_basis the first time it is read.
     """
     U = tuple(sorted(U))
     if not space.is_open(U):
@@ -383,9 +408,7 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
     _check_cutoff(sheaf, cutoff)
     degrees = sorted({d for p in U for d in sheaf.stalks[p].dims if d <= cutoff})
     if not U or not degrees:
-        out = GradedSpace()
-        out.h0_vectors = {}
-        return [out]
+        return [CechH0({}, U, {}, {})]
 
     labels = {p: {d: labs for d, labs in sheaf.stalks[p].basis.items() if d <= cutoff} for p in U}
     chains = [[(p,) for p in U]]    # chains[r]: the chains p_0 < ... < p_r, sorted; the last is empty
@@ -409,7 +432,6 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
         return pulled[(i, j)]
 
     ranks = {}      # (r, d) -> rank of d^r : C^r -> C^{r+1} in degree d
-    h0 = {}
     for r in range(len(chains) - 1):
         rows = {d: [] for d in degrees}
         last = -ONE if r % 2 == 0 else ONE      # (-1)^{r+1}
@@ -424,14 +446,10 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
                     for s, c in back.get(lab, ()):
                         row[(t[:-1], s)] = last * c
                     rows[d].append(row)
+        if r == 0:
+            d0_rows = rows
         for d in degrees:
-            if r == 0:
-                cols = [((p,), lab) for p in U for lab in labels[p].get(d, ())]
-                h0[d] = tuple({(c[0], lab): v for (c, lab), v in vec.items()}
-                              for vec in kernel_basis(rows[d], cols))
-                ranks[(r, d)] = len(cols) - len(h0[d])
-            else:
-                ranks[(r, d)] = sparse_rank(rows[d])
+            ranks[(r, d)] = sparse_rank(rows[d])
 
     out = []
     for r, level in enumerate(chains[:-1]):
@@ -439,8 +457,7 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
         for c in level:
             for d, labs in labels[c[-1]].items():
                 dims[d] += len(labs)
-        out.append(GradedSpace(dims=dims))
-    out[0].h0_vectors = h0
+        out.append(CechH0(dims, U, labels, d0_rows) if r == 0 else GradedSpace(dims=dims))
     while len(out) > 1 and not out[-1].dims:
         out.pop()
     return out

@@ -118,6 +118,17 @@ class TestExtModules:
         x = ext.by_block[(1, 0)][0]
         assert mod.action(e, x) == ext.multiply(e, x)
 
+    def test_action_rejects_a_non_member(self):
+        H, ext = build_ext(P1)
+        mod = ext_module(ext, 0)
+        e = ext.by_block[(0, 1)][0]
+        outside = ext.by_block[(0, 1)][0]
+        assert outside not in mod.elements
+        for _ in range(2):
+            with pytest.raises(DatumError, match="element is not in the module"):
+                mod.action(e, outside)
+        assert mod.action(e, ext.by_block[(1, 0)][0]) == ext.multiply(e, ext.by_block[(1, 0)][0])
+
 
 class TestReports:
     def test_vanishing_p1(self):
@@ -240,11 +251,54 @@ class TestDegreeBoundedTable:
             assert payload["truncated_pairs"] == count
 
     def test_table_holds_no_degree_truncated_pair(self, monkeypatch):
+        # ext keeps no memo, so every pair it multiplies is recorded at _product
+        product = extalg.ExtAlgebra._product
         for name in self.NAMES:
+            multiplied = []
+
+            def record(ext, x, y):
+                multiplied.append((x, y))
+                return product(ext, x, y)
+
+            monkeypatch.setattr(extalg.ExtAlgebra, "_product", record)
             ext, _ = self._run_ext(name, monkeypatch)
-            assert ext._table
-            for x, y in ext._table:
-                assert ext.basis[x].degree + ext.basis[y].degree <= ext.cutoff
+            assert multiplied, name
+            for x, y in multiplied:
+                assert ext.basis[x].degree + ext.basis[y].degree <= ext.cutoff, (name, x, y)
+
+    def test_ext_keeps_no_memo(self, monkeypatch):
+        for name in self.NAMES:
+            ext, payload = self._run_ext(name, monkeypatch)
+            assert any(blk["table"] for blk in payload["blocks"]), name
+            assert ext._table == {}, name
+
+
+class TestTableRows:
+    """row gives the nonzero products of multiply over partners, in basis order."""
+
+    def _check(self, name, H):
+        by_row, by_pair = ext_algebra(H), ext_algebra(H)
+        products = 0
+        for x in range(len(by_row.basis)):
+            for blk in _composable(by_row, x):
+                want = [(y, m) for y in by_pair.partners(x, blk) if (m := by_pair.multiply(x, y))]
+                assert list(by_row.row(x, blk)) == want, (name, x, blk)
+                products += len(want)
+        assert products > 0, name
+        assert by_row.truncated_pairs == by_pair.truncated_pairs > 0, name
+        assert by_row._table == {}, name
+        return by_row
+
+    def test_shipped_documents(self):
+        names = []
+        for name, H in _shipped_H():
+            self._check(name, H)
+            names.append(name)
+        assert len(names) == 7
+
+    def test_vectors_on_several_faces(self):
+        ext = self._check("P^3", _H(P3, 6))
+        assert any(len({f for f, _ in b.vector}) > 1 for b in ext.basis)
 
 
 class TestHomogeneousProducts:

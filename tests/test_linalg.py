@@ -5,6 +5,7 @@ from fractions import Fraction
 from extsheaf.cli import _frac
 from extsheaf.fans import coords_in_lattice
 from extsheaf.linalg import Coordinates, Eliminator, abs_det, kernel_basis, rank, solve_in_span
+from extsheaf.oracles import dense_rank, dense_rref
 
 
 def _combo(basis, coeffs):
@@ -51,6 +52,45 @@ class TestCoordinates:
         target = _combo(BASIS, [Fraction(2), Fraction(7)])
         assert Coordinates(dict(b) for b in BASIS).of(target) == {0: Fraction(2), 1: Fraction(7)}
         assert solve_in_span((dict(b) for b in BASIS), target) == [Fraction(2), Fraction(7)]
+
+    def test_pivot_rows_that_combine_several_basis_vectors(self):
+        # not in echelon form: eliminating makes pivot rows out of several vectors
+        basis = [{"a": 1, "b": 1}, {"a": 1, "b": 2, "c": 1}, {"b": 1, "c": 3}]
+        coords = Coordinates(basis)
+        assert any(len(combo) > 1 for combo in coords._combos.values())
+        assert coords.of(_combo(basis, [2, -3, 5])) == {0: 2, 1: -3, 2: 5}
+        assert coords.of({"a": 1}) == {0: Fraction(5, 2), 1: Fraction(-3, 2), 2: Fraction(1, 2)}
+        assert coords.of(basis[1]) == {1: 1}
+        assert coords.of({"a": 1, "d": 1}) is None
+
+    def test_matches_dense_rref(self):
+        # coordinates of v solve B^T c = v: the last column of the reduced
+        # augmented system [B^T | v], with no pivot there
+        rng = random.Random(11)
+        cols = "abcdef"
+        checked = outside = 0
+        for _ in range(80):
+            k = rng.randint(1, 4)
+            basis = [{c: rng.randint(-3, 3) for c in cols if rng.random() < 0.6} for _ in range(k)]
+            basis = [{c: v for c, v in b.items() if v} for b in basis]
+            if dense_rank([[b.get(c, 0) for c in cols] for b in basis]) < k:
+                continue
+            if rng.random() < 0.5:
+                target = _combo(basis, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in basis])
+            else:
+                target = {c: rng.randint(-2, 2) for c in cols if rng.random() < 0.5}
+                target = {c: v for c, v in target.items() if v}
+            aug = [[Fraction(b.get(c, 0)) for b in basis] + [Fraction(target.get(c, 0))] for c in cols]
+            pivots = dense_rref(aug)
+            got = Coordinates(basis).of(target)
+            if k in pivots:
+                assert got is None
+                outside += 1
+            else:
+                want = {i: aug[r][k] for r, i in enumerate(pivots) if aug[r][k]}
+                assert got == want
+                checked += 1
+        assert checked > 10 and outside > 10
 
 
 def test_kernel_basis_independent_of_row_order():
