@@ -9,11 +9,8 @@ a vanishing report, and independent oracles for verification.
 
 from .algebra import (
     TwoGroupModule,
-    TwistedElement,
-    hilbert_series,
     nabla,
     twist_factor,
-    twisted_product,
     twisted_tensor,
     twisted_tensor_relations,
 )
@@ -27,7 +24,6 @@ from .faces import (
     downward_closed_families,
     family_name,
     g_stable_open,
-    orbit_space,
 )
 from .fans import Fan, toric_datum, toric_isotropy
 from .hsheaf import BlockSupport, HSheaf, build_H, support_sets
@@ -48,7 +44,6 @@ from .posets import (
     SpaceError,
     cech_cohomology,
     global_sections,
-    minimal_open,
     validate_intersection_axiom,
 )
 

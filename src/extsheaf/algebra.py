@@ -20,8 +20,6 @@ from . import f2
 from .linalg import Eliminator
 from .posets import GradedSpace
 
-ONE = 1
-
 
 # ---------------------------------------------------------------------------
 # monomials
@@ -36,32 +34,21 @@ def mono(*pairs):
     return tuple(sorted(acc.items()))
 
 
-MONO_ONE = ()
-
-
-def mono_mul(a, b):
-    return mono(*(list(a) + list(b)))
+def _exponents(weights, degree):
+    """Exponent tuples e with sum(w * e) == degree, lexicographically sorted."""
+    if not weights:
+        return [()] if degree == 0 else []
+    partial = [((), degree)]        # (leading exponents, degree left for the rest)
+    for w in weights[:-1]:
+        partial = [(e + (x,), left - x * w) for e, left in partial for x in range(left // w + 1)]
+    w = weights[-1]
+    return [e + (left // w,) for e, left in partial if left >= 0 and left % w == 0]
 
 
 def monomials_of_degree(variables, k):
     """All exponent patterns of total degree k in the given variables, sorted."""
     variables = sorted(variables)
-    if k == 0:
-        return [MONO_ONE]
-    if not variables:
-        return []
-    out = []
-    n = len(variables)
-
-    def rec(i, remaining, acc):
-        if i == n - 1:
-            out.append(mono(*acc, (variables[i], remaining)))
-            return
-        for e in range(remaining + 1):
-            rec(i + 1, remaining - e, acc + [(variables[i], e)])
-
-    rec(0, k, [])
-    return sorted(out)
+    return sorted(mono(*zip(variables, exps)) for exps in _exponents((1,) * len(variables), k))
 
 
 # ---------------------------------------------------------------------------
@@ -115,23 +102,7 @@ class TwoGroupModule:
 
     def monomials(self, degree):
         """Exponent tuples of the given total degree, lexicographically sorted."""
-        if degree == 0:
-            return [tuple(0 for _ in self.degrees)]
-        if degree < 0 or degree % 2:
-            return []
-        out = []
-
-        def rec(i, remaining, acc):
-            if i == len(self.degrees):
-                if remaining == 0:
-                    out.append(tuple(acc))
-                return
-            step = self.degrees[i]
-            for e in range(remaining // step + 1):
-                rec(i + 1, remaining - e * step, acc + [e])
-
-        rec(0, degree, [])
-        return sorted(out)
+        return _exponents(self.degrees, degree)
 
 
 TRIVIAL_MODULE = TwoGroupModule(rank=0, degrees=(), signs=())
@@ -202,47 +173,3 @@ def _check_chars(module, rho, rhop):
     for chi in (rho, rhop):
         if len(chi) != module.rank:
             raise ValueError("character length does not match the group rank")
-
-
-@dataclass(frozen=True)
-class TwistedElement:
-    """Element of a twisted-tensor carrier Hom(V_rho, V_rho') ⊗-block.
-
-    coeffs maps surviving monomial exponent tuples to rationals.
-    """
-
-    module: TwoGroupModule
-    rho: tuple
-    rhop: tuple
-    coeffs: tuple  # sorted ((exps, rational), ...)
-
-    @staticmethod
-    def make(module, rho, rhop, coeffs):
-        target = f2.add(rho, rhop)
-        for exps, _ in coeffs.items():
-            if module.monomial_character(exps) != target:
-                raise ValueError("monomial is killed by the balanced relations")
-        return TwistedElement(module, tuple(rho), tuple(rhop),
-                              tuple(sorted((e, c) for e, c in coeffs.items() if c)))
-
-
-def twisted_product(x: TwistedElement, y: TwistedElement) -> TwistedElement:
-    """Composition product (a ⊗ a', b ⊗ b') -> ab ⊗ a'b' on survivors.
-
-    x composes after y, so x.rho must match y.rhop.
-    """
-    if x.module != y.module:
-        raise ValueError("elements live over different modules")
-    if x.rho != y.rhop:
-        raise ValueError("non-composable character blocks")
-    acc = {}
-    for ex, cx in x.coeffs:
-        for ey, cy in y.coeffs:
-            key = tuple(a + b for a, b in zip(ex, ey))
-            acc[key] = acc.get(key, 0) + cx * cy
-    return TwistedElement.make(x.module, y.rho, x.rhop, acc)
-
-
-def hilbert_series(space: GradedSpace, cutoff):
-    """Dimensions in degrees 0..cutoff as a plain list."""
-    return space.hilbert(cutoff)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -239,8 +240,6 @@ def emit_tsv(payload):
 
 
 def _meta(doc_path, cutoff, seed, command):
-    import os
-
     return {
         "input": os.path.basename(doc_path),
         "command": command,
@@ -289,14 +288,8 @@ def cmd_faces(doc, path, cutoff, seed, prebuilt=None):
 
 def cmd_labels(doc, path, cutoff, seed, prebuilt=None):
     datum, dbasis, catalog, fan = prebuilt or _datum_catalog(doc)
-    labels = []
-    for k, lab in enumerate(catalog.labels):
-        labels.append({
-            "index": k,
-            "orbit": list(lab.orbit),
-            "character": "".join(str(b) for b in lab.char),
-            "delta_prime": list(catalog.dprime(k)),
-        })
+    labels = [{"index": k, "orbit": list(lab.orbit), "character": "".join(str(b) for b in lab.char),
+               "delta_prime": list(catalog.dprime(k))} for k, lab in enumerate(catalog.labels)]
     payload = {"meta": _meta(path, cutoff, seed, "labels"),
                "d_basis": [list(row) for row in dbasis],
                "labels": labels}
@@ -325,11 +318,8 @@ def _parse_block(text, catalog):
 
 
 def cmd_hilbert(doc, path, cutoff, seed, block=None, prebuilt=None):
-    """Block Hilbert series from the ranks of the section systems; no ext basis is built.
-
-    Every diagonal unit is checked, as ext does, whatever block is shown.
-    Sections are solved once per distinct block sheaf.
-    """
+    """Block Hilbert series from section ranks, no ext basis; every diagonal
+    unit is checked, as ext does, whatever block is shown."""
     datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
     blocks = sorted(H.blocks) if block is None else [block]
     series = {}
@@ -414,6 +404,18 @@ def cmd_check_all(doc, path, cutoff, seed, prebuilt=None):
     return (0 if report.ok else 3), payload
 
 
+# command name -> (handler, whether it takes --block)
+COMMANDS = {
+    "validate": (cmd_validate, False),
+    "faces": (cmd_faces, False),
+    "labels": (cmd_labels, False),
+    "ext": (cmd_ext, True),
+    "hilbert": (cmd_hilbert, True),
+    "cohomology": (cmd_cohomology, False),
+    "check-all": (cmd_check_all, False),
+}
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -426,8 +428,7 @@ class _Parser(argparse.ArgumentParser):
 def make_parser():
     p = _Parser(prog="extsheaf", description="extension-algebra engine over finite face posets")
     p.add_argument("--input", required=True, help="path to the input JSON document")
-    p.add_argument("--command", required=True,
-                   choices=["validate", "faces", "labels", "ext", "hilbert", "cohomology", "check-all"])
+    p.add_argument("--command", required=True, choices=list(COMMANDS))
     p.add_argument("--cutoff", type=int, default=None,
                    help=f"internal degree cutoff (default: document cutoff or {DEFAULT_CUTOFF})")
     p.add_argument("--block", default=None, help="restrict to one block, e.g. 0:0")
@@ -440,24 +441,16 @@ def run(argv, out=None):
     out = out if out is not None else sys.stdout
     try:
         args = make_parser().parse_args(argv)
+        handler, takes_block = COMMANDS[args.command]
+        if args.block is not None and not takes_block:
+            raise SchemaError(f"--block applies only to ext and hilbert, not to {args.command}")
         doc = load_document(args.input)
         cutoff = args.cutoff if args.cutoff is not None else doc.get("cutoff", DEFAULT_CUTOFF)
         if cutoff < 0 or cutoff % 2:
             raise SchemaError("cutoff must be a nonnegative even integer")
         prebuilt = _datum_catalog(doc)
-        block = None if args.block is None else _parse_block(args.block, prebuilt[2])
-        handlers = {
-            "validate": cmd_validate,
-            "faces": cmd_faces,
-            "labels": cmd_labels,
-            "cohomology": cmd_cohomology,
-            "check-all": cmd_check_all,
-        }
-        if args.command in ("ext", "hilbert"):
-            fn = cmd_ext if args.command == "ext" else cmd_hilbert
-            code, payload = fn(doc, args.input, cutoff, args.seed, block=block, prebuilt=prebuilt)
-        else:
-            code, payload = handlers[args.command](doc, args.input, cutoff, args.seed, prebuilt=prebuilt)
+        kwargs = {} if args.block is None else {"block": _parse_block(args.block, prebuilt[2])}
+        code, payload = handler(doc, args.input, cutoff, args.seed, prebuilt=prebuilt, **kwargs)
         out.write(emit_json(payload) if args.format == "json" else emit_tsv(payload))
         return code
     except SchemaError as exc:

@@ -1,27 +1,23 @@
 """Global sections of H with the face-wise product: the extension algebra.
 
 The algebra is computed blockwise as compatible families.  Sheaf
-cohomology from the chain complex of the face poset (stalk at p_r over
-each strict chain p_0 < ... < p_r, see posets.cech_cohomology) is a
-second, independent route to the same answer: its H^0 is the kernel of
-d^0 over every comparable pair, not the covering-pair solve of
-global_sections.  It is exposed as a verification report
-(concentration_check), together with the vanishing report over all
-G-stable opens.
+cohomology from the chain complex of the face poset is a second,
+independent route to the same answer (its H^0 is the kernel of d^0 over
+every comparable pair), run as the report concentration_check next to
+the vanishing report over all G-stable opens.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .faces import FacePoint, downward_closed_families, family_name, g_stable_open
-from .hsheaf import HSheaf
+from .faces import closed_face, downward_closed_families, family_name, g_stable_open
+from .hsheaf import HSheaf, unit_label
 from .isotropy import DatumError
 from .linalg import Coordinates, rank
 from .posets import cech_cohomology, global_sections
-
-ONE = 1
 
 
 @dataclass
@@ -35,13 +31,8 @@ class BasisElement:
 
 class ExtAlgebra:
     """Graded associative unital algebra presented degreewise by basis
-    and multiplication table.
-
-    The table is read two ways: row by row (row: the nonzero products of
-    one basis element with a block, each computed once and not kept, as
-    the ext command prints them) and pair by pair (multiply: memoized,
-    for the checks, which reuse products).
-    """
+    and multiplication table, read by rows (row, unmemoized, for ext) or
+    by pairs (multiply, memoized, for the checks)."""
 
     def __init__(self, H: HSheaf):
         self.H = H
@@ -56,19 +47,18 @@ class ExtAlgebra:
         self._coord = {}
         self._faces = None        # (block, face key) -> ids with an entry there, built by row
         n = len(self.catalog)
-        for i in range(n):
-            for j in range(n):
-                sec = H.sections(H.blocks[(i, j)])
-                self.sections[(i, j)] = sec
-                ids = []
-                for d in sorted(sec.vectors):
-                    for v in sec.vectors[d]:
-                        idx = len(self.basis)
-                        name = f"e{idx}"
-                        self.basis.append(BasisElement(idx, (i, j), d, dict(v), name))
-                        ids.append(idx)
-                self.by_block[(i, j)] = tuple(ids)
-                self._degrees[(i, j)] = [self.basis[k].degree for k in ids]
+        for i, j in itertools.product(range(n), repeat=2):
+            sec = H.sections(H.blocks[(i, j)])
+            self.sections[(i, j)] = sec
+            ids = []
+            for d in sorted(sec.vectors):
+                for v in sec.vectors[d]:
+                    idx = len(self.basis)
+                    name = f"e{idx}"
+                    self.basis.append(BasisElement(idx, (i, j), d, dict(v), name))
+                    ids.append(idx)
+            self.by_block[(i, j)] = tuple(ids)
+            self._degrees[(i, j)] = [self.basis[k].degree for k in ids]
         self.idempotents = {}
         for a in range(n):
             vec = diagonal_unit(H.blocks[(a, a)].sheaf, self.sections[(a, a)])
@@ -95,10 +85,8 @@ class ExtAlgebra:
     def partners(self, x: int, block, degree=None):
         """Ids y of block with degree + deg y <= cutoff, in basis order.
 
-        With degree None this is the table row of x in block (degree is
-        deg x): the pairs (x, y) that the degree bound cuts off are never
-        multiplied and are counted in truncated_pairs.  An explicit degree
-        (of a product, say) only selects and counts nothing.
+        With degree None (deg x) the pairs the bound cuts off are counted
+        in truncated_pairs; an explicit degree only selects.
         """
         ids = self.by_block[block]
         k = bisect_right(self._degrees[block],
@@ -108,12 +96,9 @@ class ExtAlgebra:
         return ids[:k]
 
     def row(self, x: int, block):
-        """The nonzero products of basis[x] with the partners of x in block.
-
-        Yields (y, product) in basis order for y in partners(x, block),
-        which counts the degree-truncated pairs.  The product is facewise,
-        so only the partners with an entry at one of the faces of x are
-        multiplied: every other product is zero.  Nothing is memoized.
+        """Yields (y, product) in basis order for the nonzero products of
+        basis[x] with partners(x, block).  The product is facewise, so only
+        partners sharing a face with x are multiplied.  Nothing is memoized.
         """
         ids = self.partners(x, block)
         if not ids:
@@ -137,12 +122,9 @@ class ExtAlgebra:
                 yield y, out
 
     def multiply(self, x: int, y: int):
-        """Structure constants of basis[x] * basis[y].
-
-        Returns a dict {z index: coefficient}, {} for non-composable
-        blocks or zero products.  The product has degree deg x + deg y;
-        a pair past the cutoff raises ValueError (partners never yields
-        one).  Memoized, for the checks; row computes without the memo.
+        """Structure constants {z index: coefficient} of basis[x] * basis[y],
+        {} for non-composable blocks or zero products; memoized.  A pair
+        past the cutoff raises ValueError (partners never yields one).
         """
         key = (x, y)
         if key not in self._table:
@@ -164,24 +146,18 @@ class ExtAlgebra:
         return out
 
     def unit_coeffs(self):
-        """The unit of the algebra as {basis index: coefficient}."""
-        out = {}
-        for coeffs in self.idempotents.values():
-            for k, v in coeffs.items():
-                out[k] = out.get(k, 0) + v
-        return {k: v for k, v in out.items() if v}
+        """The unit of the algebra as {basis index: coefficient}: the sum of the
+        idempotents, which lie in distinct diagonal blocks."""
+        return {k: v for coeffs in self.idempotents.values() for k, v in coeffs.items()}
 
-    def act_by(self, coeffs, x: int):
-        """Left action of an algebra element (basis combination) on basis[x]."""
+    def element_product(self, xs, ys):
+        """Product of two algebra elements {basis index: coefficient}, through multiply."""
         out = {}
-        for e, ce in coeffs.items():
-            for z, cz in self.multiply(e, x).items():
-                v = out.get(z, 0) + ce * cz
-                if v:
-                    out[z] = v
-                else:
-                    del out[z]
-        return out
+        for x, cx in xs.items():
+            for y, cy in ys.items():
+                for z, cz in self.multiply(x, y).items():
+                    out[z] = out.get(z, 0) + cx * cy * cz
+        return {z: v for z, v in out.items() if v}
 
     def block_hilbert(self, block, cutoff=None):
         return self.sections[block].hilbert(self.cutoff if cutoff is None else cutoff)
@@ -198,17 +174,15 @@ def ext_algebra(H: HSheaf) -> ExtAlgebra:
 
 
 def diagonal_unit(sheaf, sections):
-    """The degree-0 unit of a diagonal block, as a family over its stalks.
-
-    The unit label (1, trivial K-monomial) of every stalk that has one.
-    Raises DatumError unless the family lies in sections, the block's
-    global sections; the constraint rows decide that, no basis needed.
+    """The degree-0 unit of a diagonal block: the unit_label of every stalk
+    that has one.  Raises DatumError unless the family lies in sections,
+    the block's global sections (decided by the constraint rows).
     """
     vec = {}
     for p in sorted(sheaf.stalks):
-        for pm, km in sheaf.stalks[p].basis.get(0, ()):
-            if pm == () and not any(km):
-                vec[(p, (pm, km))] = ONE
+        lab = unit_label(sheaf.stalks[p])
+        if lab is not None:
+            vec[(p, lab)] = 1
     if not sections.contains(0, vec):
         raise DatumError("diagonal unit is not a global section")
     return vec
@@ -264,11 +238,8 @@ class Report:
 def vanishing_report(H: HSheaf, cutoff=None) -> Report:
     """Čech cohomology of H' vanishes in positive degrees on every
     G-stable open, and the closed-face sections surject onto the
-    punctured-star sections in the Mayer-Vietoris step.
-
-    Blocks that share a sheaf give the same complex on the same open, so
-    the report computes one complex per (sheaf, open) and keeps only its
-    higher dimensions, for this call only.
+    punctured-star sections in the Mayer-Vietoris step.  One complex is
+    computed per (sheaf, open), for this call only.
     """
     cutoff = H.cutoff if cutoff is None else cutoff
     entries = []
@@ -315,12 +286,11 @@ def _mv_surjectivity(H: HSheaf, delta, family, cutoff, higher):
     divisors, so the induction family is restricted accordingly before
     peeling the orbit delta; sections over the punctured star must be
     hit by the closed-face stalk, and the punctured star itself carries
-    no higher cohomology (higher: the memo of vanishing_report).  A
-    block enters only through its sheaf and its region, so each region
-    and each passing (sheaf, open) pair is settled once per call.
+    no higher cohomology (higher: the memo of vanishing_report).  Each
+    region and each passing (sheaf, open) pair is settled once per call.
     """
     datum = H.datum
-    cf = FacePoint(orbit=delta, j=tuple(sorted(datum.Jmap[delta]))).key()
+    cf = closed_face(datum, delta).key()
     star = set(H.space.minimal_open(cf))
     detail = {"closed_face": cf}
     opens = {}      # region -> its G-stable open
@@ -349,7 +319,7 @@ def _mv_surjectivity(H: HSheaf, delta, family, cutoff, higher):
             for lab in (st.basis or {}).get(d, ()):
                 fam_vec = {}
                 for q in uprime:
-                    img = blk.sheaf.apply(cf, q, {lab: ONE})
+                    img = blk.sheaf.apply(cf, q, {lab: 1})
                     for lab2, c in img.items():
                         fam_vec[(q, lab2)] = c
                 images.append(fam_vec)
@@ -368,11 +338,8 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None, pair_cap
     kernel of d^0 across every comparable pair) matches the section
     algebra degreewise, as subspaces of the stalk product, and on
     structure constants (all composable pairs up to pair_cap, then a
-    deterministic truncation of the pair list).
-
-    The complex and its comparison with the sections (solved once per
-    sheaf by HSheaf.sections) are computed once per distinct block
-    sheaf; blocks that share a sheaf share its read-only H^0 basis.
+    deterministic truncation of the pair list).  The complex and its
+    comparison with the sections are computed once per distinct sheaf.
     """
     cutoff = H.cutoff if cutoff is None else cutoff
     if ext is None:
@@ -409,31 +376,22 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None, pair_cap
     pairs_checked = 0
     ok_products = True
     n = len(H.catalog)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if pairs_checked >= pair_cap:
-                    break
-                for d1, vs1 in sorted(cech_bases[(a, b)].items()):
-                    for d2, vs2 in sorted(cech_bases[(b, c)].items()):
-                        if d1 + d2 > cutoff:
-                            continue
-                        cs2 = coordinates((b, c), d2, vs2)
-                        for v1, c1 in zip(vs1, coordinates((a, b), d1, vs1)):
-                            for v2, c2 in zip(vs2, cs2):
-                                if pairs_checked >= pair_cap:
-                                    break
-                                prod = H.multiply_sections(a, b, c, v1, v2)
-                                pairs_checked += 1
-                                want = {}
-                                for e1, x1 in c1.items():
-                                    for e2, x2 in c2.items():
-                                        for z, cz in ext.multiply(e1, e2).items():
-                                            want[z] = want.get(z, 0) + x1 * x2 * cz
-                                got = ext.express((a, c), d1 + d2, prod)
-                                want = {k: v for k, v in want.items() if v}
-                                if got != want:
-                                    ok_products = False
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if pairs_checked >= pair_cap:
+            break
+        for d1, vs1 in sorted(cech_bases[(a, b)].items()):
+            for d2, vs2 in sorted(cech_bases[(b, c)].items()):
+                if d1 + d2 > cutoff:
+                    continue
+                cs2 = coordinates((b, c), d2, vs2)
+                for v1, c1 in zip(vs1, coordinates((a, b), d1, vs1)):
+                    for v2, c2 in zip(vs2, cs2):
+                        if pairs_checked >= pair_cap:
+                            break
+                        prod = H.multiply_sections(a, b, c, v1, v2)
+                        pairs_checked += 1
+                        if ext.element_product(c1, c2) != ext.express((a, c), d1 + d2, prod):
+                            ok_products = False
     entries.append(ReportEntry(
         name="dual-path-products", ok=ok_products,
         details={"pairs_checked": pairs_checked}))

@@ -20,8 +20,6 @@ from .isotropy import DatumError, IsotropyFamily, orbit_key
 from .linalg import exact
 from .posets import FiniteSpace
 
-ONE = 1
-
 
 @dataclass(frozen=True)
 class FacePoint:
@@ -111,9 +109,10 @@ class KData:
                     tuple((tuple(int(e) for e in exps), exact(Fraction(str(c)))) for c, exps in poly)
                     for poly in r.get("gens", ()))
                 self._restrictions[pair] = {"tau_map": tau_map, "gens": gens}
-            self._validate()
         self._module_cache = {}
         self._chain_cache = {}
+        if entries is not None:
+            self._validate()
 
     def module(self, j) -> TwoGroupModule:
         j = tuple(sorted(j))
@@ -135,7 +134,7 @@ class KData:
             j, jp = key
             if j == jp:
                 e = self.entries[j]
-                gens = tuple(((exps, ONE),) for exps in f2.identity(len(e["generators"])))
+                gens = tuple(((exps, 1),) for exps in f2.identity(len(e["generators"])))
                 data = {"tau_map": f2.identity(e["tau_rank"]), "gens": gens}
             else:
                 mid = tuple(sorted(set(j) | {min(set(jp) - set(j))}))
@@ -151,23 +150,15 @@ class KData:
         for poly in first["gens"]:  # image of a J-generator in mid-generators
             acc = {}
             for exps, coeff in poly:
-                prod = _poly_one(n_out)
-                for gi, e in enumerate(exps):
-                    for _ in range(e):
-                        prod = _poly_mul(prod, dict(second["gens"][gi]))
-                for k, v in prod.items():
+                for k, v in _substitute(exps, second["gens"], n_out).items():
                     acc[k] = acc.get(k, 0) + coeff * v
             gens.append(tuple(sorted((k, v) for k, v in acc.items() if v)))
         return {"tau_map": tau, "gens": tuple(gens)}
 
     def apply_restriction(self, j, jp, exps):
         """Image of the monomial with the given exponents under J -> J'."""
-        data = self.restriction_data(j, jp)
-        prod = _poly_one(len(self.entries[tuple(sorted(jp))]["generators"]))
-        for gi, e in enumerate(exps):
-            for _ in range(e):
-                prod = _poly_mul(prod, dict(data["gens"][gi]))
-        return {k: v for k, v in prod.items() if v}
+        return _substitute(exps, self.restriction_data(j, jp)["gens"],
+                           len(self.entries[tuple(sorted(jp))]["generators"]))
 
     def _validate(self):
         for (j, jp), r in self._restrictions.items():
@@ -180,10 +171,7 @@ class KData:
                     raise DatumError(f"to_open maps for {jkey(j)}>{jkey(jp)} are incompatible")
             if len(r["gens"]) != len(ej["generators"]):
                 raise DatumError(f"restriction {jkey(j)}>{jkey(jp)} must cover every generator")
-            modp = TwoGroupModule(
-                rank=ejp["tau_rank"],
-                degrees=tuple(d for d, _ in ejp["generators"]),
-                signs=tuple(s for _, s in ejp["generators"]))
+            modp = self.module(jp)
             for (deg, sign), poly in zip(ej["generators"], r["gens"]):
                 pulled = f2.pullback(sign, r["tau_map"])
                 for exps, coeff in poly:
@@ -209,17 +197,20 @@ class KData:
                     raise DatumError(f"K-datum restrictions around {jkey(j)}..{jkey(jp)} do not commute")
 
 
-def _poly_one(nvars):
-    return {tuple(0 for _ in range(nvars)): ONE}
-
-
-def _poly_mul(p, q):
-    out = {}
-    for ka, va in p.items():
-        for kb, vb in q.items():
-            k = tuple(a + b for a, b in zip(ka, kb))
-            out[k] = out.get(k, 0) + va * vb
-    return {k: v for k, v in out.items() if v}
+def _substitute(exps, images, nvars):
+    """The monomial with the given exponents, with generator gi replaced by the
+    polynomial images[gi] ((exponents, coefficient) pairs in nvars variables)."""
+    out = {(0,) * nvars: 1}
+    for gi, e in enumerate(exps):
+        image = dict(images[gi])
+        for _ in range(e):
+            step = {}
+            for ka, va in out.items():
+                for kb, vb in image.items():
+                    k = tuple(a + b for a, b in zip(ka, kb))
+                    step[k] = step.get(k, 0) + va * vb
+            out = {k: v for k, v in step.items() if v}
+    return out
 
 
 @dataclass
@@ -295,13 +286,6 @@ def build_faces(datum: SymmetricDatum) -> FiniteSpace:
             if f != g and set(g.orbit) <= set(f.orbit) and set(f.j) <= set(g.j):
                 leq.append((keys[f], keys[g]))
     return FiniteSpace([keys[f] for f in faces], leq)
-
-
-def orbit_space(datum: SymmetricDatum) -> FiniteSpace:
-    """Toric specialization: the orbit poset (no J direction)."""
-    if datum.l != 0:
-        raise DatumError("orbit_space expects toric-mode data (l = 0)")
-    return build_faces(datum)
 
 
 def closed_face(datum: SymmetricDatum, orbit) -> FacePoint:

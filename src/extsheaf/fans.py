@@ -7,9 +7,8 @@ doubled lattice M = 2N' = <2 Z^n, g_1, ..., g_r>, a sublattice of Z^n
 containing 2 Z^n, with N'/N identified with the image of M in (Z/2)^n.
 
 Rays are primitive integer vectors of N; cones are sets of ray indices.
-The integer lattice basis comes from a Hermite-style row sweep here;
-every solve over Q (lattice coordinates, smoothness minors, ridge
-normals) goes through linalg.
+The lattice basis comes from a Hermite-style row sweep; every solve over
+Q goes through linalg.
 """
 
 from __future__ import annotations
@@ -61,11 +60,6 @@ def lattice_basis(gens, n):
     if len(basis) != n:
         raise DatumError("generators do not span a full-rank lattice")
     return basis
-
-
-def in_lattice(basis, v):
-    """Is integer vector v in the lattice with the given row basis?"""
-    return coords_in_lattice(basis, v) is not None
 
 
 def coords_in_lattice(basis, v):
@@ -142,7 +136,7 @@ class Fan:
 
     def doubled_primitive(self, ray_index):
         r = self.rays[ray_index]
-        return r if in_lattice(self.doubled_basis, r) else tuple(2 * x for x in r)
+        return r if coords_in_lattice(self.doubled_basis, r) is not None else tuple(2 * x for x in r)
 
     def ray_class_mod2(self, ray_index):
         """Class of the N'-primitive ray generator in N'/N as a bit row in (Z/2)^n."""
@@ -171,6 +165,8 @@ class Fan:
 
     def _validate_complete(self):
         n = self.rank
+        if not self.max_cones:
+            raise DatumError("non-complete fan: no maximal cones")
         if any(len(c) != n for c in self.max_cones):
             raise DatumError("non-complete fan: a maximal cone is not full-dimensional")
         ridge_owners = {}

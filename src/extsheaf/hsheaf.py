@@ -20,27 +20,18 @@ share one K-module, and the twist is the product of X_v over
 ∇(Δ_a, Δ_b, Δ_c), where |∇(Δ_a, Δ_b, Δ_c)| = d_ab + d_bc - d_ac.  So the
 product of stalk labels of degrees i and j has degree i + j, and callers
 bound i + j by the cutoff before they multiply.
-
-HSheaf builds each distinct block sheaf once.  A block sees its label
-pair only through the shift 2 d_ab and, at each member face, the
-transport rep and the K-character χ_a + χ_b at the rep's J; blocks that
-agree on these share one GradedSheaf (read-only: Block.sheaf and
-Block.zero point at the shared objects), and HSheaf.sections solves the
-global sections over the whole space once per distinct sheaf for
-hilbert and ext.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import f2
-from .algebra import mono, mono_mul, monomials_of_degree, twist_factor, twisted_tensor
+from .algebra import mono, monomials_of_degree, twist_factor, twisted_tensor
 from .faces import FacePoint, SymmetricDatum, build_faces
 from .isotropy import DatumError, orbit_key
 from .posets import FiniteSpace, GradedSheaf, GradedSpace, SectionSpace, global_sections
-
-ONE = 1
 
 
 @dataclass
@@ -134,12 +125,10 @@ class Block:
 class HSheaf:
     """All blocks of H over the face space, with the twisted product.
 
-    Each distinct block sheaf is built once.  A block depends on its
-    label pair only through its signature: the shift 2 d_ab and, per
-    member face, the transport rep and the target χ_a + χ_b at the rep's
-    J.  Stalks, covering-pair restriction maps, sheaves and global
-    sections are memoized on the parts of that signature they read, so
-    blocks with equal signatures point at one read-only GradedSheaf.
+    A block depends on its label pair only through its signature (see
+    signature); stalks, restriction maps, sheaves and global sections are
+    memoized on it, so blocks with equal signatures share one read-only
+    GradedSheaf.
     """
 
     def __init__(self, datum: SymmetricDatum, catalog, cutoff: int):
@@ -247,10 +236,7 @@ class HSheaf:
                                                           self.cutoff)
         return self._sections[block.sheaf]
 
-    # -- stalks and the product
-
-    def stalk(self, i, j, face_key) -> GradedSpace:
-        return self.blocks[(i, j)].stalk(face_key)
+    # -- the product
 
     def product_twist(self, a, b, c, face_key):
         """Twist monomial for composing (a,b) with (b,c) into (a,c) at a face.
@@ -270,7 +256,7 @@ class HSheaf:
             reps = {sab.rep(face_key), sbc.rep(face_key), sac.rep(face_key)}
             if len(reps) != 1:
                 raise DatumError("support transports disagree on a common face")
-            orbit = FacePoint.from_key(reps.pop()).orbit
+            orbit = self._points[reps.pop()].orbit
             labels = self.catalog.labels
             tw = twist_factor(orbit, labels[a].orbit, labels[b].orbit, labels[c].orbit)
         self._twists[key] = tw
@@ -286,7 +272,7 @@ class HSheaf:
         if tw is None:
             return None
         (pmx, kmx), (pmy, kmy) = xlab, ylab
-        return ((mono(*pmx, *pmy, *tw), tuple(x + y for x, y in zip(kmx, kmy))), ONE)
+        return ((mono(*pmx, *pmy, *tw), tuple(x + y for x, y in zip(kmx, kmy))), 1)
 
     def multiply_sections(self, a, b, c, xvec, yvec):
         """Facewise product of section vectors of H^{ab} and H^{bc}.
@@ -349,9 +335,14 @@ def check_transport_identity(H: HSheaf):
                 m = blk.sheaf.restriction(f, t)
                 for labs in (blk.stalk(f).basis or {}).values():
                     for lab in labs:
-                        if m.get(lab) != ((lab, ONE),):
+                        if m.get(lab) != ((lab, 1),):
                             bad.append((i, j, f, t, lab))
     return bad
+
+
+def unit_label(stalk):
+    """The unit label (1, trivial K-monomial) in degree 0 of a stalk, or None."""
+    return next((lab for lab in (stalk.basis or {}).get(0, ()) if lab[0] == () and not any(lab[1])), None)
 
 
 def check_diagonal_units(H: HSheaf):
@@ -361,27 +352,17 @@ def check_diagonal_units(H: HSheaf):
     n = len(H.catalog)
     for a in range(n):
         blk = H.blocks[(a, a)]
-        unit = None
-        for key in sorted(blk.support.members()):
-            st = blk.stalk(key)
-            labs = (st.basis or {}).get(0, ())
-            kml = None
-            for pm, km in labs:
-                if pm == () and not any(km):
-                    kml = (pm, km)
-            if kml is None:
+        members = blk.support.members()
+        for key in sorted(members):
+            if unit_label(blk.stalk(key)) is None:
                 bad.append((a, key, "missing unit"))
-            unit = kml
         for f1, f2 in H.space.covering_pairs():
-            if f1 in blk.support.members() and f2 in blk.support.members():
-                u1 = next(((pm, km) for pm, km in (blk.stalk(f1).basis or {}).get(0, ())
-                           if pm == () and not any(km)), None)
+            if f1 in members and f2 in members:
+                u1 = unit_label(blk.stalk(f1))
                 m = blk.sheaf.restriction(f1, f2)
                 if u1 is not None and m.get(u1) is not None:
-                    imgs = dict(m[u1])
-                    u2 = next(((pm, km) for pm, km in (blk.stalk(f2).basis or {}).get(0, ())
-                               if pm == () and not any(km)), None)
-                    if u2 is not None and imgs != {u2: ONE}:
+                    u2 = unit_label(blk.stalk(f2))
+                    if u2 is not None and dict(m[u1]) != {u2: 1}:
                         bad.append((a, f1, f2, "restriction does not fix the unit"))
     # unit acts as identity
     for (a, b), blk in H.blocks.items():
@@ -391,7 +372,7 @@ def check_diagonal_units(H: HSheaf):
                     ua = ((), tuple(0 for _ in lab[1]))
                     left = H.compose(a, a, b, key, ua, lab)
                     right = H.compose(a, b, b, key, lab, ua)
-                    if left != (lab, ONE) or right != (lab, ONE):
+                    if left != (lab, 1) or right != (lab, 1):
                         bad.append((a, b, key, lab, "unit law fails"))
     return bad
 
@@ -407,38 +388,36 @@ def check_restriction_product(H: HSheaf, max_degree=None):
     def image(sheaf, f1, f2, lab):
         key = (sheaf, f1, f2, lab)
         if key not in images:
-            images[key] = sheaf.apply(f1, f2, {lab: ONE})
+            images[key] = sheaf.apply(f1, f2, {lab: 1})
         return images[key]
 
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                bab, bbc, bac = H.blocks[(a, b)], H.blocks[(b, c)], H.blocks[(a, c)]
-                for f1, f2 in pairs:
-                    if f1 not in bab.support.members() or f1 not in bbc.support.members():
+    for a, b, c in itertools.product(range(n), repeat=3):
+        bab, bbc, bac = H.blocks[(a, b)], H.blocks[(b, c)], H.blocks[(a, c)]
+        for f1, f2 in pairs:
+            if f1 not in bab.support.members() or f1 not in bbc.support.members():
+                continue
+            for d1, labsx in sorted((bab.stalk(f1).basis or {}).items()):
+                for d2, labsy in sorted((bbc.stalk(f1).basis or {}).items()):
+                    if d1 + d2 > cut:
                         continue
-                    for d1, labsx in sorted((bab.stalk(f1).basis or {}).items()):
-                        for d2, labsy in sorted((bbc.stalk(f1).basis or {}).items()):
-                            if d1 + d2 > cut:
-                                continue
-                            for xl in labsx:
-                                xr = image(bab.sheaf, f1, f2, xl)
-                                for yl in labsy:
-                                    z = H.compose(a, b, c, f1, xl, yl)
-                                    zr = {}
-                                    if z is not None:
-                                        zr = bac.sheaf.apply(f1, f2, {z[0]: z[1]})
-                                    yr = image(bbc.sheaf, f1, f2, yl)
-                                    prod = {}
-                                    for xl2, cx in xr.items():
-                                        for yl2, cy in yr.items():
-                                            z2 = H.compose(a, b, c, f2, xl2, yl2)
-                                            if z2 is not None:
-                                                lab, cz = z2
-                                                prod[lab] = prod.get(lab, 0) + cx * cy * cz
-                                    prod = {k: v for k, v in prod.items() if v}
-                                    if prod != zr:
-                                        bad.append((a, b, c, f1, f2, xl, yl))
+                    for xl in labsx:
+                        xr = image(bab.sheaf, f1, f2, xl)
+                        for yl in labsy:
+                            z = H.compose(a, b, c, f1, xl, yl)
+                            zr = {}
+                            if z is not None:
+                                zr = bac.sheaf.apply(f1, f2, {z[0]: z[1]})
+                            yr = image(bbc.sheaf, f1, f2, yl)
+                            prod = {}
+                            for xl2, cx in xr.items():
+                                for yl2, cy in yr.items():
+                                    z2 = H.compose(a, b, c, f2, xl2, yl2)
+                                    if z2 is not None:
+                                        lab, cz = z2
+                                        prod[lab] = prod.get(lab, 0) + cx * cy * cz
+                            prod = {k: v for k, v in prod.items() if v}
+                            if prod != zr:
+                                bad.append((a, b, c, f1, f2, xl, yl))
     return bad
 
 
@@ -470,4 +449,4 @@ def _twist_chain(H, f, trip1, trip2):
     t2 = H.product_twist(*trip2, f)
     if t2 is None:
         return None
-    return mono_mul(t1, t2)
+    return mono(*t1, *t2)

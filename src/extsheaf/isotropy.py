@@ -12,7 +12,7 @@ Subspaces are reduced echelon bit rows; the arithmetic is in ``f2``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import f2
 
@@ -49,6 +49,9 @@ class IsotropyFamily:
     mode: str = "symmetric"  # or "toric"
 
     def __post_init__(self):
+        for key, rows in self.subspaces.items():
+            if any(len(r) != self.m for r in rows):
+                raise DatumError(f"subspace rows at {orbit_key(key)} must have length {self.m}")
         subs = {orbit_key(k): f2.echelon(v) for k, v in self.subspaces.items()}
         object.__setattr__(self, "subspaces", subs)
         if orbit_key(()) not in subs:
@@ -56,8 +59,6 @@ class IsotropyFamily:
         if subs[orbit_key(())]:
             raise DatumError("D_∅ must be the zero subspace")
         for key, rows in subs.items():
-            if any(len(r) != self.m for r in rows):
-                raise DatumError(f"subspace rows at {key} must have length {self.m}")
             r = len(rows)
             if r > min(len(key), self.m):
                 raise DatumError(f"dim D_Δ exceeds min(|Δ|, m) at {key}")
@@ -141,10 +142,6 @@ class LabelCatalog:
 
     labels: tuple
     delta_primes: tuple
-    index: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
 
     def __len__(self):
         return len(self.labels)

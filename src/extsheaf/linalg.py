@@ -11,9 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-ZERO = 0
-ONE = 1
-
 
 class Tag:
     """Bookkeeping column key that sorts after every real column key."""
@@ -42,7 +39,7 @@ class Tag:
 def _subtract(row, pivot_row, c):
     """row -= c * pivot_row in place, dropping zeros."""
     for k, a in pivot_row.items():
-        b = row.get(k, ZERO) - c * a
+        b = row.get(k, 0) - c * a
         if b:
             row[k] = b
         else:
@@ -57,10 +54,8 @@ def exact(q):
 class Eliminator:
     """Incremental row echelon store over Q with sparse rows.
 
-    Rows are reduced against the stored pivots as they arrive; each kept
-    row owns one pivot column.  Column keys are ordered by their sort
-    order so results do not depend on insertion order of equal systems.
-    Stored rows are owned by the eliminator and updated in place.
+    Each kept row owns one pivot column, its least column key, so results
+    do not depend on insertion order.  Stored rows are updated in place.
     """
 
     def __init__(self):
@@ -138,7 +133,7 @@ def kernel_basis(rows, cols):
     raw = []
     for f in free:
         # each pivot row reads x_p + sum(row[c] * x_c over free c) = 0
-        v = {f: ONE}
+        v = {f: 1}
         for p, row in e.pivots.items():
             c = row.get(f)
             if c:
@@ -171,19 +166,16 @@ def abs_det(rows):
 class Coordinates:
     """A fixed basis, echelonized once, for repeated coordinate queries.
 
-    Each basis vector carries a Tag column for its index while the basis
-    is echelonized, so a pivot row's Tag part says which combination of
-    basis vectors its real part is.  The pivot rows are then split: the
-    real parts form the eliminator that queries reduce against, and the
-    Tag parts are kept as (basis index, coefficient) pairs per pivot
-    column, so a query hashes no Tag.
+    The basis is echelonized with a Tag column per vector; each pivot
+    row's Tag part, kept as (basis index, coefficient) pairs, says which
+    combination of basis vectors its real part is.
     """
 
     def __init__(self, basis):
         tagged = Eliminator()
         for i, b in enumerate(basis):
             row = dict(b)
-            row[Tag(i)] = ONE
+            row[Tag(i)] = 1
             tagged.add(row)
         self.elim = Eliminator()
         self._combos = {}     # real pivot column -> ((basis index, coefficient), ...)
@@ -201,7 +193,7 @@ class Coordinates:
         out = {}
         for col, m in multiples.items():
             for i, a in self._combos[col]:
-                v = out.get(i, ZERO) + m * a
+                v = out.get(i, 0) + m * a
                 if v:
                     out[i] = v
                 else:
@@ -219,7 +211,7 @@ def solve_in_span(basis, target):
     coeffs = Coordinates(basis).of(target)
     if coeffs is None:
         return None
-    out = [ZERO] * len(basis)
+    out = [0] * len(basis)
     for i, c in coeffs.items():
         out[i] = c
     return out

@@ -5,10 +5,8 @@ means the point i lies in the closure of {j}, so the minimal open set
 around i is U_i = {j : i <= j}.  A set O is open iff U_i is contained in
 O for every i in O.  Sheaves of graded Q-vector spaces are given by
 their stalks (= sections over minimal opens) and restriction maps along
-the order; sections over any open are compatible families.  Sheaf
-cohomology over an open U is computed by the chain complex of U: in
-degree r, one copy of the stalk at p_r for each strict chain
-p_0 < ... < p_r in U (cech_cohomology).
+the order; sections over any open are compatible families, and
+cohomology over an open comes from its chain complex (cech_cohomology).
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from .linalg import Eliminator, kernel_basis, rank as sparse_rank
-
-ONE = 1
 
 
 class SpaceError(ValueError):
@@ -82,10 +78,8 @@ class FiniteSpace:
     def covering_pairs(self, within=None):
         """Hasse edges (i, j): i < j with nothing strictly between, as a sorted tuple.
 
-        The diagram is computed once per space.  within, if given, must
-        be open: an open set is up-closed, so every point between two of
-        its points lies in it, and its Hasse edges are the edges of the
-        whole space with both ends inside it.
+        Computed once per space.  within, if given, must be open (up-closed),
+        so its Hasse edges are the edges with both ends inside it.
         """
         if self._hasse is None:
             self._hasse = tuple(
@@ -98,10 +92,6 @@ class FiniteSpace:
         if not self.is_open(dom):
             raise SpaceError("covering_pairs needs an open set")
         return tuple(e for e in self._hasse if e[0] in dom and e[1] in dom)
-
-
-def minimal_open(space: FiniteSpace, i):
-    return space.minimal_open(i)
 
 
 @dataclass
@@ -149,9 +139,6 @@ class GradedSpace:
 
     def dim(self, d):
         return self.dims.get(d, 0)
-
-    def degrees(self):
-        return sorted(self.dims)
 
     def hilbert(self, cutoff):
         return [self.dim(d) for d in range(cutoff + 1)]
@@ -204,7 +191,7 @@ class GradedSheaf:
     def restriction(self, i, j):
         """Restriction map stalk(i) -> stalk(j) for i <= j, as a label map."""
         if i == j:
-            return {lab: ((lab, ONE),) for labs in self.stalks[i].basis.values() for lab in labs}
+            return {lab: ((lab, 1),) for labs in self.stalks[i].basis.values() for lab in labs}
         key = (i, j)
         if key in self._rest:
             return self._rest[key]
@@ -269,11 +256,9 @@ def _compose(first, second):
 class SectionSpace(GradedSpace):
     """Sections over an open set: dimensions by rank, basis vectors on demand.
 
-    rows[d] is the reduced echelon form of the degree-d compatibility
-    constraints over the (point, label) columns columns[d], so dims[d] is
-    len(columns[d]) minus the rank.  vectors[d], a tuple of sparse dicts
-    echelonized against the canonical column order, is built by
-    kernel_basis the first time vectors is read.
+    rows[d] is the echelon form of the degree-d constraints over the
+    (point, label) columns columns[d]; vectors[d], the canonical kernel
+    basis, is built the first time vectors is read.
     """
 
     def __init__(self, rows_by_degree, columns_by_degree):
@@ -323,11 +308,8 @@ def global_sections(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff) -> Sectio
     """Compatible families (s_i) with restriction(i,j)(s_i) = s_j, degreewise.
 
     One pass over the covering pairs of U imposes the constraints of
-    every degree; functoriality makes the remaining comparable pairs
-    redundant.  Only the ranks are taken here, so the dimensions cost
-    no kernel basis.  (The brute-force oracle in oracles.py instead
-    assembles every comparable pair into one system with its own
-    elimination.)
+    every degree (functoriality makes the other comparable pairs
+    redundant); only ranks are taken, so dimensions cost no kernel basis.
     """
     U = tuple(sorted(U))
     if not space.is_open(U):
@@ -343,7 +325,7 @@ def global_sections(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff) -> Sectio
             targets[j] = sorted(((t, d) for d, labs in sheaf.stalks[j].basis.items() if d <= cutoff
                                  for t in labs), key=lambda td: repr(td[0]))
         m = sheaf.restriction(i, j)
-        rows = {t: {(j, t): -ONE} for t, _ in targets[j]}
+        rows = {t: {(j, t): -1} for t, _ in targets[j]}
         for d, labs in sheaf.stalks[i].basis.items():
             if d > cutoff:
                 continue
@@ -363,12 +345,8 @@ def global_sections(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff) -> Sectio
 
 
 class CechH0(GradedSpace):
-    """H^0 from cech_cohomology: dimensions by rank, the kernel of d^0 on demand.
-
-    d0_rows[d] are the degree-d rows of d^0 over the ((p,), label)
-    columns of U; h0_vectors, the kernel basis per degree as families
-    over (p, label), is built by kernel_basis the first time it is read.
-    """
+    """H^0 from cech_cohomology: dimensions by rank; h0_vectors, the kernel
+    of d^0 per degree as families over (p, label), built on first read."""
 
     def __init__(self, dims, U, labels, d0_rows):
         super().__init__(dims=dims)
@@ -389,18 +367,12 @@ class CechH0(GradedSpace):
 def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
     """Sheaf cohomology of sheaf over the open U, from the chain complex of U.
 
-    On a finite T0 space, cohomology over U is the derived limit of the
-    stalks over the poset U, which the cosimplicial complex of its
-    chains computes (Bousfield-Kan): C^r is the sum, over strict chains
-    p_0 < ... < p_r in U, of the stalk at p_r, and
-    (da)_{p_0..p_{r+1}} = sum_{k<=r} (-1)^k a_{.. without p_k ..}
-    + (-1)^{r+1} restriction(p_r, p_{r+1}) a_{p_0..p_r}.  Coordinates
-    are stalk labels throughout, degreewise up to cutoff.  Returns one
-    GradedSpace per cohomological degree, trailing zeros dropped.  Every
-    dimension comes from a rank; the degree-0 entry also carries on
-    attribute h0_vectors the kernel of d^0 (compatible families across
-    every comparable pair) over the (point, label) columns of U, built
-    by kernel_basis the first time it is read.
+    Cohomology over U is the derived limit of the stalks over the poset
+    U (Bousfield-Kan): C^r is the sum, over strict chains p_0 < ... < p_r
+    in U, of the stalk at p_r, and (da)_{p_0..p_{r+1}} = sum_{k<=r}
+    (-1)^k a_{.. without p_k ..} + (-1)^{r+1} restriction(p_r, p_{r+1})
+    a_{p_0..p_r}.  Returns one GradedSpace per cohomological degree up to
+    cutoff, trailing zeros dropped; the first is a CechH0.
     """
     U = tuple(sorted(U))
     if not space.is_open(U):
@@ -434,11 +406,11 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
     ranks = {}      # (r, d) -> rank of d^r : C^r -> C^{r+1} in degree d
     for r in range(len(chains) - 1):
         rows = {d: [] for d in degrees}
-        last = -ONE if r % 2 == 0 else ONE      # (-1)^{r+1}
+        last = -1 if r % 2 == 0 else 1      # (-1)^{r+1}
         for t in chains[r + 1]:
             if not labels[t[-1]]:
                 continue
-            faces = [(t[:k] + t[k + 1:], ONE if k % 2 == 0 else -ONE) for k in range(r + 1)]
+            faces = [(t[:k] + t[k + 1:], 1 if k % 2 == 0 else -1) for k in range(r + 1)]
             back = pullback(t[-2], t[-1])
             for d, labs in labels[t[-1]].items():
                 for lab in labs:

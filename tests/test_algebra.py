@@ -1,24 +1,27 @@
+import itertools
 import random
-from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from extsheaf import cli
 from extsheaf.algebra import (
     TRIVIAL_MODULE,
-    TwistedElement,
     TwoGroupModule,
-    hilbert_series,
     mono,
     monomials_of_degree,
     nabla,
     twist_factor,
-    twisted_product,
     twisted_tensor,
     twisted_tensor_relations,
 )
 from extsheaf.f2 import bits
+from extsheaf.faces import FacePoint
+from extsheaf.hsheaf import unit_label
 from extsheaf.posets import GradedSpace
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "extsheaf" / "data"
 
 subsets = st.sets(st.sampled_from("abcdefgh"))
 
@@ -105,63 +108,110 @@ class TestTwistedTensor:
             twisted_tensor(TRIVIAL_MODULE, (1,), (), 4)
 
 
+def _sheaf(name, cutoff=8):
+    return cli._build(cli.load_document(str(DATA / f"{name}.json")), cutoff)[3]
+
+
+def _labels(H, a, b, f):
+    """(degree, label) pairs of the stalk of block (a, b) at face f."""
+    return [(d, lab) for d, labs in sorted((H.blocks[(a, b)].stalk(f).basis or {}).items()) for lab in labs]
+
+
+def _composable(H):
+    """Every (f, a, b, c, d1, x, d2, y): x, y stalk labels of (a, b), (b, c) at f, d1 + d2 <= cutoff."""
+    n = len(H.catalog)
+    for f in H.space.points:
+        for a, b, c in itertools.product(range(n), repeat=3):
+            for d1, x in _labels(H, a, b, f):
+                for d2, y in _labels(H, b, c, f):
+                    if d1 + d2 <= H.cutoff:
+                        yield f, a, b, c, d1, x, d2, y
+
+
 class TestTwistedProduct:
-    def z2x(self):
-        return TwoGroupModule(rank=1, degrees=(2,), signs=((1,),))
+    """HSheaf.compose, the one stalk product: K-exponents add, and the
+    polynomial parts multiply times the ∇ twist."""
+
+    NAMES = ("synthetic_symmetric_rank1", "canonical_l2")
 
     def test_unit_times_unit(self):
-        mod = TwoGroupModule(rank=1, degrees=(), signs=())
-        triv = bits([0])
-        one = TwistedElement.make(mod, triv, triv, {(): Fraction(1)})
-        assert twisted_product(one, one) == one
+        for name in self.NAMES:
+            H = _sheaf(name)
+            for a in range(len(H.catalog)):
+                blk = H.blocks[(a, a)]
+                for f in sorted(blk.support.members()):
+                    u = unit_label(blk.stalk(f))
+                    assert u is not None and H.compose(a, a, a, f, u, u) == (u, 1), (name, a, f)
 
     def test_trivial_group_plain_product(self):
-        mod = TwoGroupModule(rank=0, degrees=(2,), signs=((),))
-        x = TwistedElement.make(mod, (), (), {(1,): Fraction(1)})
-        xx = twisted_product(x, x)
-        assert xx.coeffs == (((2,), Fraction(1)),)
+        # the polynomial part is the product of the polynomial parts times
+        # X_v over ∇(Δa, Δb, Δc), zero unless ∇ lives on the face's transport
+        for name in self.NAMES + ("p1xp1",):
+            H = _sheaf(name)
+            orbits = [lab.orbit for lab in H.catalog.labels]
+            nonzero = 0
+            for f, a, b, c, d1, x, d2, y in _composable(H):
+                z = H.compose(a, b, c, f, x, y)
+                sac = H.blocks[(a, c)].support
+                nab = nabla(orbits[a], orbits[b], orbits[c])
+                if f not in sac.members() or not nab <= set(FacePoint.from_key(sac.rep(f)).orbit):
+                    assert z is None, (name, f, a, b, c)
+                    continue
+                assert z[0][0] == mono(*x[0], *y[0], *((v, 1) for v in nab)) and z[1] == 1
+                nonzero += 1
+            assert nonzero, name
 
     def test_even_powers_compose(self):
-        mod = self.z2x()
-        triv = bits([0])
-        x2 = TwistedElement.make(mod, triv, triv, {(2,): Fraction(1)})
-        x4 = twisted_product(x2, x2)
-        assert x4.coeffs == (((4,), Fraction(1)),)
+        # the K-part of a product is the sum of the two K-parts
+        H = _sheaf("synthetic_symmetric_rank1")
+        assert sum(1 for f in H.space.points for a, b in H.blocks
+                   for _, lab in _labels(H, a, b, f) if any(lab[1])) == 32
+        products = 0
+        for name in self.NAMES:
+            H = _sheaf(name)
+            for f, a, b, c, d1, x, d2, y in _composable(H):
+                z = H.compose(a, b, c, f, x, y)
+                if z is not None:
+                    assert z[0][1] == tuple(p + q for p, q in zip(x[1], y[1])), (name, f, x, y)
+                    products += any(z[0][1])
+        assert products > 0
 
     def test_survivor_validation(self):
-        mod = self.z2x()
-        triv = bits([0])
-        with pytest.raises(ValueError):
-            TwistedElement.make(mod, triv, triv, {(1,): Fraction(1)})
-
-    def test_non_composable(self):
-        mod = TwoGroupModule(rank=1, degrees=(), signs=())
-        sign, triv = bits([1]), bits([0])
-        a = TwistedElement.make(mod, sign, sign, {(): Fraction(1)})
-        b = TwistedElement.make(mod, triv, triv, {(): Fraction(1)})
-        with pytest.raises(ValueError):
-            twisted_product(a, b)
+        # every product lies in the H^{ac} stalk basis in degree d1 + d2
+        for name in self.NAMES:
+            H = _sheaf(name)
+            for f, a, b, c, d1, x, d2, y in _composable(H):
+                z = H.compose(a, b, c, f, x, y)
+                if z is not None:
+                    assert z[0] in (H.blocks[(a, c)].stalk(f).basis or {}).get(d1 + d2, ()), (name, f, x, y)
 
     def test_associativity_on_survivors(self):
-        # chain triv -> sign -> triv -> triv across three composable elements
-        mod = TwoGroupModule(rank=1, degrees=(2, 4), signs=((1,), (0,)))
-        triv, sign = bits([0]), bits([1])
-        x = TwistedElement.make(mod, triv, triv, {(0, 1): Fraction(1), (2, 0): Fraction(-1)})
-        y = TwistedElement.make(mod, sign, triv, {(1, 1): Fraction(2)})
-        z = TwistedElement.make(mod, triv, sign, {(1, 0): Fraction(1)})
-        left = twisted_product(twisted_product(x, y), z)
-        right = twisted_product(x, twisted_product(y, z))
-        assert left == right
+        for name in self.NAMES:
+            H = _sheaf(name)
+            n = len(H.catalog)
+            triples = 0
+            for f, a, b, c, d1, x, d2, y in _composable(H):
+                xy = H.compose(a, b, c, f, x, y)
+                for d in range(n):
+                    for d3, w in _labels(H, c, d, f):
+                        if d1 + d2 + d3 > H.cutoff:
+                            continue
+                        yw = H.compose(b, c, d, f, y, w)
+                        left = None if xy is None else H.compose(a, c, d, f, xy[0], w)
+                        right = None if yw is None else H.compose(a, b, d, f, x, yw[0])
+                        assert left == right, (name, f, a, b, c, d, x, y, w)
+                        triples += 1
+            assert triples, name
 
 
 class TestHilbert:
     def test_polynomial_ring(self):
         basis = {2 * k: tuple(monomials_of_degree(["X"], k)) for k in range(4)}
-        assert hilbert_series(GradedSpace(basis=basis), 6) == [1, 0, 1, 0, 1, 0, 1]
+        assert GradedSpace(basis=basis).hilbert(6) == [1, 0, 1, 0, 1, 0, 1]
 
     def test_zero_space(self):
-        assert hilbert_series(GradedSpace(), 4) == [0, 0, 0, 0, 0]
+        assert GradedSpace().hilbert(4) == [0, 0, 0, 0, 0]
 
     def test_two_variables(self):
         basis = {2 * k: tuple(monomials_of_degree(["X", "Y"], k)) for k in range(3)}
-        assert hilbert_series(GradedSpace(basis=basis), 4) == [1, 0, 2, 0, 3]
+        assert GradedSpace(basis=basis).hilbert(4) == [1, 0, 2, 0, 3]

@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import tempfile
 from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from extsheaf import cli
 from extsheaf.cli import (
@@ -102,6 +105,15 @@ class TestErrors:
         code, payload = invoke_json("--input", str(p), "--command", "validate")
         assert code == 1
         assert "overlattice_generators" in payload["error"]["message"]
+
+    def test_block_rejected_where_it_does_not_apply(self):
+        # only ext and hilbert show one block; the other commands refuse --block
+        for command in ("validate", "faces", "labels", "cohomology", "check-all"):
+            code, payload = invoke_json("--input", str(DATA / "p1_trivial.json"),
+                                        "--command", command, "--block", "0:1")
+            assert code == 1, command
+            assert payload["error"]["kind"] == "schema"
+            assert "--block" in payload["error"]["message"], command
 
 
 class TestRoundTrip:
@@ -509,3 +521,65 @@ class TestHilbertUnitCheck:
             assert code == 2
             assert payload["error"] == {"kind": "datum-invalid",
                                         "message": "diagonal unit is not a global section"}
+
+
+# ---------------------------------------------------------------------------
+# mutated documents: a documented exit code, never a traceback
+
+# small integers only: the engine enumerates 2^l sets J and 2^m characters, so a large l or m only costs time
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 4), st.sampled_from([0.5, 1.0]),
+                   st.sampled_from(["", "0", "1", "x", "-", "1/2", "v1", "r0"]))
+VALUES = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(st.sampled_from(["0", "1", "-", "mode", "degree", "signs"]),
+                                        inner, max_size=2),
+                      max_leaves=6)
+SHIPPED = sorted(p.stem for p in DATA.glob("*.json"))
+
+
+def _paths(node, at=()):
+    """Every path to a node below the root: key and index sequences."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, child in items:
+        yield at + (k,)
+        yield from _paths(child, at + (k,))
+
+
+class TestMutatedDocuments:
+    """A shipped document with one or two JSON nodes replaced or deleted exits 0-3, never with a traceback."""
+
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(SHIPPED), st.data())
+    def test_exit_code_without_traceback(self, name, data):
+        doc = json.loads((DATA / f"{name}.json").read_text())
+        for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+            paths = list(_paths(doc))
+            if not paths:
+                break
+            *head, last = data.draw(st.sampled_from(paths), label="path")
+            parent = doc
+            for k in head:
+                parent = parent[k]
+            if data.draw(st.booleans(), label="delete"):
+                del parent[last]
+            else:
+                parent[last] = data.draw(VALUES, label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            for command in ("validate", "hilbert"):
+                code, text = invoke("--input", str(path), "--command", command, "--cutoff", "4")
+                assert code in (0, 1, 2, 3), text
+                if code in (1, 2):
+                    assert set(json.loads(text)) == {"error"}
+
+    def test_ragged_subspace_rows(self, tmp_path):
+        # rows of different lengths used to reach the F2 echelon and raise IndexError
+        p = _edited(tmp_path, "canonical_l2", lambda d: d["symmetric"]["D_subspaces"]["v1+v2"][0].pop())
+        code, payload = invoke_json("--input", str(p), "--command", "validate")
+        assert code == 2 and "must have length" in payload["error"]["message"]
+
+    def test_fan_without_cones(self, tmp_path):
+        # an empty cone list used to raise KeyError in the completeness walk
+        p = _edited(tmp_path, "p1_halfint", lambda d: d["toric"].update(rays=[], max_cones=[]))
+        code, payload = invoke_json("--input", str(p), "--command", "validate")
+        assert code == 2 and "no maximal cones" in payload["error"]["message"]

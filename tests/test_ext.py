@@ -56,7 +56,7 @@ class TestExtAlgebra:
         for x in range(len(ext.basis)):
             if ext.basis[x].degree > ext.cutoff - 0:
                 continue
-            acted = ext.act_by(unit, x)
+            acted = ext.element_product(unit, {x: 1})
             assert acted == {x: ONE}
         for a, coeffs in ext.idempotents.items():
             sq = {}
@@ -77,6 +77,23 @@ class TestExtAlgebra:
         assert len(prod) == 1
         (z, c), = prod.items()
         assert ext.basis[z].block == (0, 0) and ext.basis[z].degree == 2 and c == ONE
+
+    def test_element_product_is_bilinear(self):
+        H, ext = build_ext(P1)
+        xs, ys = ext.by_block[(0, 0)][:3], ext.by_block[(0, 1)][:2]
+        for x, y in itertools.product(xs, ys):
+            assert ext.element_product({x: 1}, {y: 1}) == ext.multiply(x, y)
+        want = {}
+        for (x, cx), (y, cy) in itertools.product(zip(xs, (2, -1, Fraction(1, 3))), zip(ys, (3, -5))):
+            for z, cz in ext.multiply(x, y).items():
+                want[z] = want.get(z, 0) + cx * cy * cz
+        got = ext.element_product(dict(zip(xs, (2, -1, Fraction(1, 3)))), dict(zip(ys, (3, -5))))
+        assert got == {z: c for z, c in want.items() if c} and got
+        # zero coefficients leave no zero entries
+        x, y = next((x, y) for x, y in itertools.product(xs, ys) if ext.multiply(x, y))
+        assert ext.element_product({x: 0}, {y: 1}) == {}
+        other = ys[0] if y == ys[1] else ys[1]
+        assert ext.element_product({x: 1}, {y: 1, other: 0}) == ext.multiply(x, y)
 
     def test_gysin_floor(self):
         for fan in (P1, P1_HALF):

@@ -14,7 +14,6 @@ from extsheaf.faces import (
     closed_face,
     downward_closed_families,
     g_stable_open,
-    orbit_space,
 )
 from extsheaf.fans import Fan, toric_isotropy
 from extsheaf.isotropy import DatumError, IsotropyFamily
@@ -95,29 +94,25 @@ class TestBuildFaces:
 
 class TestOrbitSpace:
     def test_p1(self):
-        sp = orbit_space(toric_datum(P1))
+        sp = build_faces(toric_datum(P1))
         assert len(sp.points) == 3
         # the open orbit is the maximal point
         assert sp.minimal_open("-|-") == ("-|-",)
 
     def test_p1xp1(self):
-        assert len(orbit_space(toric_datum(P1XP1)).points) == 9
+        assert len(build_faces(toric_datum(P1XP1)).points) == 9
 
     def test_p2(self):
-        assert len(orbit_space(toric_datum(P2)).points) == 7
+        assert len(build_faces(toric_datum(P2)).points) == 7
 
     def test_cone_poset_reversed(self):
         fan = P2
         datum = toric_datum(fan)
-        sp = orbit_space(datum)
+        sp = build_faces(datum)
         for a in sp.points:
             for b in sp.points:
                 fa, fb = FacePoint.from_key(a), FacePoint.from_key(b)
                 assert sp.leq(a, b) == (set(fb.orbit) <= set(fa.orbit))
-
-    def test_rejects_symmetric_mode(self):
-        with pytest.raises(DatumError):
-            orbit_space(canonical_datum(1))
 
 
 class TestOpensAndClosedFaces:

@@ -73,19 +73,19 @@ class TestSupports:
 class TestStalks:
     def test_p1_fixed_point_diagonal(self):
         _, _, H = build(P1)
-        st = H.stalk(1, 1, "r0|-")
+        st = H.blocks[(1, 1)].stalk("r0|-")
         assert st.hilbert(6) == [1, 0, 1, 0, 1, 0, 1]
 
     def test_gysin_shift(self):
         _, _, H = build(P1)
         # block (fixed point, open orbit) has d = 1: unit in degree 2
-        st = H.stalk(1, 0, "r0|-")
+        st = H.blocks[(1, 0)].stalk("r0|-")
         assert st.hilbert(6) == [0, 0, 1, 0, 1, 0, 1]
         assert H.blocks[(1, 0)].support.d == 1
 
     def test_halfint_character_mismatch_is_zero(self):
         _, _, H = build(P1_HALF)
-        st = H.stalk(1, 0, "-|-")
+        st = H.blocks[(1, 0)].stalk("-|-")
         assert st.dims == {}
         assert H.blocks[(1, 0)].zero
 

@@ -13,7 +13,6 @@ from extsheaf.posets import (
     SpaceError,
     cech_cohomology,
     global_sections,
-    minimal_open,
     validate_intersection_axiom,
 )
 
@@ -51,18 +50,18 @@ def pseudo_sphere():
 
 class TestFiniteSpace:
     def test_minimal_open_chain(self):
-        assert minimal_open(chain_space(), "a") == ("a", "b")
+        assert chain_space().minimal_open("a") == ("a", "b")
 
     def test_minimal_open_maximal_point(self):
-        assert minimal_open(chain_space(), "b") == ("b",)
+        assert chain_space().minimal_open("b") == ("b",)
 
     def test_minimal_open_closed_point_under_two(self):
         # 3-point interval model with the closed face under both others
-        assert minimal_open(vee_space(), "c") == ("a", "b", "c")
+        assert vee_space().minimal_open("c") == ("a", "b", "c")
 
     def test_unknown_point(self):
         with pytest.raises(SpaceError):
-            minimal_open(chain_space(), "zz")
+            chain_space().minimal_open("zz")
 
     def test_rejects_non_antisymmetric(self):
         with pytest.raises(SpaceError):
