@@ -68,7 +68,9 @@ def load_document(path):
             if not isinstance(entry["orbit"], str):
                 _str_row(entry["orbit"], f"labels[{k}].orbit")
             bits = entry["character"]
-            if not isinstance(bits, (str, list)) or any(b not in (0, 1, "0", "1") for b in bits):
+            if not isinstance(bits, (str, list)) or any(
+                    b not in ("0", "1") if isinstance(b, str) else type(b) is not int or b not in (0, 1)
+                    for b in bits):
                 raise SchemaError(f"labels[{k}].character must be a string or list of 0/1 bits")
     cutoff = doc.get("cutoff", DEFAULT_CUTOFF)
     if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0 or cutoff % 2:

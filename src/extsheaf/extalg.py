@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from .faces import closed_face, downward_closed_families, family_name, g_stable_open
 from .hsheaf import HSheaf, unit_label
 from .isotropy import DatumError
-from .linalg import Coordinates, rank
-from .posets import cech_cohomology, global_sections
+from .linalg import Eliminator, rank
+from .posets import cech_cohomology
 
 
 @dataclass
@@ -25,7 +25,7 @@ class BasisElement:
     index: int
     block: tuple      # (i, j) catalog indices
     degree: int
-    vector: dict      # (face key, stalk label) -> int or Fraction
+    vector: dict      # (face key, stalk label) -> int or Fraction, shared with the SectionSpace
     name: str
 
 
@@ -44,7 +44,7 @@ class ExtAlgebra:
         self._degrees = {}        # block -> degrees of its ids
         self.truncated_pairs = 0
         self._table = {}
-        self._coord = {}
+        self._coord = {}          # (block, degree) -> (basis as pivot rows, pivot -> basis index)
         self._faces = None        # (block, face key) -> ids with an entry there, built by row
         n = len(self.catalog)
         for i, j in itertools.product(range(n), repeat=2):
@@ -55,7 +55,7 @@ class ExtAlgebra:
                 for v in sec.vectors[d]:
                     idx = len(self.basis)
                     name = f"e{idx}"
-                    self.basis.append(BasisElement(idx, (i, j), d, dict(v), name))
+                    self.basis.append(BasisElement(idx, (i, j), d, v, name))
                     ids.append(idx)
             self.by_block[(i, j)] = tuple(ids)
             self._degrees[(i, j)] = [self.basis[k].degree for k in ids]
@@ -69,16 +69,24 @@ class ExtAlgebra:
     def express(self, block, degree, vector):
         """Coefficients {basis index: c} of a vector in the degree part of
         the block basis, or None if it lies outside that span (as a vector
-        with entries of another degree does)."""
+        with entries of another degree does).  A degree part of the basis is
+        reduced echelon (kernel_basis), so its vectors, keyed by their pivots
+        min(v), are the rows of an Eliminator that is never added to.
+        """
         if not vector:
             return {}
         key = (block, degree)
         if key not in self._coord:
-            ids = [i for i in self.by_block[block] if self.basis[i].degree == degree]
-            self._coord[key] = (Coordinates(self.basis[i].vector for i in ids), ids)
-        coords, ids = self._coord[key]
-        out = coords.of(vector)
-        return None if out is None else {ids[t]: c for t, c in out.items()}
+            elim, index = Eliminator(), {}
+            for i in self.by_block[block]:
+                b = self.basis[i]
+                if b.degree == degree:
+                    pivot = min(b.vector)
+                    elim.pivots[pivot], index[pivot] = b.vector, i
+            self._coord[key] = (elim, index)
+        elim, index = self._coord[key]
+        coeffs, res = elim.coordinates(vector)
+        return None if res else {index[c]: a for c, a in coeffs.items()}
 
     # -- products
 
@@ -159,8 +167,8 @@ class ExtAlgebra:
                     out[z] = out.get(z, 0) + cx * cy * cz
         return {z: v for z, v in out.items() if v}
 
-    def block_hilbert(self, block, cutoff=None):
-        return self.sections[block].hilbert(self.cutoff if cutoff is None else cutoff)
+    def block_hilbert(self, block):
+        return self.sections[block].hilbert(self.cutoff)
 
     def dims(self):
         out = {}
@@ -244,14 +252,15 @@ def vanishing_report(H: HSheaf, cutoff=None) -> Report:
     cutoff = H.cutoff if cutoff is None else cutoff
     entries = []
     datum = H.datum
-    higher = {}     # (sheaf, open) -> [dims of H^1, H^2, ...]
+    cohomology = {}     # (sheaf, open) -> [dims of H^0, H^1, ...]
     for fam in downward_closed_families(datum):
         U = g_stable_open(datum, H.space, fam)
         famname = family_name(fam)
         for (i, j), blk in sorted(H.blocks.items()):
             if blk.zero:
                 continue
-            nonzero = {p: dims for p, dims in enumerate(_higher(H, U, blk.sheaf, cutoff, higher), 1) if dims}
+            _, *hs = _cohomology(H, U, blk.sheaf, cutoff, cohomology)
+            nonzero = {p: dims for p, dims in enumerate(hs, 1) if dims}
             entries.append(ReportEntry(
                 name=f"vanishing[{famname}][{i}:{j}]",
                 ok=not nonzero,
@@ -263,31 +272,32 @@ def vanishing_report(H: HSheaf, cutoff=None) -> Report:
                 continue
             if not delta:
                 continue
-            ok, detail = _mv_surjectivity(H, delta, fam, cutoff, higher)
+            ok, detail = _mv_surjectivity(H, delta, fam, cutoff, cohomology)
             entries.append(ReportEntry(
                 name=f"mv-surjectivity[{famname}][{'+'.join(delta)}]",
                 ok=ok, details=detail))
     return Report(ok=all(e.ok for e in entries), entries=entries)
 
 
-def _higher(H: HSheaf, U, sheaf, cutoff, memo):
-    """Dimensions of H^1, H^2, ... of sheaf over the open U (a sorted
+def _cohomology(H: HSheaf, U, sheaf, cutoff, memo):
+    """Dimensions of H^0, H^1, ... of sheaf over the open U (a sorted
     tuple), from one chain complex per (sheaf, U) kept in memo."""
     key = (sheaf, U)
     if key not in memo:
-        memo[key] = [h.dims for h in cech_cohomology(H.space, U, sheaf, cutoff)[1:]]
+        memo[key] = [h.dims for h in cech_cohomology(H.space, U, sheaf, cutoff)]
     return memo[key]
 
 
-def _mv_surjectivity(H: HSheaf, delta, family, cutoff, higher):
+def _mv_surjectivity(H: HSheaf, delta, family, cutoff, cohomology):
     """The Mayer-Vietoris step of the vanishing argument, blockwise.
 
     A block only sees the part of the variety away from its forbidden
     divisors, so the induction family is restricted accordingly before
     peeling the orbit delta; sections over the punctured star must be
     hit by the closed-face stalk, and the punctured star itself carries
-    no higher cohomology (higher: the memo of vanishing_report).  Each
-    region and each passing (sheaf, open) pair is settled once per call.
+    no higher cohomology.  Both are read from one complex per (sheaf,
+    open) in cohomology, the memo of vanishing_report.  Each region and
+    each passing (sheaf, open) pair is settled once per call.
     """
     datum = H.datum
     cf = closed_face(datum, delta).key()
@@ -307,14 +317,13 @@ def _mv_surjectivity(H: HSheaf, delta, family, cutoff, higher):
         uprime = tuple(sorted(star & opens[region]))
         if not uprime or (blk.sheaf, uprime) in settled:
             continue
-        hs = _higher(H, uprime, blk.sheaf, cutoff, higher)
+        h0, *hs = _cohomology(H, uprime, blk.sheaf, cutoff, cohomology)
         if any(hs):
             detail["block"] = [i, j]
             detail["higher"] = hs
             return False, detail
-        sec = global_sections(H.space, uprime, blk.sheaf, cutoff)
         st = blk.stalk(cf)
-        for d in sec.dims:
+        for d, dim in h0.items():
             images = []
             for lab in (st.basis or {}).get(d, ()):
                 fam_vec = {}
@@ -323,7 +332,7 @@ def _mv_surjectivity(H: HSheaf, delta, family, cutoff, higher):
                     for lab2, c in img.items():
                         fam_vec[(q, lab2)] = c
                 images.append(fam_vec)
-            if rank(images) != sec.dim(d):
+            if rank(images) != dim:
                 detail["block"] = [i, j]
                 detail["degree"] = d
                 detail["intersection"] = list(uprime)
@@ -332,14 +341,20 @@ def _mv_surjectivity(H: HSheaf, delta, family, cutoff, higher):
     return True, detail
 
 
-def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None, pair_cap=4000) -> Report:
+PAIR_CAP = 4000     # Čech-side products checked by concentration_check
+
+
+def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None) -> Report:
     """Cohomology of each block over the whole space from the chain
     complex of the face poset: positive degrees vanish and H^0 (the
     kernel of d^0 across every comparable pair) matches the section
     algebra degreewise, as subspaces of the stalk product, and on
-    structure constants (all composable pairs up to pair_cap, then a
-    deterministic truncation of the pair list).  The complex and its
-    comparison with the sections are computed once per distinct sheaf.
+    structure constants (all composable pairs up to PAIR_CAP, then a
+    deterministic truncation of the pair list).  Both bases are the
+    canonical reduced echelon basis of their span over the same key
+    order, so the spans agree exactly when the bases are equal.  The
+    complex and its comparison with the sections are computed once per
+    distinct sheaf.
     """
     cutoff = H.cutoff if cutoff is None else cutoff
     if ext is None:
@@ -352,8 +367,9 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None, pair_cap
         sec = ext.sections[(i, j)]
         if blk.sheaf not in per_sheaf:
             hs = cech_cohomology(H.space, whole, blk.sheaf, cutoff)
-            vecs = hs[0].h0_vectors
-            span_match = all(_same_span(vs, list(sec.vectors.get(d, ()))) for d, vs in vecs.items())
+            vecs = {d: tuple({(c[0], lab): a for (c, lab), a in v.items()} for v in vs)
+                    for d, vs in hs[0].vectors.items()}
+            span_match = vecs == sec.vectors
             per_sheaf[blk.sheaf] = ({p: h.dims for p, h in enumerate(hs) if p > 0 and h.dims},
                                     hs[0].dims, vecs, span_match)
         higher, h0_dims, vecs, span_match = per_sheaf[blk.sheaf]
@@ -377,7 +393,7 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None, pair_cap
     ok_products = True
     n = len(H.catalog)
     for a, b, c in itertools.product(range(n), repeat=3):
-        if pairs_checked >= pair_cap:
+        if pairs_checked >= PAIR_CAP:
             break
         for d1, vs1 in sorted(cech_bases[(a, b)].items()):
             for d2, vs2 in sorted(cech_bases[(b, c)].items()):
@@ -386,7 +402,7 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None, pair_cap
                 cs2 = coordinates((b, c), d2, vs2)
                 for v1, c1 in zip(vs1, coordinates((a, b), d1, vs1)):
                     for v2, c2 in zip(vs2, cs2):
-                        if pairs_checked >= pair_cap:
+                        if pairs_checked >= PAIR_CAP:
                             break
                         prod = H.multiply_sections(a, b, c, v1, v2)
                         pairs_checked += 1
@@ -396,8 +412,3 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None, pair_cap
         name="dual-path-products", ok=ok_products,
         details={"pairs_checked": pairs_checked}))
     return Report(ok=all(e.ok for e in entries), entries=entries)
-
-
-def _same_span(vs, ws):
-    # span(A) = span(B) exactly when rank A = rank B = rank(A + B)
-    return rank(vs) == rank(ws) == rank(list(vs) + ws)

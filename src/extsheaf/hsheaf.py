@@ -40,7 +40,6 @@ class BlockSupport:
     fab_prime: tuple      # face keys
     transport: dict       # fab_prime key -> fab key
     d: int
-    dab_prime: tuple      # symmetric difference of the forbidden sets
 
     def __post_init__(self):
         self._members = frozenset(self.fab) | frozenset(self.fab_prime)
@@ -75,7 +74,6 @@ def support_sets(datum: SymmetricDatum, catalog, i, j) -> BlockSupport:
         fab_prime=tuple(sorted(fprime)),
         transport=transport,
         d=len(set(la.orbit) - set(lb.orbit)),
-        dab_prime=tuple(sorted(sym)),
     )
 
 
@@ -115,7 +113,6 @@ class Block:
     def __init__(self, H, i, j):
         self.i, self.j = i, j
         self.support = support_sets(H.datum, H.catalog, i, j)
-        self.cutoff = H.cutoff
         self.sheaf, self.zero = H.shared_sheaf(H.signature(self.support, i, j))
 
     def stalk(self, key) -> GradedSpace:

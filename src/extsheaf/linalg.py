@@ -163,55 +163,22 @@ def abs_det(rows):
     return abs(det)
 
 
-class Coordinates:
-    """A fixed basis, echelonized once, for repeated coordinate queries.
-
-    The basis is echelonized with a Tag column per vector; each pivot
-    row's Tag part, kept as (basis index, coefficient) pairs, says which
-    combination of basis vectors its real part is.
-    """
-
-    def __init__(self, basis):
-        tagged = Eliminator()
-        for i, b in enumerate(basis):
-            row = dict(b)
-            row[Tag(i)] = 1
-            tagged.add(row)
-        self.elim = Eliminator()
-        self._combos = {}     # real pivot column -> ((basis index, coefficient), ...)
-        for col, row in tagged.pivots.items():
-            if isinstance(col, Tag):
-                continue    # a dependent basis vector: no real part
-            self.elim.pivots[col] = {k: a for k, a in row.items() if not isinstance(k, Tag)}
-            self._combos[col] = tuple((k.idx, a) for k, a in row.items() if isinstance(k, Tag))
-
-    def of(self, vector):
-        """Coefficients {basis index: c} of vector, or None outside the span."""
-        multiples, res = self.elim.coordinates(vector)
-        if res:
-            return None
-        out = {}
-        for col, m in multiples.items():
-            for i, a in self._combos[col]:
-                v = out.get(i, 0) + m * a
-                if v:
-                    out[i] = v
-                else:
-                    del out[i]
-        return out
-
-
 def solve_in_span(basis, target):
     """Write target as a combination of basis vectors if possible.
 
-    Returns the coefficient list (aligned with basis) or None.  The
-    one-shot form of Coordinates.
+    Returns the coefficient list (aligned with basis) or None.  Each
+    basis vector is eliminated with a Tag column of its own; reducing
+    target against the real pivots leaves minus its coefficients in the
+    Tag columns.
     """
     basis = list(basis)
-    coeffs = Coordinates(basis).of(target)
-    if coeffs is None:
-        return None
+    e = Eliminator()
+    for i, b in enumerate(basis):
+        e.add({**b, Tag(i): 1})
+    res = e.reduce(target)
     out = [0] * len(basis)
-    for i, c in coeffs.items():
-        out[i] = c
+    for k, a in res.items():
+        if not isinstance(k, Tag):
+            return None
+        out[k.idx] = -a
     return out

@@ -257,8 +257,8 @@ class SectionSpace(GradedSpace):
     """Sections over an open set: dimensions by rank, basis vectors on demand.
 
     rows[d] is the echelon form of the degree-d constraints over the
-    (point, label) columns columns[d]; vectors[d], the canonical kernel
-    basis, is built the first time vectors is read.
+    columns columns[d], one per (point, label); vectors[d], the canonical
+    kernel basis, is built the first time vectors is read.
     """
 
     def __init__(self, rows_by_degree, columns_by_degree):
@@ -344,26 +344,6 @@ def global_sections(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff) -> Sectio
 # cohomology from the chains of U
 
 
-class CechH0(GradedSpace):
-    """H^0 from cech_cohomology: dimensions by rank; h0_vectors, the kernel
-    of d^0 per degree as families over (p, label), built on first read."""
-
-    def __init__(self, dims, U, labels, d0_rows):
-        super().__init__(dims=dims)
-        self._U, self._labels, self._rows = U, labels, d0_rows
-        self._vectors = None
-
-    @property
-    def h0_vectors(self):
-        if self._vectors is None:
-            self._vectors = {}
-            for d, rows in self._rows.items():
-                cols = [((p,), lab) for p in self._U for lab in self._labels[p].get(d, ())]
-                self._vectors[d] = tuple({(c[0], lab): v for (c, lab), v in vec.items()}
-                                         for vec in kernel_basis(rows, cols))
-        return self._vectors
-
-
 def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
     """Sheaf cohomology of sheaf over the open U, from the chain complex of U.
 
@@ -372,7 +352,8 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
     in U, of the stalk at p_r, and (da)_{p_0..p_{r+1}} = sum_{k<=r}
     (-1)^k a_{.. without p_k ..} + (-1)^{r+1} restriction(p_r, p_{r+1})
     a_{p_0..p_r}.  Returns one GradedSpace per cohomological degree up to
-    cutoff, trailing zeros dropped; the first is a CechH0.
+    cutoff, trailing zeros dropped; the first, H^0, is the SectionSpace of
+    the echelon of d^0 over the columns ((p,), label).
     """
     U = tuple(sorted(U))
     if not space.is_open(U):
@@ -380,7 +361,7 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
     _check_cutoff(sheaf, cutoff)
     degrees = sorted({d for p in U for d in sheaf.stalks[p].dims if d <= cutoff})
     if not U or not degrees:
-        return [CechH0({}, U, {}, {})]
+        return [SectionSpace({}, {})]
 
     labels = {p: {d: labs for d, labs in sheaf.stalks[p].basis.items() if d <= cutoff} for p in U}
     chains = [[(p,) for p in U]]    # chains[r]: the chains p_0 < ... < p_r, sorted; the last is empty
@@ -419,17 +400,21 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
                         row[(t[:-1], s)] = last * c
                     rows[d].append(row)
         if r == 0:
-            d0_rows = rows
+            d0 = {d: Eliminator() for d in degrees}     # kept: its echelon is H^0
+            for d in degrees:
+                for row in rows[d]:
+                    d0[d].add(row)
         for d in degrees:
-            ranks[(r, d)] = sparse_rank(rows[d])
+            ranks[(r, d)] = d0[d].rank if r == 0 else sparse_rank(rows[d])
 
-    out = []
-    for r, level in enumerate(chains[:-1]):
-        dims = {d: -ranks[(r, d)] - ranks.get((r - 1, d), 0) for d in degrees}
+    out = [SectionSpace({d: list(e.pivots.values()) for d, e in d0.items()},
+                        {d: [((p,), lab) for p in U for lab in labels[p].get(d, ())] for d in degrees})]
+    for r, level in enumerate(chains[1:-1], 1):
+        dims = {d: -ranks[(r, d)] - ranks[(r - 1, d)] for d in degrees}
         for c in level:
             for d, labs in labels[c[-1]].items():
                 dims[d] += len(labs)
-        out.append(CechH0(dims, U, labels, d0_rows) if r == 0 else GradedSpace(dims=dims))
+        out.append(GradedSpace(dims=dims))
     while len(out) > 1 and not out[-1].dims:
         out.pop()
     return out

@@ -212,6 +212,18 @@ class TestBooleansAreNotIntegers:
         assert code == 1
         assert "'m'" in payload["error"]["message"]
 
+    def test_character_bits_neither_booleans_nor_floats(self, tmp_path):
+        for bit in (True, False, 1.0, 0.0):
+            p = _edited(tmp_path, "p1_halfint", lambda d: d.update(labels=[{"orbit": [], "character": [bit]}]))
+            code, payload = invoke_json("--input", str(p), "--command", "labels")
+            assert code == 1, bit
+            assert "labels[0].character" in payload["error"]["message"], bit
+        for bits in ("1", [1], ["1"]):
+            p = _edited(tmp_path, "p1_halfint", lambda d: d.update(labels=[{"orbit": [], "character": bits}]))
+            code, payload = invoke_json("--input", str(p), "--command", "labels")
+            assert code == 0, bits
+            assert payload["labels"][0]["character"] == "1"
+
 
 def _edited(tmp_path, name, edit):
     doc = json.loads((DATA / f"{name}.json").read_text())

@@ -17,7 +17,7 @@ from extsheaf.faces import downward_closed_families, g_stable_open
 from extsheaf.fans import Fan, toric_datum
 from extsheaf.hsheaf import build_H
 from extsheaf.isotropy import DatumError, build_catalog
-from extsheaf.posets import FiniteSpace, GradedSheaf, GradedSpace, global_sections
+from extsheaf.posets import FiniteSpace, GradedSheaf, GradedSpace, SectionSpace, global_sections
 
 ONE = Fraction(1)
 
@@ -212,7 +212,7 @@ class TestPolynomialKRestriction:
     def test_sign_diagonal_counts_invariant_monomials(self):
         H, ext = self.build()
         # invariants of Q[u2 (sign), u4]: dimensions 1,2,3,4 in degrees 0,4,8,12
-        assert ext.block_hilbert((1, 1), 12) == [1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4]
+        assert ext.block_hilbert((1, 1)) == [1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4]
 
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "extsheaf" / "data"
@@ -413,6 +413,49 @@ class TestRankDimensions:
     def test_generated_fans(self):
         for name, fan in (("P^3", P3), ("F_1", F1), ("(P^1)^3", P1X3)):
             self._check(name, _H(fan, 8))
+
+
+class TestEchelonBasis:
+    """express reads coordinates at the pivots of the ext basis, so every
+    (block, degree) slice of it must be reduced echelon."""
+
+    def _check(self, name, ext):
+        for block, ids in sorted(ext.by_block.items()):
+            slices = {}
+            for x in ids:
+                slices.setdefault(ext.basis[x].degree, []).append(x)
+            for d, xs in slices.items():
+                for x in xs:
+                    v = ext.basis[x].vector
+                    pivot = min(v)
+                    assert v[pivot] == 1, (name, x)
+                    assert [y for y in xs if pivot in ext.basis[y].vector] == [x], (name, x)
+                    assert ext.express(block, d, v) == {x: 1}, (name, x)
+
+    def test_shipped_documents(self):
+        names = []
+        for name, H in _shipped_H():
+            self._check(name, ext_algebra(H))
+            names.append(name)
+        assert len(names) == 7
+
+    def test_p3(self):
+        ext = ext_algebra(_H(P3, 6))
+        assert len(ext.basis) > 1000
+        self._check("P^3", ext)
+
+    def test_dual_path_needs_the_canonical_basis(self):
+        # 2 b_0 spans what b_0 spans, but the section basis is no longer the
+        # canonical one that the Čech H^0 basis is compared with
+        H, ext = build_ext(P1, cutoff=8)
+        sec = ext.sections[(0, 0)]
+        d, (b0, *rest) = min(sec.vectors.items())
+        scaled = SectionSpace(sec.rows, sec.columns)
+        scaled._vectors = {**sec.vectors, d: ({k: 2 * a for k, a in b0.items()}, *rest)}
+        ext.sections[(0, 0)] = scaled
+        failed = [e.name for e in concentration_check(H, ext).entries if not e.ok]
+        assert "dual-path[0:0]" in failed
+        assert all(name.startswith("dual-path[") for name in failed)
 
 
 def _unit_label_sheaf(scale):

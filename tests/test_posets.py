@@ -152,7 +152,7 @@ class TestCech:
                     want = brute_sections(H.space, U, blk.sheaf, cutoff).dims
                     assert hs[0].dims == want, (name, fam, i, j)
                     assert hs[0]._vectors is None     # the basis waits for its first read
-                    assert {d: len(vs) for d, vs in hs[0].h0_vectors.items() if vs} == want, (name, fam, i, j)
+                    assert {d: len(vs) for d, vs in hs[0].vectors.items() if vs} == want, (name, fam, i, j)
 
     def test_non_open_rejected(self):
         sp = vee_space()
