@@ -24,13 +24,13 @@ ext = ext_algebra(H)
 fams = downward_closed_families(datum)
 print(f"{len(catalog)} labels, {len(fams)} G-stable opens, cutoff {CUT}")
 
-rep = vanishing_report(H, CUT)
+rep = vanishing_report(H)
 higher = [e for e in rep.entries if e.name.startswith("vanishing")]
 mv = [e for e in rep.entries if e.name.startswith("mv")]
 print(f"vanishing entries: {len(higher)} (all ok: {all(e.ok for e in higher)})")
 print(f"Mayer-Vietoris entries: {len(mv)} (all ok: {all(e.ok for e in mv)})")
 
-conc = concentration_check(H, ext, CUT)
+conc = concentration_check(H, ext)
 print(f"concentration/dual-path entries: {len(conc.entries)} (all ok: {conc.ok})")
 print("\ndims of the full extension algebra by degree:")
 print(" ", {d: n for d, n in sorted(ext.dims().items())})

@@ -13,6 +13,7 @@ from .algebra import twisted_tensor, twisted_tensor_relations
 from .extalg import ExtAlgebra, Report, ReportEntry, concentration_check, vanishing_report
 from .faces import FacePoint
 from .hsheaf import (
+    RESTRICTION_PRODUCT_DEGREE,
     HSheaf,
     check_diagonal_units,
     check_face_local_associativity,
@@ -86,9 +87,9 @@ def sheaf_structure_checks(H: HSheaf, rng: random.Random):
     out.append(_entry("sheaf.restriction-functoriality", not bad, counterexamples=bad[:3]))
     u = check_diagonal_units(H)
     out.append(_entry("sheaf.units", not u, counterexamples=[list(map(repr, x)) for x in u[:3]]))
-    rp = check_restriction_product(H, max_degree=min(H.cutoff, 8))
-    out.append(_entry("sheaf.restriction-product", not rp,
-                      counterexamples=[list(map(repr, x)) for x in rp[:3]], max_degree=min(H.cutoff, 8)))
+    rp = check_restriction_product(H)
+    out.append(_entry("sheaf.restriction-product", not rp, counterexamples=[list(map(repr, x)) for x in rp[:3]],
+                      max_degree=min(H.cutoff, RESTRICTION_PRODUCT_DEGREE)))
     a = check_face_local_associativity(H)
     out.append(_entry("sheaf.associativity-twist-cocycle", not a,
                       counterexamples=[list(map(repr, x)) for x in a[:3]]))
@@ -96,7 +97,12 @@ def sheaf_structure_checks(H: HSheaf, rng: random.Random):
     return out
 
 
-def _sampled_triples(H: HSheaf, rng: random.Random, count=400):
+STALK_TRIPLES = 400        # stalk-level triples drawn by _sampled_triples
+EXHAUSTIVE_BASIS = 220     # ext.associativity tests every triple up to this basis size
+SECTION_TRIPLES = 600      # and otherwise a seeded sample of this many triples
+
+
+def _sampled_triples(H: HSheaf, rng: random.Random):
     """Direct stalk-level triple products both ways, seeded sample."""
     labels = range(len(H.catalog))
     pool = []
@@ -104,7 +110,7 @@ def _sampled_triples(H: HSheaf, rng: random.Random, count=400):
         for a, b in itertools.product(labels, repeat=2):
             blk = H.blocks[(a, b)]
             if f in blk.support.members():
-                for d, labs in sorted((blk.stalk(f).basis or {}).items()):
+                for d, labs in sorted(blk.stalk(f).basis.items()):
                     for lab in labs:
                         pool.append((f, a, b, d, lab))
     if not pool:
@@ -115,11 +121,11 @@ def _sampled_triples(H: HSheaf, rng: random.Random, count=400):
         """Stalk labels (c, degree, label) of the blocks (b, c) at f, built once per (f, b)."""
         if (f, b) not in partners:
             partners[(f, b)] = [(c, d2, lab) for c in labels
-                                for d2, labs in sorted((H.blocks[(b, c)].stalk(f).basis or {}).items())
+                                for d2, labs in sorted(H.blocks[(b, c)].stalk(f).basis.items())
                                 for lab in labs if f in H.blocks[(b, c)].support.members()]
         return partners[(f, b)]
 
-    for _ in range(count):
+    for _ in range(STALK_TRIPLES):
         f, a, b, d1, x = pool[rng.randrange(len(pool))]
         # pick composable partners at the same face
         ys = composable(f, b)
@@ -134,14 +140,14 @@ def _sampled_triples(H: HSheaf, rng: random.Random, count=400):
             continue
         xy = H.compose(a, b, c, f, x, y)
         yz = H.compose(b, c, dd, f, y, z)
-        left = None if xy is None else H.compose(a, c, dd, f, xy[0], z)
-        right = None if yz is None else H.compose(a, b, dd, f, x, yz[0])
+        left = None if xy is None else H.compose(a, c, dd, f, xy, z)
+        right = None if yz is None else H.compose(a, b, dd, f, x, yz)
         if left != right:
             return False
     return True
 
 
-def section_algebra_checks(H: HSheaf, ext: ExtAlgebra, rng: random.Random, full_triples=True):
+def section_algebra_checks(H: HSheaf, ext: ExtAlgebra, rng: random.Random):
     out = []
     unit = ext.unit_coeffs()
     bad = []
@@ -164,12 +170,13 @@ def section_algebra_checks(H: HSheaf, ext: ExtAlgebra, rng: random.Random, full_
             if any(hil[d] for d in range(min(floor, len(hil)))):
                 gys.append([i, j])
     out.append(_entry("ext.gysin-floor", not gys, counterexamples=gys[:3]))
-    ok, tested = _section_associativity(H, ext, rng, full=full_triples)
-    out.append(_entry("ext.associativity", ok, triples_tested=tested, exhaustive=full_triples))
+    exhaustive = len(ext.basis) <= EXHAUSTIVE_BASIS
+    ok, tested = _section_associativity(ext, rng, exhaustive)
+    out.append(_entry("ext.associativity", ok, triples_tested=tested, exhaustive=exhaustive))
     return out
 
 
-def _section_associativity(H, ext, rng, full, sample=600):
+def _section_associativity(ext, rng, exhaustive):
     n = len(ext.catalog)
     follow = {}
 
@@ -178,7 +185,7 @@ def _section_associativity(H, ext, rng, full, sample=600):
         only on the column label b of x and the degree, so are built once per (b, degree)."""
         b = ext.basis[x].block[1]
         if (b, degree) not in follow:
-            follow[(b, degree)] = [y for c in range(n) for y in ext.partners(x, (b, c), degree)]
+            follow[(b, degree)] = [y for c in range(n) for y in ext.partners((b, c), degree)]
         return follow[(b, degree)]
 
     def all_triples():
@@ -190,7 +197,7 @@ def _section_associativity(H, ext, rng, full, sample=600):
     def sampled_triples():
         produced = 0
         attempts = 0
-        while produced < sample and attempts < 50 * sample:
+        while produced < SECTION_TRIPLES and attempts < 50 * SECTION_TRIPLES:
             attempts += 1
             x = rng.randrange(len(ext.basis))
             ys = followers(x, ext.basis[x].degree)
@@ -205,7 +212,7 @@ def _section_associativity(H, ext, rng, full, sample=600):
             yield x, y, z
 
     tested = 0
-    for x, y, z in (all_triples() if full else sampled_triples()):
+    for x, y, z in (all_triples() if exhaustive else sampled_triples()):
         xy = ext.multiply(x, y)
         yz = ext.multiply(y, z)
         tested += 1
@@ -272,14 +279,12 @@ def oracle_checks(H: HSheaf, ext: ExtAlgebra, seed: int, fan=None):
     return out
 
 
-def run_battery(H: HSheaf, ext: ExtAlgebra, seed: int, fan=None, full_triples=None) -> Report:
+def run_battery(H: HSheaf, ext: ExtAlgebra, seed: int, fan=None) -> Report:
     rng = random.Random(seed)
-    if full_triples is None:
-        full_triples = len(ext.basis) <= 220
     entries = []
     entries += poset_axiom_checks(H)
     entries += sheaf_structure_checks(H, rng)
-    entries += section_algebra_checks(H, ext, rng, full_triples=full_triples)
+    entries += section_algebra_checks(H, ext, rng)
     entries += oracle_checks(H, ext, seed, fan=fan)
     conc = concentration_check(H, ext)
     entries += conc.entries

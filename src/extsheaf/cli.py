@@ -241,16 +241,6 @@ def emit_tsv(payload):
     return "\n".join(lines) + "\n"
 
 
-def _meta(doc_path, cutoff, seed, command):
-    return {
-        "input": os.path.basename(doc_path),
-        "command": command,
-        "cutoff": cutoff,
-        "seed": seed,
-        "format_version": 1,
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -261,15 +251,9 @@ def _datum_catalog(doc):
     return datum, dbasis, build_catalog(datum.isotropy, datum.V, labels), fan
 
 
-def _build(doc, cutoff, prebuilt=None):
-    """Datum, D-basis, catalog, H and fan; prebuilt is a _datum_catalog result to reuse."""
-    datum, dbasis, catalog, fan = prebuilt or _datum_catalog(doc)
+def cmd_validate(built, cutoff, seed, block):
+    datum, dbasis, catalog, fan = built
     H = build_H(datum, catalog, cutoff)
-    return datum, dbasis, catalog, H, fan
-
-
-def cmd_validate(doc, path, cutoff, seed, prebuilt=None):
-    datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
     checks = [{"name": "schema", "status": "pass"},
               {"name": "datum-invariants", "status": "pass"}]
     for (i, j), blk in sorted(H.blocks.items()):
@@ -277,25 +261,19 @@ def cmd_validate(doc, path, cutoff, seed, prebuilt=None):
         if problems:
             raise DatumError(f"support facts fail on block {i}:{j}: {problems[0]}")
     checks.append({"name": "support-facts", "status": "pass"})
-    payload = {"meta": _meta(path, cutoff, seed, "validate"), "checks": checks}
-    return 0, payload
+    return 0, {"checks": checks}
 
 
-def cmd_faces(doc, path, cutoff, seed, prebuilt=None):
-    datum, dbasis, catalog, fan = prebuilt or _datum_catalog(doc)
-    faces = [{"orbit": list(f.orbit), "J": list(f.j)} for f in datum.faces()]
-    payload = {"meta": _meta(path, cutoff, seed, "faces"), "faces": faces}
-    return 0, payload
+def cmd_faces(built, cutoff, seed, block):
+    datum, dbasis, catalog, fan = built
+    return 0, {"faces": [{"orbit": list(f.orbit), "J": list(f.j)} for f in datum.faces()]}
 
 
-def cmd_labels(doc, path, cutoff, seed, prebuilt=None):
-    datum, dbasis, catalog, fan = prebuilt or _datum_catalog(doc)
+def cmd_labels(built, cutoff, seed, block):
+    datum, dbasis, catalog, fan = built
     labels = [{"index": k, "orbit": list(lab.orbit), "character": "".join(str(b) for b in lab.char),
                "delta_prime": list(catalog.dprime(k))} for k, lab in enumerate(catalog.labels)]
-    payload = {"meta": _meta(path, cutoff, seed, "labels"),
-               "d_basis": [list(row) for row in dbasis],
-               "labels": labels}
-    return 0, payload
+    return 0, {"d_basis": [list(row) for row in dbasis], "labels": labels}
 
 
 def parse_faces_output(payload):
@@ -319,10 +297,11 @@ def _parse_block(text, catalog):
     return a, b
 
 
-def cmd_hilbert(doc, path, cutoff, seed, block=None, prebuilt=None):
+def cmd_hilbert(built, cutoff, seed, block):
     """Block Hilbert series from section ranks, no ext basis; every diagonal
     unit is checked, as ext does, whatever block is shown."""
-    datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
+    datum, dbasis, catalog, fan = built
+    H = build_H(datum, catalog, cutoff)
     blocks = sorted(H.blocks) if block is None else [block]
     series = {}
     for b in sorted(set(blocks) | {(a, a) for a in range(len(catalog))}):
@@ -330,10 +309,7 @@ def cmd_hilbert(doc, path, cutoff, seed, block=None, prebuilt=None):
         if b[0] == b[1]:
             diagonal_unit(H.blocks[b].sheaf, sec)
         series[b] = sec.hilbert(cutoff)
-    payload = {"meta": _meta(path, cutoff, seed, "hilbert"), "blocks": [
-        {"alpha": i, "beta": j, "hilbert": series[(i, j)]}
-        for i, j in blocks]}
-    return 0, payload
+    return 0, {"blocks": [{"alpha": i, "beta": j, "hilbert": series[(i, j)]} for i, j in blocks]}
 
 
 def _basis_entry(ext, idx):
@@ -349,10 +325,10 @@ def _basis_entry(ext, idx):
     }
 
 
-def cmd_ext(doc, path, cutoff, seed, block=None, prebuilt=None):
-    datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
-    ext = ext_algebra(H)
-    blocks = sorted(H.blocks) if block is None else [block]
+def cmd_ext(built, cutoff, seed, block):
+    datum, dbasis, catalog, fan = built
+    ext = ext_algebra(build_H(datum, catalog, cutoff))
+    blocks = sorted(ext.H.blocks) if block is None else [block]
     shown = set(blocks)
     out_blocks = []
     for i, j in blocks:
@@ -370,15 +346,14 @@ def cmd_ext(doc, path, cutoff, seed, block=None, prebuilt=None):
             "basis": [_basis_entry(ext, idx) for idx in ext.by_block[(i, j)]],
             "table": table,
         })
-    payload = {"meta": _meta(path, cutoff, seed, "ext"),
-               "unit": {ext.basis[k].name: _frac(v) for k, v in sorted(ext.unit_coeffs().items())},
+    return 0, {"unit": {ext.basis[k].name: _frac(v) for k, v in sorted(ext.unit_coeffs().items())},
                "truncated_pairs": ext.truncated_pairs,
                "blocks": out_blocks}
-    return 0, payload
 
 
-def cmd_cohomology(doc, path, cutoff, seed, prebuilt=None):
-    datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
+def cmd_cohomology(built, cutoff, seed, block):
+    datum, dbasis, catalog, fan = built
+    H = build_H(datum, catalog, cutoff)
     opens = []
     for fam in downward_closed_families(datum):
         U = g_stable_open(datum, H.space, fam)
@@ -390,23 +365,21 @@ def cmd_cohomology(doc, path, cutoff, seed, prebuilt=None):
             tables = {str(p): h.hilbert(cutoff) for p, h in enumerate(hs) if p == 0 or h.dims}
             blocks.append({"alpha": i, "beta": j, "cech": tables})
         opens.append({"name": family_name(fam), "blocks": blocks})
-    payload = {"meta": _meta(path, cutoff, seed, "cohomology"), "opens": opens}
-    return 0, payload
+    return 0, {"opens": opens}
 
 
-def cmd_check_all(doc, path, cutoff, seed, prebuilt=None):
-    datum, dbasis, catalog, H, fan = _build(doc, cutoff, prebuilt)
-    ext = ext_algebra(H)
-    report = run_battery(H, ext, seed, fan=fan)
+def cmd_check_all(built, cutoff, seed, block):
+    datum, dbasis, catalog, fan = built
+    H = build_H(datum, catalog, cutoff)
+    report = run_battery(H, ext_algebra(H), seed, fan=fan)
     checks = [{"name": e.name, "status": "pass" if e.ok else "fail", "details": e.details}
               for e in report.entries]
-    payload = {"meta": _meta(path, cutoff, seed, "check-all"),
-               "ok": report.ok,
-               "checks": checks}
-    return (0 if report.ok else 3), payload
+    return (0 if report.ok else 3), {"ok": report.ok, "checks": checks}
 
 
-# command name -> (handler, whether it takes --block)
+# command name -> (handler, whether it takes --block).  run calls
+# handler(_datum_catalog(doc), cutoff, seed, block or None), which returns
+# (exit code, payload), and adds the payload's "meta" itself.
 COMMANDS = {
     "validate": (cmd_validate, False),
     "faces": (cmd_faces, False),
@@ -450,9 +423,11 @@ def run(argv, out=None):
         cutoff = args.cutoff if args.cutoff is not None else doc.get("cutoff", DEFAULT_CUTOFF)
         if cutoff < 0 or cutoff % 2:
             raise SchemaError("cutoff must be a nonnegative even integer")
-        prebuilt = _datum_catalog(doc)
-        kwargs = {} if args.block is None else {"block": _parse_block(args.block, prebuilt[2])}
-        code, payload = handler(doc, args.input, cutoff, args.seed, prebuilt=prebuilt, **kwargs)
+        built = _datum_catalog(doc)
+        block = None if args.block is None else _parse_block(args.block, built[2])
+        code, payload = handler(built, cutoff, args.seed, block)
+        payload["meta"] = {"input": os.path.basename(args.input), "command": args.command,
+                           "cutoff": cutoff, "seed": args.seed, "format_version": 1}
         out.write(emit_json(payload) if args.format == "json" else emit_tsv(payload))
         return code
     except SchemaError as exc:

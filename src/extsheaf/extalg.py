@@ -90,25 +90,18 @@ class ExtAlgebra:
 
     # -- products
 
-    def partners(self, x: int, block, degree=None):
-        """Ids y of block with degree + deg y <= cutoff, in basis order.
-
-        With degree None (deg x) the pairs the bound cuts off are counted
-        in truncated_pairs; an explicit degree only selects.
-        """
-        ids = self.by_block[block]
-        k = bisect_right(self._degrees[block],
-                         self.cutoff - (self.basis[x].degree if degree is None else degree))
-        if degree is None:
-            self.truncated_pairs += len(ids) - k
-        return ids[:k]
+    def partners(self, block, degree):
+        """Ids y of block with degree + deg y <= cutoff, in basis order."""
+        return self.by_block[block][:bisect_right(self._degrees[block], self.cutoff - degree)]
 
     def row(self, x: int, block):
         """Yields (y, product) in basis order for the nonzero products of
-        basis[x] with partners(x, block).  The product is facewise, so only
+        basis[x] with its partners in block; the partners the cutoff drops are
+        counted in truncated_pairs.  The product is facewise, so only
         partners sharing a face with x are multiplied.  Nothing is memoized.
         """
-        ids = self.partners(x, block)
+        ids = self.partners(block, self.basis[x].degree)
+        self.truncated_pairs += len(self.by_block[block]) - len(ids)
         if not ids:
             return
         if self._faces is None:
@@ -132,7 +125,7 @@ class ExtAlgebra:
     def multiply(self, x: int, y: int):
         """Structure constants {z index: coefficient} of basis[x] * basis[y],
         {} for non-composable blocks or zero products; memoized.  A pair
-        past the cutoff raises ValueError (partners never yields one).
+        past the cutoff raises ValueError (partners never returns one).
         """
         key = (x, y)
         if key not in self._table:
@@ -243,13 +236,12 @@ class Report:
         return [e for e in self.entries if not e.ok]
 
 
-def vanishing_report(H: HSheaf, cutoff=None) -> Report:
+def vanishing_report(H: HSheaf) -> Report:
     """Čech cohomology of H' vanishes in positive degrees on every
     G-stable open, and the closed-face sections surject onto the
     punctured-star sections in the Mayer-Vietoris step.  One complex is
     computed per (sheaf, open), for this call only.
     """
-    cutoff = H.cutoff if cutoff is None else cutoff
     entries = []
     datum = H.datum
     cohomology = {}     # (sheaf, open) -> [dims of H^0, H^1, ...]
@@ -259,7 +251,7 @@ def vanishing_report(H: HSheaf, cutoff=None) -> Report:
         for (i, j), blk in sorted(H.blocks.items()):
             if blk.zero:
                 continue
-            _, *hs = _cohomology(H, U, blk.sheaf, cutoff, cohomology)
+            _, *hs = _cohomology(H, U, blk.sheaf, cohomology)
             nonzero = {p: dims for p, dims in enumerate(hs, 1) if dims}
             entries.append(ReportEntry(
                 name=f"vanishing[{famname}][{i}:{j}]",
@@ -272,23 +264,23 @@ def vanishing_report(H: HSheaf, cutoff=None) -> Report:
                 continue
             if not delta:
                 continue
-            ok, detail = _mv_surjectivity(H, delta, fam, cutoff, cohomology)
+            ok, detail = _mv_surjectivity(H, delta, fam, cohomology)
             entries.append(ReportEntry(
                 name=f"mv-surjectivity[{famname}][{'+'.join(delta)}]",
                 ok=ok, details=detail))
     return Report(ok=all(e.ok for e in entries), entries=entries)
 
 
-def _cohomology(H: HSheaf, U, sheaf, cutoff, memo):
+def _cohomology(H: HSheaf, U, sheaf, memo):
     """Dimensions of H^0, H^1, ... of sheaf over the open U (a sorted
     tuple), from one chain complex per (sheaf, U) kept in memo."""
     key = (sheaf, U)
     if key not in memo:
-        memo[key] = [h.dims for h in cech_cohomology(H.space, U, sheaf, cutoff)]
+        memo[key] = [h.dims for h in cech_cohomology(H.space, U, sheaf, H.cutoff)]
     return memo[key]
 
 
-def _mv_surjectivity(H: HSheaf, delta, family, cutoff, cohomology):
+def _mv_surjectivity(H: HSheaf, delta, family, cohomology):
     """The Mayer-Vietoris step of the vanishing argument, blockwise.
 
     A block only sees the part of the variety away from its forbidden
@@ -317,7 +309,7 @@ def _mv_surjectivity(H: HSheaf, delta, family, cutoff, cohomology):
         uprime = tuple(sorted(star & opens[region]))
         if not uprime or (blk.sheaf, uprime) in settled:
             continue
-        h0, *hs = _cohomology(H, uprime, blk.sheaf, cutoff, cohomology)
+        h0, *hs = _cohomology(H, uprime, blk.sheaf, cohomology)
         if any(hs):
             detail["block"] = [i, j]
             detail["higher"] = hs
@@ -325,7 +317,7 @@ def _mv_surjectivity(H: HSheaf, delta, family, cutoff, cohomology):
         st = blk.stalk(cf)
         for d, dim in h0.items():
             images = []
-            for lab in (st.basis or {}).get(d, ()):
+            for lab in st.basis.get(d, ()):
                 fam_vec = {}
                 for q in uprime:
                     img = blk.sheaf.apply(cf, q, {lab: 1})
@@ -344,7 +336,7 @@ def _mv_surjectivity(H: HSheaf, delta, family, cutoff, cohomology):
 PAIR_CAP = 4000     # Čech-side products checked by concentration_check
 
 
-def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None) -> Report:
+def concentration_check(H: HSheaf, ext: ExtAlgebra) -> Report:
     """Cohomology of each block over the whole space from the chain
     complex of the face poset: positive degrees vanish and H^0 (the
     kernel of d^0 across every comparable pair) matches the section
@@ -356,9 +348,6 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None) -> Repor
     complex and its comparison with the sections are computed once per
     distinct sheaf.
     """
-    cutoff = H.cutoff if cutoff is None else cutoff
-    if ext is None:
-        ext = ext_algebra(H)
     entries = []
     whole = H.space.points
     per_sheaf = {}      # sheaf -> (higher, H^0 dims, H^0 basis, spans match)
@@ -366,7 +355,7 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None) -> Repor
     for (i, j), blk in sorted(H.blocks.items()):
         sec = ext.sections[(i, j)]
         if blk.sheaf not in per_sheaf:
-            hs = cech_cohomology(H.space, whole, blk.sheaf, cutoff)
+            hs = cech_cohomology(H.space, whole, blk.sheaf, H.cutoff)
             vecs = {d: tuple({(c[0], lab): a for (c, lab), a in v.items()} for v in vs)
                     for d, vs in hs[0].vectors.items()}
             span_match = vecs == sec.vectors
@@ -397,7 +386,7 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra = None, cutoff=None) -> Repor
             break
         for d1, vs1 in sorted(cech_bases[(a, b)].items()):
             for d2, vs2 in sorted(cech_bases[(b, c)].items()):
-                if d1 + d2 > cutoff:
+                if d1 + d2 > H.cutoff:
                     continue
                 cs2 = coordinates((b, c), d2, vs2)
                 for v1, c1 in zip(vs1, coordinates((a, b), d1, vs1)):

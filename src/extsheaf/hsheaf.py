@@ -116,7 +116,7 @@ class Block:
         self.sheaf, self.zero = H.shared_sheaf(H.signature(self.support, i, j))
 
     def stalk(self, key) -> GradedSpace:
-        return self.sheaf.stalks.get(key, GradedSpace())
+        return self.sheaf.stalks[key]
 
 
 class HSheaf:
@@ -262,14 +262,14 @@ class HSheaf:
     def compose(self, a, b, c, face_key, xlab, ylab):
         """Stalk-level product of x ∈ H^{ab} and y ∈ H^{bc} at a face.
 
-        Returns (label in H^{ac}, coefficient) or None for the zero map.
-        The coefficient is always 1: the twist only contributes a monomial.
+        Returns the label in H^{ac}, whose coefficient is 1 (the twist only
+        contributes a monomial), or None for the zero map.
         """
         tw = self.product_twist(a, b, c, face_key)
         if tw is None:
             return None
         (pmx, kmx), (pmy, kmy) = xlab, ylab
-        return ((mono(*pmx, *pmy, *tw), tuple(x + y for x, y in zip(kmx, kmy))), 1)
+        return mono(*pmx, *pmy, *tw), tuple(x + y for x, y in zip(kmx, kmy))
 
     def multiply_sections(self, a, b, c, xvec, yvec):
         """Facewise product of section vectors of H^{ab} and H^{bc}.
@@ -283,12 +283,11 @@ class HSheaf:
         out = {}
         for (f, xlab), cx in xvec.items():
             for ylab, cy in by_face_y.get(f, ()):
-                z = self.compose(a, b, c, f, xlab, ylab)
-                if z is None:
+                lab = self.compose(a, b, c, f, xlab, ylab)
+                if lab is None:
                     continue
-                lab, cz = z
                 key = (f, lab)
-                v = out.get(key, 0) + cx * cy * cz
+                v = out.get(key, 0) + cx * cy
                 if v:
                     out[key] = v
                 else:
@@ -330,7 +329,7 @@ def check_transport_identity(H: HSheaf):
             t = blk.support.transport[f]
             if H.space.leq(f, t):
                 m = blk.sheaf.restriction(f, t)
-                for labs in (blk.stalk(f).basis or {}).values():
+                for labs in blk.stalk(f).basis.values():
                     for lab in labs:
                         if m.get(lab) != ((lab, 1),):
                             bad.append((i, j, f, t, lab))
@@ -339,7 +338,7 @@ def check_transport_identity(H: HSheaf):
 
 def unit_label(stalk):
     """The unit label (1, trivial K-monomial) in degree 0 of a stalk, or None."""
-    return next((lab for lab in (stalk.basis or {}).get(0, ()) if lab[0] == () and not any(lab[1])), None)
+    return next((lab for lab in stalk.basis.get(0, ()) if lab[0] == () and not any(lab[1])), None)
 
 
 def check_diagonal_units(H: HSheaf):
@@ -364,19 +363,23 @@ def check_diagonal_units(H: HSheaf):
     # unit acts as identity
     for (a, b), blk in H.blocks.items():
         for key in sorted(blk.support.members()):
-            for d, labs in sorted((blk.stalk(key).basis or {}).items()):
+            for d, labs in sorted(blk.stalk(key).basis.items()):
                 for lab in labs:
                     ua = ((), tuple(0 for _ in lab[1]))
                     left = H.compose(a, a, b, key, ua, lab)
                     right = H.compose(a, b, b, key, lab, ua)
-                    if left != (lab, 1) or right != (lab, 1):
+                    if left != lab or right != lab:
                         bad.append((a, b, key, lab, "unit law fails"))
     return bad
 
 
-def check_restriction_product(H: HSheaf, max_degree=None):
-    """Restriction commutes with the product on covering pairs."""
-    cut = H.cutoff if max_degree is None else min(max_degree, H.cutoff)
+RESTRICTION_PRODUCT_DEGREE = 8     # check_restriction_product covers products up to this degree
+
+
+def check_restriction_product(H: HSheaf):
+    """Restriction commutes with the product on covering pairs, for
+    products of degree at most min(cutoff, RESTRICTION_PRODUCT_DEGREE)."""
+    cut = min(H.cutoff, RESTRICTION_PRODUCT_DEGREE)
     bad = []
     n = len(H.catalog)
     pairs = H.space.covering_pairs()
@@ -393,25 +396,22 @@ def check_restriction_product(H: HSheaf, max_degree=None):
         for f1, f2 in pairs:
             if f1 not in bab.support.members() or f1 not in bbc.support.members():
                 continue
-            for d1, labsx in sorted((bab.stalk(f1).basis or {}).items()):
-                for d2, labsy in sorted((bbc.stalk(f1).basis or {}).items()):
+            for d1, labsx in sorted(bab.stalk(f1).basis.items()):
+                for d2, labsy in sorted(bbc.stalk(f1).basis.items()):
                     if d1 + d2 > cut:
                         continue
                     for xl in labsx:
                         xr = image(bab.sheaf, f1, f2, xl)
                         for yl in labsy:
                             z = H.compose(a, b, c, f1, xl, yl)
-                            zr = {}
-                            if z is not None:
-                                zr = bac.sheaf.apply(f1, f2, {z[0]: z[1]})
+                            zr = {} if z is None else bac.sheaf.apply(f1, f2, {z: 1})
                             yr = image(bbc.sheaf, f1, f2, yl)
                             prod = {}
                             for xl2, cx in xr.items():
                                 for yl2, cy in yr.items():
-                                    z2 = H.compose(a, b, c, f2, xl2, yl2)
-                                    if z2 is not None:
-                                        lab, cz = z2
-                                        prod[lab] = prod.get(lab, 0) + cx * cy * cz
+                                    lab = H.compose(a, b, c, f2, xl2, yl2)
+                                    if lab is not None:
+                                        prod[lab] = prod.get(lab, 0) + cx * cy
                             prod = {k: v for k, v in prod.items() if v}
                             if prod != zr:
                                 bad.append((a, b, c, f1, f2, xl, yl))

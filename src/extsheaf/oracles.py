@@ -162,7 +162,7 @@ def brute_sections(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff) -> GradedS
         raise ValueError("brute_sections needs an open set")
     cols = {}
     for p in U:
-        for d, labs in (sheaf.stalks[p].basis or {}).items():
+        for d, labs in sheaf.stalks[p].basis.items():
             if d <= cutoff:
                 cols.setdefault(d, []).extend((p, lab) for lab in labs)
     dims = {}
@@ -171,8 +171,8 @@ def brute_sections(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff) -> GradedS
         rows = []
         for i, j in space.comparable_pairs(within=U):
             m = sheaf.restriction(i, j)
-            per_target = {t: {} for t in (sheaf.stalks[j].basis or {}).get(d, ())}
-            for s in (sheaf.stalks[i].basis or {}).get(d, ()):
+            per_target = {t: {} for t in sheaf.stalks[j].basis.get(d, ())}
+            for s in sheaf.stalks[i].basis.get(d, ()):
                 for t, c in m.get(s, ()):
                     per_target[t][(i, s)] = per_target[t].get((i, s), Fraction(0)) + c
             for t, lhs in sorted(per_target.items(), key=lambda kv: repr(kv[0])):
@@ -229,7 +229,7 @@ def _component_sheaf(space, keyof, phi, comp):
     return GradedSheaf(space, stalks, rest)
 
 
-def quadrant_check(phi, components, cutoff=0) -> QuadrantReport:
+def quadrant_check(phi, components) -> QuadrantReport:
     """Čech cohomology of the component sheaves on the punctured quadrant.
 
     The cover is by the maximal minimal-opens U_{phi minus one point};

@@ -143,8 +143,8 @@ class GradedSpace:
     def hilbert(self, cutoff):
         return [self.dim(d) for d in range(cutoff + 1)]
 
-    def total_dim(self, cutoff=None):
-        return sum(n for d, n in self.dims.items() if cutoff is None or d <= cutoff)
+    def total_dim(self):
+        return sum(self.dims.values())
 
     def __eq__(self, other):
         return isinstance(other, GradedSpace) and self.dims == other.dims

@@ -340,7 +340,8 @@ class TestUnknownKdatumKeys:
 
 class TestDigestPin:
     """ext and check-all stdout at seed 2026 match the benchmark's recorded digests;
-    check-all at seed 7, labels and cohomology stdout match the digests recorded below."""
+    check-all at seed 7, labels, cohomology, hilbert, validate, faces and the ext
+    variants match the digests recorded below."""
 
     # check-all --seed 7: the seeded samplers (sampled triples, quadrant samples,
     # identity fuzz) draw other elements than at 2026
@@ -399,6 +400,36 @@ class TestDigestPin:
                                      "bb693a552798e78fae3e9d4f99144f28e89b414818b4fa99c24cbb7c225003f4"),
     }
 
+    # validate and faces as JSON and TSV, ext as TSV and with --block 0:1
+    VARIANTS = (("validate",), ("validate", "--format", "tsv"), ("faces",), ("faces", "--format", "tsv"),
+                ("ext", "--format", "tsv"), ("ext", "--block", "0:1"))
+    VARIANT_DIGESTS = {
+        "p1_trivial": ("7d87d142cece4c58c769b5e43a0fb0ae4b3f87141ce5c9db7ffb4e5223223c73",
+                       "9a2303fef5c9c3c223aea493ceb849b5aa0fda3834a4cad9cd3d719c1b3cf684",
+                       "2cceca2360b8cb6d5ebd4ab6e2608aa4230e863e24a0ead96068e38d91e757b7",
+                       "05f377f85c73644337179218c8f676a3da1ba8a8171d12625d296127739fdedd",
+                       "0202de2fb0f530e22106d4de821ab372c0567543c6362b715bff873a1093fc75",
+                       "7e8efec0a105293ae2189adbe16f80333f6e8bcf5eb4aa9b2b79848884f3a2a3"),
+        "p1_halfint": ("035fced18d7a6987965d57bf0002341d8174376624e7d6546d05e681077a105f",
+                       "60e70fc56c4d5db688daa4554144866b2a99d0e4fd9e7ff573403af2a3e8b2a3",
+                       "c24a5c20e2af1cd90e6611ef9fb372a74ba6b1ea8713f8f3f435272a945672c7",
+                       "5a28caa754dadb4f8ee7d1ad32cd52dba476113736b8d1d6ab1ae6d792cd8a93",
+                       "8ca4a6307be72d7b1958f301b7549fbd1f9ced27b6f28bbdd98b8944374cf64b",
+                       "bef9f67bc09a52fca9dec53432f270179d983bbb4b1b8724d525ac321eee3e0b"),
+        "canonical_l1": ("ae21c40f1a1baebae77b8e8334b921d06c3cbb6fffcd7461c9d9cc9aa6ca9922",
+                         "039cd65bd10e52d763646a2bb0c51b0b1315a9fe7b38ad480274d9844a8f1703",
+                         "c925e39bfee60ac6feb0718fd25e7ca395d347986c46b9124c83511f491d8295",
+                         "fda87e697e017cc3d9febca27fe6c6d25fb4a428ddc088fbc4b1324600907884",
+                         "d4820c9db17fad4f66572e2a2bc314195cab055803a048facaf4a32bc0fe0175",
+                         "b181ce97226aafde55566778994fe0f5fbeb0979824069a41a1eb8d5027df969"),
+        "synthetic_symmetric_rank1": ("15a29371497474fcc8256dcb68997547c4ef3b36313f07b0b37c094be27a9f04",
+                                      "2e5f6081bfd1af572bacdf0a7491fb481adc3a3ee34e9e23c28855dc37babd0a",
+                                      "b6e68f4a2fbc55b697840fe88e351724f3dd46bb5cbb9ced23b8dca55ad3afc2",
+                                      "58d3a7584991785ff46e82347de5393e774545420182c5b39811254004b9629c",
+                                      "42fd9ae3a9676cca96b603dade028e9e7ea87f6ccb76129d05092906b83d859c",
+                                      "8acc343ff6ea86103552e05a906e2fa8abde8d0c8f94202d5cab073c275b3511"),
+    }
+
     DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
     NAMES = ("p1_trivial", "p1_halfint", "canonical_l1", "synthetic_symmetric_rank1")
 
@@ -430,6 +461,13 @@ class TestDigestPin:
                 code, text = invoke("--input", str(DATA / f"{name}.json"), "--command", "hilbert", *extra)
                 assert code == 0, text
                 assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, (name, extra)
+
+    def test_validate_faces_and_ext_variant_digests(self):
+        for name, digests in self.VARIANT_DIGESTS.items():
+            for (command, *extra), digest in zip(self.VARIANTS, digests):
+                code, text = invoke("--input", str(DATA / f"{name}.json"), "--command", command, *extra)
+                assert code == 0, text
+                assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, (name, command, extra)
 
     def test_labels_digests(self):
         for name, digest in self.LABELS.items():
@@ -578,7 +616,9 @@ class TestMutatedDocuments:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(doc))
-            for command in ("validate", "hilbert"):
+            # check-all is left out: every run that passes spends ~0.3 s in the fixed
+            # 10,000-trial identity fuzz, whatever the document
+            for command in ("validate", "faces", "labels", "hilbert", "ext", "cohomology"):
                 code, text = invoke("--input", str(path), "--command", command, "--cutoff", "4")
                 assert code in (0, 1, 2, 3), text
                 if code in (1, 2):

@@ -5,6 +5,7 @@ import pytest
 
 from extsheaf import cli
 from extsheaf.faces import downward_closed_families, g_stable_open
+from extsheaf.hsheaf import build_H
 from extsheaf.oracles import brute_sections
 from extsheaf.posets import (
     FiniteSpace,
@@ -142,7 +143,8 @@ class TestCech:
         for name in ("p2", "canonical_l2"):
             doc = cli.load_document(str(DATA / f"{name}.json"))
             cutoff = doc["cutoff"]
-            datum, _, _, H, _ = cli._build(doc, cutoff)
+            datum, _, catalog, _ = cli._datum_catalog(doc)
+            H = build_H(datum, catalog, cutoff)
             for fam in downward_closed_families(datum):
                 U = g_stable_open(datum, H.space, fam)
                 for (i, j), blk in sorted(H.blocks.items()):
@@ -268,7 +270,8 @@ class TestHasseEdges:
     def test_shipped_face_spaces(self):
         for path in sorted(DATA.glob("*.json")):
             doc = cli.load_document(str(path))
-            datum, _, catalog, H, _ = cli._build(doc, 0)
+            datum, _, catalog, _ = cli._datum_catalog(doc)
+            H = build_H(datum, catalog, 0)
             edges = H.space.covering_pairs()
             assert isinstance(edges, tuple), path.stem
             assert edges == brute_hasse(H.space, H.space.points), path.stem
