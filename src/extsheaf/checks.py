@@ -149,10 +149,9 @@ def _sampled_triples(H: HSheaf, rng: random.Random):
 
 def section_algebra_checks(H: HSheaf, ext: ExtAlgebra, rng: random.Random):
     out = []
-    unit = ext.unit_coeffs()
     bad = []
     for x in range(len(ext.basis)):
-        if ext.element_product(unit, {x: 1}) != {x: 1}:
+        if ext.element_product(ext.idempotents[ext.basis[x].block[0]], {x: 1}) != {x: 1}:
             bad.append(x)
             break
     right_bad = []
@@ -221,7 +220,7 @@ def _section_associativity(ext, rng, exhaustive):
     return True, tested
 
 
-def oracle_checks(H: HSheaf, ext: ExtAlgebra, seed: int, fan=None):
+def oracle_checks(H: HSheaf, ext: ExtAlgebra, seed: int, fan):
     out = []
     rng = random.Random(seed)
     # sections: brute force vs incremental on every block over the whole space
@@ -232,8 +231,8 @@ def oracle_checks(H: HSheaf, ext: ExtAlgebra, seed: int, fan=None):
         if got.dims != dict(want.dims):
             bad.append({"block": [i, j], "brute": got.dims, "sections": dict(want.dims)})
     out.append(_entry("oracle.brute-sections", not bad, counterexamples=bad[:3]))
-    # piecewise polynomials vs the trivial-label diagonal block (toric data)
-    if H.datum.mode == "toric" and fan is not None:
+    # piecewise polynomials vs the trivial-label diagonal block (a fan is given exactly for toric data)
+    if fan is not None:
         trivial = next((k for k, lab in enumerate(H.catalog.labels)
                         if lab.orbit == () and not any(lab.char)), None)
         if trivial is not None:
@@ -279,13 +278,13 @@ def oracle_checks(H: HSheaf, ext: ExtAlgebra, seed: int, fan=None):
     return out
 
 
-def run_battery(H: HSheaf, ext: ExtAlgebra, seed: int, fan=None) -> Report:
+def run_battery(H: HSheaf, ext: ExtAlgebra, seed: int, fan) -> Report:
     rng = random.Random(seed)
     entries = []
     entries += poset_axiom_checks(H)
     entries += sheaf_structure_checks(H, rng)
     entries += section_algebra_checks(H, ext, rng)
-    entries += oracle_checks(H, ext, seed, fan=fan)
+    entries += oracle_checks(H, ext, seed, fan)
     conc = concentration_check(H, ext)
     entries += conc.entries
     van = vanishing_report(H)

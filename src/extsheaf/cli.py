@@ -72,9 +72,7 @@ def load_document(path):
                     b not in ("0", "1") if isinstance(b, str) else type(b) is not int or b not in (0, 1)
                     for b in bits):
                 raise SchemaError(f"labels[{k}].character must be a string or list of 0/1 bits")
-    cutoff = doc.get("cutoff", DEFAULT_CUTOFF)
-    if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0 or cutoff % 2:
-        raise SchemaError("cutoff must be a nonnegative even integer")
+    _cutoff(doc.get("cutoff", DEFAULT_CUTOFF))
     if mode == "toric":
         t = _need(doc, "toric", dict)
         _need(t, "lattice_rank", int, where="toric")
@@ -95,6 +93,13 @@ def load_document(path):
         if s.get("Kdatum") is not None:
             _check_kdatum(_need(s, "Kdatum", dict, where="symmetric"))
     return doc
+
+
+def _cutoff(value):
+    """value, if it is a nonnegative even integer (a JSON bool is not)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0 or value % 2:
+        raise SchemaError("cutoff must be a nonnegative even integer")
+    return value
 
 
 def _int_rows(rows, where):
@@ -198,7 +203,7 @@ def document_datum(doc):
         kdata = KData(m=m, l=s["l"], entries=kdatum)
         jmap = {_orbit_from_key(k): tuple(v) for k, v in s["Jmap"].items()}
         datum = SymmetricDatum(V=tuple(s["V"]), S=[tuple(x) for x in s["S"]], l=s["l"],
-                               Jmap=jmap, isotropy=fam, kdata=kdata, mode="symmetric")
+                               Jmap=jmap, isotropy=fam, kdata=kdata)
         dbasis = f2.identity(m)
     labels = doc.get("labels", "all")
     if labels != "all":
@@ -371,7 +376,7 @@ def cmd_cohomology(built, cutoff, seed, block):
 def cmd_check_all(built, cutoff, seed, block):
     datum, dbasis, catalog, fan = built
     H = build_H(datum, catalog, cutoff)
-    report = run_battery(H, ext_algebra(H), seed, fan=fan)
+    report = run_battery(H, ext_algebra(H), seed, fan)
     checks = [{"name": e.name, "status": "pass" if e.ok else "fail", "details": e.details}
               for e in report.entries]
     return (0 if report.ok else 3), {"ok": report.ok, "checks": checks}
@@ -420,9 +425,7 @@ def run(argv, out=None):
         if args.block is not None and not takes_block:
             raise SchemaError(f"--block applies only to ext and hilbert, not to {args.command}")
         doc = load_document(args.input)
-        cutoff = args.cutoff if args.cutoff is not None else doc.get("cutoff", DEFAULT_CUTOFF)
-        if cutoff < 0 or cutoff % 2:
-            raise SchemaError("cutoff must be a nonnegative even integer")
+        cutoff = _cutoff(doc.get("cutoff", DEFAULT_CUTOFF) if args.cutoff is None else args.cutoff)
         built = _datum_catalog(doc)
         block = None if args.block is None else _parse_block(args.block, built[2])
         code, payload = handler(built, cutoff, args.seed, block)

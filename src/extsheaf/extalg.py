@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .faces import closed_face, downward_closed_families, family_name, g_stable_open
 from .hsheaf import HSheaf, unit_label
-from .isotropy import DatumError
+from .isotropy import DatumError, set_name
 from .linalg import Eliminator, rank
 from .posets import cech_cohomology
 
@@ -266,7 +266,7 @@ def vanishing_report(H: HSheaf) -> Report:
                 continue
             ok, detail = _mv_surjectivity(H, delta, fam, cohomology)
             entries.append(ReportEntry(
-                name=f"mv-surjectivity[{famname}][{'+'.join(delta)}]",
+                name=f"mv-surjectivity[{famname}][{set_name(delta)}]",
                 ok=ok, details=detail))
     return Report(ok=all(e.ok for e in entries), entries=entries)
 
@@ -395,7 +395,8 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra) -> Report:
                             break
                         prod = H.multiply_sections(a, b, c, v1, v2)
                         pairs_checked += 1
-                        if ext.element_product(c1, c2) != ext.express((a, c), d1 + d2, prod):
+                        # a Čech vector outside the section span has no coordinates (None)
+                        if None in (c1, c2) or ext.element_product(c1, c2) != ext.express((a, c), d1 + d2, prod):
                             ok_products = False
     entries.append(ReportEntry(
         name="dual-path-products", ok=ok_products,

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import f2
 from .algebra import TwoGroupModule
-from .isotropy import DatumError, IsotropyFamily, orbit_key
+from .isotropy import DatumError, IsotropyFamily, orbit_key, set_name
 from .linalg import exact
 from .posets import FiniteSpace
 
@@ -27,9 +27,7 @@ class FacePoint:
     j: tuple
 
     def key(self):
-        ob = "+".join(self.orbit) if self.orbit else "-"
-        jj = "+".join(str(i) for i in self.j) if self.j else "-"
-        return f"{ob}|{jj}"
+        return f"{set_name(self.orbit)}|{set_name(self.j)}"
 
     @staticmethod
     def from_key(key):
@@ -37,10 +35,6 @@ class FacePoint:
         orbit = () if ob == "-" else tuple(ob.split("+"))
         j = () if jj == "-" else tuple(int(x) for x in jj.split("+"))
         return FacePoint(orbit=orbit, j=j)
-
-
-def jkey(j):
-    return "+".join(str(i) for i in sorted(j)) if j else "-"
 
 
 class KData:
@@ -55,64 +49,58 @@ class KData:
       restrictions: for covering pairs J ⊂ J' a group map tau_{J'} ->
                 tau_J (rows) and an image polynomial per generator.
 
-    The default (absent) K-datum takes tau_J = D, to_open = identity and
-    the scalar algebra everywhere; this is exactly the toric
-    specialization of the stalk formula.
+    The default (absent) K-datum is the entry dict with tau_J = D,
+    identity to_open and tau_map and no generators (the scalar algebra
+    everywhere), read and validated like any other; this is exactly the
+    toric specialization of the stalk formula.
     """
 
     def __init__(self, m, l, entries=None):
         self.m = m
         self.l = l
         self.trivial = entries is None
-        self.entries = {}
         js = [tuple(sorted(c)) for k in range(l + 1) for c in itertools.combinations(range(1, l + 1), k)]
-        pairs = {f"{jkey(j)}>{jkey(jp)}": (j, jp)
+        pairs = {f"{set_name(j)}>{set_name(jp)}": (j, jp)
                  for j in js for jp in js if set(j) < set(jp) and len(jp) == len(j) + 1}
         if entries is None:
             ident = f2.identity(m)
-            for j in js:
-                self.entries[j] = {
-                    "tau_rank": m,
-                    "to_open": ident,
-                    "generators": (),
-                }
-            self._restrictions = {pair: {"tau_map": ident, "gens": ()} for pair in pairs.values()}
-        else:
-            unknown = sorted(set(entries) - {jkey(j) for j in js} - {"restrictions"})
-            if unknown:
-                raise DatumError(f"K-datum key {unknown[0]!r} is not a subset J of 1..{l}")
-            for j in js:
-                if jkey(j) not in entries:
-                    raise DatumError(f"K-datum entry missing for J = {jkey(j)}")
-                e = entries[jkey(j)]
-                gens = tuple((int(g["degree"]), f2.bits(g["signs"])) for g in e.get("generators", ()))
-                rank = int(e["tau_rank"])
-                to_open = tuple(f2.bits(row) for row in e["to_open"])
-                if len(to_open) != rank or any(len(r) != m for r in to_open):
-                    raise DatumError(f"to_open at J = {jkey(j)} must be a {rank} x {m} bit matrix")
-                if any(len(s) != rank for _, s in gens):
-                    raise DatumError(f"generator signs at J = {jkey(j)} must have length {rank}")
-                if any(d <= 0 or d % 2 for d, _ in gens):
-                    raise DatumError("K-datum generator degrees must be positive even integers")
-                self.entries[j] = {"tau_rank": rank, "to_open": to_open, "generators": gens}
-            rest = entries.get("restrictions", {})
-            unknown = sorted(set(rest) - set(pairs))
-            if unknown:
-                raise DatumError(f"K-datum restriction {unknown[0]!r} is not a covering pair J>J'")
-            self._restrictions = {}
-            for key, pair in pairs.items():
-                if key not in rest:
-                    raise DatumError(f"K-datum restriction missing for {key}")
-                r = rest[key]
-                tau_map = tuple(f2.bits(row) for row in r["tau_map"])
-                gens = tuple(
-                    tuple((tuple(int(e) for e in exps), exact(Fraction(str(c)))) for c, exps in poly)
-                    for poly in r.get("gens", ()))
-                self._restrictions[pair] = {"tau_map": tau_map, "gens": gens}
+            entries = {set_name(j): {"tau_rank": m, "to_open": ident} for j in js}
+            entries["restrictions"] = {key: {"tau_map": ident} for key in pairs}
+        unknown = sorted(set(entries) - {set_name(j) for j in js} - {"restrictions"})
+        if unknown:
+            raise DatumError(f"K-datum key {unknown[0]!r} is not a subset J of 1..{l}")
+        self.entries = {}
+        for j in js:
+            if set_name(j) not in entries:
+                raise DatumError(f"K-datum entry missing for J = {set_name(j)}")
+            e = entries[set_name(j)]
+            gens = tuple((int(g["degree"]), f2.bits(g["signs"])) for g in e.get("generators", ()))
+            rank = int(e["tau_rank"])
+            to_open = tuple(f2.bits(row) for row in e["to_open"])
+            if len(to_open) != rank or any(len(r) != m for r in to_open):
+                raise DatumError(f"to_open at J = {set_name(j)} must be a {rank} x {m} bit matrix")
+            if any(len(s) != rank for _, s in gens):
+                raise DatumError(f"generator signs at J = {set_name(j)} must have length {rank}")
+            if any(d <= 0 or d % 2 for d, _ in gens):
+                raise DatumError("K-datum generator degrees must be positive even integers")
+            self.entries[j] = {"tau_rank": rank, "to_open": to_open, "generators": gens}
+        rest = entries.get("restrictions", {})
+        unknown = sorted(set(rest) - set(pairs))
+        if unknown:
+            raise DatumError(f"K-datum restriction {unknown[0]!r} is not a covering pair J>J'")
+        self._restrictions = {}
+        for key, pair in pairs.items():
+            if key not in rest:
+                raise DatumError(f"K-datum restriction missing for {key}")
+            r = rest[key]
+            tau_map = tuple(f2.bits(row) for row in r["tau_map"])
+            gens = tuple(
+                tuple((tuple(int(e) for e in exps), exact(Fraction(str(c)))) for c, exps in poly)
+                for poly in r.get("gens", ()))
+            self._restrictions[pair] = {"tau_map": tau_map, "gens": gens}
         self._module_cache = {}
         self._chain_cache = {}
-        if entries is not None:
-            self._validate()
+        self._validate()
 
     def module(self, j) -> TwoGroupModule:
         j = tuple(sorted(j))
@@ -164,13 +152,13 @@ class KData:
         for (j, jp), r in self._restrictions.items():
             ej, ejp = self.entries[j], self.entries[jp]
             if len(r["tau_map"]) != ejp["tau_rank"] or any(len(row) != ej["tau_rank"] for row in r["tau_map"]):
-                raise DatumError(f"tau_map for {jkey(j)}>{jkey(jp)} has the wrong shape")
+                raise DatumError(f"tau_map for {set_name(j)}>{set_name(jp)} has the wrong shape")
             # t-compatibility: to_open_{J'} = tau_map . to_open_J
             for row, target in zip(r["tau_map"], ejp["to_open"]):
                 if f2.image(row, ej["to_open"]) != tuple(target):
-                    raise DatumError(f"to_open maps for {jkey(j)}>{jkey(jp)} are incompatible")
+                    raise DatumError(f"to_open maps for {set_name(j)}>{set_name(jp)} are incompatible")
             if len(r["gens"]) != len(ej["generators"]):
-                raise DatumError(f"restriction {jkey(j)}>{jkey(jp)} must cover every generator")
+                raise DatumError(f"restriction {set_name(j)}>{set_name(jp)} must cover every generator")
             modp = self.module(jp)
             for (deg, sign), poly in zip(ej["generators"], r["gens"]):
                 pulled = f2.pullback(sign, r["tau_map"])
@@ -179,9 +167,9 @@ class KData:
                         raise DatumError("restriction image has the wrong number of exponents")
                     d2 = sum(d * e for (d, _), e in zip(ejp["generators"], exps))
                     if d2 != deg:
-                        raise DatumError(f"restriction {jkey(j)}>{jkey(jp)} does not preserve degree")
+                        raise DatumError(f"restriction {set_name(j)}>{set_name(jp)} does not preserve degree")
                     if modp.monomial_character(exps) != pulled:
-                        raise DatumError(f"restriction {jkey(j)}>{jkey(jp)} is not equivariant")
+                        raise DatumError(f"restriction {set_name(j)}>{set_name(jp)} is not equivariant")
         # diamond path-independence
         js = sorted(self.entries)
         for j in js:
@@ -194,7 +182,7 @@ class KData:
                     b = self._restrictions[(mid, jp)]
                     paths.append(self._compose(a, b, len(self.entries[jp]["generators"])))
                 if paths[0] != paths[1]:
-                    raise DatumError(f"K-datum restrictions around {jkey(j)}..{jkey(jp)} do not commute")
+                    raise DatumError(f"K-datum restrictions around {set_name(j)}..{set_name(jp)} do not commute")
 
 
 def _substitute(exps, images, nvars):
@@ -223,7 +211,6 @@ class SymmetricDatum:
     Jmap: dict
     isotropy: IsotropyFamily
     kdata: KData
-    mode: str = "symmetric"
 
     def __post_init__(self):
         self.V = tuple(sorted(self.V))
@@ -255,8 +242,6 @@ class SymmetricDatum:
                     raise DatumError(f"Jmap is not monotone between {t} and {s}")
         if set(self.isotropy.orbits) != sset:
             raise DatumError("isotropy family must be indexed exactly by S")
-        if self.isotropy.mode != self.mode:
-            raise DatumError("isotropy family mode does not match the datum mode")
         if self.kdata.m != self.isotropy.m or self.kdata.l != self.l:
             raise DatumError("K-datum shape does not match the datum")
         self._faces = None
@@ -335,6 +320,6 @@ def downward_closed_families(datum: SymmetricDatum):
 
 
 def family_name(fam):
-    """Display name of a family of orbits: divisors joined by '+', '-' for the
-    empty orbit, orbits joined by ','; '(empty)' for the empty family."""
-    return ",".join("+".join(s) if s else "-" for s in fam) or "(empty)"
+    """Display name of a family of orbits: their set_names joined by ',';
+    '(empty)' for the empty family."""
+    return ",".join(set_name(s) for s in fam) or "(empty)"

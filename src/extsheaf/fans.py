@@ -236,7 +236,7 @@ def toric_datum(fan: Fan):
     S = fan.orbit_sets()
     datum = SymmetricDatum(
         V=fan.ray_names(), S=S, l=0, Jmap={s: () for s in S},
-        isotropy=fam, kdata=KData(m=fam.m, l=0), mode="toric")
+        isotropy=fam, kdata=KData(m=fam.m, l=0))
     return datum, dbasis
 
 

@@ -113,7 +113,8 @@ class Block:
     def __init__(self, H, i, j):
         self.i, self.j = i, j
         self.support = support_sets(H.datum, H.catalog, i, j)
-        self.sheaf, self.zero = H.shared_sheaf(H.signature(self.support, i, j))
+        self.sheaf = H.shared_sheaf(H.signature(self.support, i, j))
+        self.zero = self.sheaf.min_degree() is None
 
     def stalk(self, key) -> GradedSpace:
         return self.sheaf.stalks[key]
@@ -139,7 +140,7 @@ class HSheaf:
         self._kimages = {}     # (J, J', K-exponents) -> sorted image terms
         self._stalks = {}      # (rep, 2 d_ab, target) -> GradedSpace
         self._maps = {}        # (rep1, rep2, 2 d_ab, target at rep1) -> label map
-        self._sheaves = {}     # signature -> (GradedSheaf, zero)
+        self._sheaves = {}     # signature -> GradedSheaf
         self._sections = {}    # GradedSheaf -> SectionSpace over the whole space
         n = len(catalog)
         self.blocks = {(i, j): Block(self, i, j) for i in range(n) for j in range(n)}
@@ -210,7 +211,7 @@ class HSheaf:
         return self._kimages[key]
 
     def shared_sheaf(self, signature):
-        """(GradedSheaf, zero) of a block signature, built on its first request."""
+        """The GradedSheaf of a block signature, built on its first request."""
         if signature not in self._sheaves:
             twod, entries = signature
             stalks, at = {}, {}
@@ -222,8 +223,7 @@ class HSheaf:
                 if p in at and q in at:
                     (rep1, target), (rep2, _) = at[p], at[q]
                     restrictions[(p, q)] = self._restriction_map(rep1, rep2, twod, target)
-            sheaf = GradedSheaf(self.space, stalks, restrictions)
-            self._sheaves[signature] = (sheaf, all(not st.dims for st in stalks.values()))
+            self._sheaves[signature] = GradedSheaf(self.space, stalks, restrictions)
         return self._sheaves[signature]
 
     def sections(self, block) -> SectionSpace:

@@ -39,6 +39,11 @@ def orbit_key(divisors):
     return tuple(sorted(divisors))
 
 
+def set_name(items):
+    """Display name of a finite set: its items joined by '+', '-' when empty."""
+    return "+".join(map(str, items)) if items else "-"
+
+
 @dataclass(frozen=True)
 class IsotropyFamily:
     """D = F2^m with a monotone subspace per orbit; subspaces are stored
@@ -46,7 +51,7 @@ class IsotropyFamily:
 
     m: int
     subspaces: dict
-    mode: str = "symmetric"  # or "toric"
+    mode: str  # "symmetric" or "toric"
 
     def __post_init__(self):
         for key, rows in self.subspaces.items():
@@ -107,9 +112,8 @@ class Label:
     char: tuple
 
     def name(self):
-        ob = "+".join(self.orbit) if self.orbit else "-"
         ch = "".join(str(b) for b in self.char) if self.char else "-"
-        return f"({ob};{ch})"
+        return f"({set_name(self.orbit)};{ch})"
 
 
 def monodromy(fam: IsotropyFamily, label: Label, v) -> int:

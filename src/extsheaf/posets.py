@@ -124,12 +124,14 @@ def validate_intersection_axiom(space: FiniteSpace) -> IntersectionReport:
 
 
 class GradedSpace:
-    """Finite-dimensional space per integer degree, with optional basis labels."""
+    """Finite-dimensional space per integer degree, with optional basis labels;
+    a based space maps each label to its degree in degree_of."""
 
     def __init__(self, dims=None, basis=None):
         if basis is not None:
             self.basis = {d: tuple(b) for d, b in basis.items() if b}
             dims = {d: len(b) for d, b in self.basis.items()}
+            self.degree_of = {lab: d for d, labs in self.basis.items() for lab in labs}
         else:
             self.basis = None
         dims = {d: n for d, n in (dims or {}).items() if n}
@@ -160,30 +162,33 @@ class GradedSheaf:
     stalk).  restrictions: (i, j) -> {source_label: ((target_label,
     coefficient), ...)} for i < j; at least the covering pairs out of every
     point with a nonzero stalk must be present, the rest are composed.
+    Every given entry must preserve degree (so the composed ones do too).
     """
 
     def __init__(self, space: FiniteSpace, stalks, restrictions):
         self.space = space
         self.stalks = dict(stalks)
+        empty = GradedSpace(basis={})      # read-only, so one serves every missing point
         for p in space.points:
-            self.stalks.setdefault(p, GradedSpace(basis={}))
+            self.stalks.setdefault(p, empty)
+        if any(st.basis is None for st in self.stalks.values()):
+            raise SpaceError("sheaf stalks need explicit bases")
         self._rest = {}
         for (i, j), m in restrictions.items():
             if i == j or not space.leq(i, j):
                 raise SpaceError(f"restriction on non-comparable pair ({i!r}, {j!r})")
+            source, target = self.stalks[i].degree_of, self.stalks[j].degree_of
+            try:
+                for s, terms in m.items():
+                    d = source[s]
+                    for t, _ in terms:
+                        if target[t] != d:
+                            raise SpaceError("restriction map is not degree-preserving")
+            except KeyError as exc:
+                raise SpaceError(f"{exc.args[0]!r} is not a basis label") from None
             self._rest[(i, j)] = {s: tuple(t) for s, t in m.items()}
-        self._degree_of = {}
-        for p, st in self.stalks.items():
-            if st.basis is None:
-                raise SpaceError("sheaf stalks need explicit bases")
-            for d, labs in st.basis.items():
-                for lab in labs:
-                    self._degree_of[(p, lab)] = d
         # sheaves are read-only once built, so the lowest occupied degree is fixed
         self._min_degree = min((d for st in self.stalks.values() for d in st.dims), default=None)
-
-    def degree(self, point, label):
-        return self._degree_of[(point, label)]
 
     def min_degree(self):
         return self._min_degree
@@ -331,8 +336,6 @@ def global_sections(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff) -> Sectio
                 continue
             for s in labs:
                 for t, c in m.get(s, ()):
-                    if sheaf.degree(j, t) != d:
-                        raise SpaceError("restriction map is not degree-preserving")
                     row = rows[t]
                     row[(i, s)] = row.get((i, s), 0) + c
         for t, d in targets[j]:
@@ -375,11 +378,9 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
         if (i, j) not in pulled:
             back = {}
             m = sheaf.restriction(i, j) if labels[i] else {}
-            for d, labs in labels[i].items():
+            for labs in labels[i].values():
                 for s in labs:
                     for t, c in m.get(s, ()):
-                        if sheaf.degree(j, t) != d:
-                            raise SpaceError("restriction map is not degree-preserving")
                         back.setdefault(t, []).append((s, c))
             pulled[(i, j)] = back
         return pulled[(i, j)]

@@ -597,9 +597,9 @@ def _paths(node, at=()):
 class TestMutatedDocuments:
     """A shipped document with one or two JSON nodes replaced or deleted exits 0-3, never with a traceback."""
 
-    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(st.sampled_from(SHIPPED), st.data())
-    def test_exit_code_without_traceback(self, name, data):
+    @staticmethod
+    def _run(name, data, commands):
+        """Runs the commands at cutoff 4 on the document with one or two nodes mutated."""
         doc = json.loads((DATA / f"{name}.json").read_text())
         for _ in range(data.draw(st.integers(1, 2), label="mutations")):
             paths = list(_paths(doc))
@@ -616,13 +616,23 @@ class TestMutatedDocuments:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(doc))
-            # check-all is left out: every run that passes spends ~0.3 s in the fixed
-            # 10,000-trial identity fuzz, whatever the document
-            for command in ("validate", "faces", "labels", "hilbert", "ext", "cohomology"):
+            for command in commands:
                 code, text = invoke("--input", str(path), "--command", command, "--cutoff", "4")
                 assert code in (0, 1, 2, 3), text
                 if code in (1, 2):
                     assert set(json.loads(text)) == {"error"}
+
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(SHIPPED), st.data())
+    def test_exit_code_without_traceback(self, name, data):
+        self._run(name, data, ("validate", "faces", "labels", "hilbert", "ext", "cohomology"))
+
+    # fewer examples: every check-all run that passes spends ~0.3 s in the fixed
+    # 10,000-trial identity fuzz, whatever the document
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(SHIPPED), st.data())
+    def test_check_all_exit_code_without_traceback(self, name, data):
+        self._run(name, data, ("check-all",))
 
     def test_ragged_subspace_rows(self, tmp_path):
         # rows of different lengths used to reach the F2 echelon and raise IndexError

@@ -196,8 +196,7 @@ class TestPolynomialKRestriction:
         fam = IsotropyFamily(m=1, subspaces={(): (), ("v",): ((1,),)}, mode="symmetric")
         datum = SymmetricDatum(V=("v",), S=[(), ("v",)], l=1,
                                Jmap={(): (), ("v",): (1,)},
-                               isotropy=fam, kdata=KData(m=1, l=1, entries=entries),
-                               mode="symmetric")
+                               isotropy=fam, kdata=KData(m=1, l=1, entries=entries))
         catalog = build_catalog(datum.isotropy, datum.V, "all")
         H = build_H(datum, catalog, 12)
         return H, ext_algebra(H)
@@ -207,7 +206,7 @@ class TestPolynomialKRestriction:
 
         H, ext = self.build()
         assert len(ext.basis) <= checks.EXHAUSTIVE_BASIS     # so every ext triple is tested
-        rep = run_battery(H, ext, seed=3)
+        rep = run_battery(H, ext, seed=3, fan=None)
         assert rep.ok, [e.name for e in rep.entries if not e.ok][:4]
 
     def test_sign_diagonal_counts_invariant_monomials(self):
@@ -335,7 +334,7 @@ class TestHomogeneousProducts:
                         (a, b), (_, c) = bx.block, by.block
                         sheaf = H.blocks[(a, c)].sheaf
                         for f, lab in H.multiply_sections(a, b, c, bx.vector, by.vector):
-                            assert sheaf.degree(f, lab) == bx.degree + by.degree, (name, x, y)
+                            assert sheaf.stalks[f].degree_of[lab] == bx.degree + by.degree, (name, x, y)
                             entries += 1
             assert entries > 0, name
 
@@ -459,6 +458,17 @@ class TestEchelonBasis:
         assert "dual-path[0:0]" in failed
         assert all(name.startswith("dual-path[") for name in failed)
 
+    def test_cech_vector_off_the_section_span_fails_the_products(self):
+        # a section basis without its degree-2 vector of block 1:0, which no product of
+        # basis elements reaches: the Čech H^0 vector it leaves out has no section
+        # coordinates (express gives None), and the product check used to raise
+        # AttributeError on it instead of failing
+        H = _document_H("p1_trivial", 6)
+        sec = H.sections(H.blocks[(1, 0)])
+        sec.vectors[2] = sec.vectors[2][1:]
+        failed = [e.name for e in concentration_check(H, ext_algebra(H)).entries if not e.ok]
+        assert failed == ["dual-path[1:0]", "dual-path-products"]
+
 
 def _unit_label_sheaf(scale):
     """Two points a < b, each stalk the unit label in degree 0; restriction multiplies by scale."""
@@ -563,7 +573,7 @@ class TestBatteryOncePerSheaf:
             return real(space, U, sheaf, cutoff)
 
         monkeypatch.setattr(checks, "brute_sections", counting)
-        entries = {e.name: e for e in checks.oracle_checks(H, ext, seed=2026)}
+        entries = {e.name: e for e in checks.oracle_checks(H, ext, seed=2026, fan=None)}
         assert entries["oracle.brute-sections"].ok
         assert sorted(map(id, seen)) == sorted({id(b.sheaf) for b in H.blocks.values()})
         assert len(seen) < len(H.blocks)

@@ -31,14 +31,14 @@ def canonical_datum(l):
     subs = {s: tuple(tuple(1 if i == int(v[1:]) - 1 else 0 for i in range(l)) for v in s) for s in S}
     fam = IsotropyFamily(m=l, subspaces=subs, mode="symmetric")
     return SymmetricDatum(V=names, S=S, l=l, Jmap=jmap, isotropy=fam,
-                          kdata=KData(m=l, l=l), mode="symmetric")
+                          kdata=KData(m=l, l=l))
 
 
 def toric_datum(fan):
     fam, _ = toric_isotropy(fan)
     S = fan.orbit_sets()
     return SymmetricDatum(V=fan.ray_names(), S=S, l=0, Jmap={s: () for s in S},
-                          isotropy=fam, kdata=KData(m=fam.m, l=0), mode="toric")
+                          isotropy=fam, kdata=KData(m=fam.m, l=0))
 
 
 P1 = Fan(rank=1, overlattice_gens=(), rays=((1,), (-1,)), max_cones=((0,), (1,)))

@@ -175,11 +175,20 @@ class TestCech:
         assert GradedSheaf(sp, {}, {}).min_degree() is None
 
     def test_degree_changing_restriction_rejected(self):
+        # the degree rule is checked once, when the sheaf is built
         sp = chain_space()
         stalks = {"a": GradedSpace(basis={0: ("u",)}), "b": GradedSpace(basis={2: ("v",)})}
-        sh = GradedSheaf(sp, stalks, {("a", "b"): {"u": (("v", ONE),)}})
-        with pytest.raises(SpaceError):
-            cech_cohomology(sp, sp.points, sh, 2)
+        with pytest.raises(SpaceError, match="degree-preserving"):
+            GradedSheaf(sp, stalks, {("a", "b"): {"u": (("v", ONE),)}})
+
+    def test_restriction_into_a_missing_label_rejected(self):
+        # used to escape global_sections and cech_cohomology as KeyError: ('b', 'w')
+        sp = chain_space()
+        stalks = {"a": GradedSpace(basis={0: ("u",)}), "b": GradedSpace(basis={0: ("v",)})}
+        with pytest.raises(SpaceError, match="'w' is not a basis label"):
+            GradedSheaf(sp, stalks, {("a", "b"): {"u": (("w", ONE),)}})
+        with pytest.raises(SpaceError, match="'x' is not a basis label"):
+            GradedSheaf(sp, stalks, {("a", "b"): {"x": (("v", ONE),)}})
 
 
 class TestSections:
