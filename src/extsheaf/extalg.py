@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .faces import closed_face, downward_closed_families, family_name, g_stable_open
 from .hsheaf import HSheaf, unit_label
 from .isotropy import DatumError, set_name
-from .linalg import Eliminator, rank
+from .linalg import _subtract, rank
 from .posets import cech_cohomology
 
 
@@ -44,7 +44,7 @@ class ExtAlgebra:
         self._degrees = {}        # block -> degrees of its ids
         self.truncated_pairs = 0
         self._table = {}
-        self._coord = {}          # (block, degree) -> (basis as pivot rows, pivot -> basis index)
+        self._coord = {}          # (block, degree) -> {pivot: (basis index, basis vector)}
         self._faces = None        # (block, face key) -> ids with an entry there, built by row
         n = len(self.catalog)
         for i, j in itertools.product(range(n), repeat=2):
@@ -62,7 +62,10 @@ class ExtAlgebra:
         self.idempotents = {}
         for a in range(n):
             vec = diagonal_unit(H.blocks[(a, a)].sheaf, self.sections[(a, a)])
-            self.idempotents[a] = self.express((a, a), 0, vec)
+            coeffs = self.express((a, a), 0, vec)
+            if coeffs is None:
+                raise DatumError(f"diagonal unit of block {a}:{a} is not in its degree-0 basis")
+            self.idempotents[a] = coeffs
 
     # -- coordinates
 
@@ -70,23 +73,26 @@ class ExtAlgebra:
         """Coefficients {basis index: c} of a vector in the degree part of
         the block basis, or None if it lies outside that span (as a vector
         with entries of another degree does).  A degree part of the basis is
-        reduced echelon (kernel_basis), so its vectors, keyed by their pivots
-        min(v), are the rows of an Eliminator that is never added to.
+        reduced echelon (kernel_basis): the pivot min(b) of a basis vector b
+        is an entry of no other, so the coefficient of b is the vector's
+        entry at that pivot, and the vector is in the span exactly when
+        subtracting those multiples leaves nothing.
         """
         if not vector:
             return {}
         key = (block, degree)
         if key not in self._coord:
-            elim, index = Eliminator(), {}
-            for i in self.by_block[block]:
-                b = self.basis[i]
-                if b.degree == degree:
-                    pivot = min(b.vector)
-                    elim.pivots[pivot], index[pivot] = b.vector, i
-            self._coord[key] = (elim, index)
-        elim, index = self._coord[key]
-        coeffs, res = elim.coordinates(vector)
-        return None if res else {index[c]: a for c, a in coeffs.items()}
+            part = [self.basis[i] for i in self.by_block[block]]
+            self._coord[key] = {min(b.vector): (b.index, b.vector) for b in part if b.degree == degree}
+        pivots = self._coord[key]
+        coeffs, res = {}, dict(vector)
+        for c, a in vector.items():
+            hit = pivots.get(c)
+            if hit is not None:
+                i, row = hit
+                coeffs[i] = a
+                _subtract(res, row, a)
+        return None if res else coeffs
 
     # -- products
 

@@ -145,6 +145,7 @@ class HSheaf:
         n = len(catalog)
         self.blocks = {(i, j): Block(self, i, j) for i in range(n) for j in range(n)}
         self._twists = {}
+        self._labels = {}      # (x label, y label, twist) -> composed label
 
     # -- the shared pieces
 
@@ -263,13 +264,18 @@ class HSheaf:
         """Stalk-level product of x ∈ H^{ab} and y ∈ H^{bc} at a face.
 
         Returns the label in H^{ac}, whose coefficient is 1 (the twist only
-        contributes a monomial), or None for the zero map.
+        contributes a monomial), or None for the zero map.  The label depends
+        only on the two labels and the twist, and is cached on that key.
         """
         tw = self.product_twist(a, b, c, face_key)
         if tw is None:
             return None
-        (pmx, kmx), (pmy, kmy) = xlab, ylab
-        return mono(*pmx, *pmy, *tw), tuple(x + y for x, y in zip(kmx, kmy))
+        key = (xlab, ylab, tw)
+        lab = self._labels.get(key)
+        if lab is None:
+            (pmx, kmx), (pmy, kmy) = xlab, ylab
+            lab = self._labels[key] = mono(*pmx, *pmy, *tw), tuple(x + y for x, y in zip(kmx, kmy))
+        return lab
 
     def multiply_sections(self, a, b, c, xvec, yvec):
         """Facewise product of section vectors of H^{ab} and H^{bc}.
@@ -277,12 +283,11 @@ class HSheaf:
         Vectors are sparse dicts over (face key, stalk label); the result
         is a vector over H^{ac} coordinates.
         """
-        by_face_y = {}
-        for (f, lab), cv in yvec.items():
-            by_face_y.setdefault(f, []).append((lab, cv))
         out = {}
         for (f, xlab), cx in xvec.items():
-            for ylab, cy in by_face_y.get(f, ()):
+            for (g, ylab), cy in yvec.items():
+                if g != f:
+                    continue
                 lab = self.compose(a, b, c, f, xlab, ylab)
                 if lab is None:
                     continue

@@ -104,7 +104,9 @@ class Eliminator:
     def coordinates(self, row):
         """Express row as a combination of pivot rows.
 
-        Returns (coeffs keyed by pivot column, residual).
+        Returns (coeffs keyed by pivot column, residual).  No engine code
+        calls this (ExtAlgebra.express reads coordinates at the basis
+        pivots); it is kept because perfbench/spans.py traces it by name.
         """
         coeffs = {}
         return coeffs, self.reduce(row, coeffs)

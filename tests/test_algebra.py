@@ -162,6 +162,24 @@ class TestTwistedProduct:
                 nonzero += 1
             assert nonzero, name
 
+    def test_cached_label_is_the_uncached_product(self):
+        # compose caches the label on (x label, y label, twist): a miss and the hit
+        # after it give the same label, the product transcribed from its definition
+        H = _sheaf("p1xp1")
+        calls = misses = 0
+        for f, a, b, c, d1, x, d2, y in _composable(H):
+            tw = H.product_twist(a, b, c, f)
+            if tw is None:
+                assert H.compose(a, b, c, f, x, y) is None
+                continue
+            misses += (x, y, tw) not in H._labels
+            first = H.compose(a, b, c, f, x, y)
+            assert (x, y, tw) in H._labels
+            second = H.compose(a, b, c, f, x, y)
+            assert first == second == (mono(*x[0], *y[0], *tw), tuple(p + q for p, q in zip(x[1], y[1])))
+            calls += 1
+        assert 0 < misses < calls
+
     def test_even_powers_compose(self):
         # the K-part of a product is the sum of the two K-parts
         H = _sheaf("synthetic_symmetric_rank1")

@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from extsheaf import checks, cli, extalg
+from extsheaf.algebra import mono
 from extsheaf.extalg import (
     concentration_check,
     diagonal_unit,
@@ -15,7 +18,7 @@ from extsheaf.extalg import (
 )
 from extsheaf.faces import downward_closed_families, g_stable_open
 from extsheaf.fans import Fan, toric_datum
-from extsheaf.hsheaf import build_H
+from extsheaf.hsheaf import HSheaf, build_H
 from extsheaf.isotropy import DatumError, build_catalog
 from extsheaf.posets import FiniteSpace, GradedSheaf, GradedSpace, SectionSpace, global_sections
 
@@ -318,6 +321,55 @@ class TestTableRows:
         assert any(len({f for f, _ in b.vector}) > 1 for b in ext.basis)
 
 
+def _brute_product(H, a, b, c, xvec, yvec):
+    """Facewise product over every pair of entries, with the label product
+    transcribed from its definition (no cache)."""
+    out = {}
+    for (f, (pmx, kmx)), cx in xvec.items():
+        for (g, (pmy, kmy)), cy in yvec.items():
+            tw = H.product_twist(a, b, c, f)
+            if f == g and tw is not None:
+                key = (f, (mono(*pmx, *pmy, *tw), tuple(p + q for p, q in zip(kmx, kmy))))
+                out[key] = out.get(key, 0) + cx * cy
+    return {k: v for k, v in out.items() if v}
+
+
+class TestMultiplySections:
+    """multiply_sections pairs the entries of x and y that share a face."""
+
+    def test_p3_vectors_on_several_faces(self):
+        H = _H(P3, 4)
+        ext = ext_algebra(H)
+        pairs = 0
+        for x, bx in enumerate(ext.basis):
+            if len({f for f, _ in bx.vector}) == 1:
+                continue
+            for blk in _composable(ext, x):
+                for y in ext.partners(blk, bx.degree):
+                    by = ext.basis[y]
+                    (a, b), (_, c) = bx.block, by.block
+                    want = _brute_product(H, a, b, c, bx.vector, by.vector)
+                    assert H.multiply_sections(a, b, c, bx.vector, by.vector) == want, (x, y)
+                    pairs += bool(want)
+        assert pairs > 0
+
+    def test_cancelling_terms_are_dropped(self):
+        # (p + q) * (q - p) at one face: the two p*q terms cancel, p*p and q*q stay;
+        # the entries at a second face have no partner there
+        H = _H(P3, 4)
+        f = next(f for f in sorted(H.blocks[(0, 0)].support.members())
+                 if len(H.blocks[(0, 0)].stalk(f).basis.get(2, ())) >= 2)
+        p, q = H.blocks[(0, 0)].stalk(f).basis[2][:2]
+        g, u = next((g, labs[0]) for g in sorted(H.blocks[(0, 0)].support.members()) if g != f
+                    for labs in [H.blocks[(0, 0)].stalk(g).basis.get(0, ())] if labs)
+        xvec = {(f, p): 1, (f, q): 1, (g, u): 1}
+        yvec = {(f, q): 1, (f, p): -1}
+        out = H.multiply_sections(0, 0, 0, xvec, yvec)
+        assert out == _brute_product(H, 0, 0, 0, xvec, yvec)
+        assert (f, H.compose(0, 0, 0, f, p, q)) not in out
+        assert out == {(f, H.compose(0, 0, 0, f, q, q)): 1, (f, H.compose(0, 0, 0, f, p, p)): -1}
+
+
 class TestHomogeneousProducts:
     NAMES = ("p1_trivial", "p1_halfint", "canonical_l1", "synthetic_symmetric_rank1")
 
@@ -355,6 +407,23 @@ class TestProductContract:
         x = next(i for i in ext.by_block[(0, 0)] if ext.basis[i].degree == 2)
         assert ext.express((0, 0), 2, ext.basis[x].vector) == {x: 1}
         assert ext.express((0, 0), 4, ext.basis[x].vector) is None
+
+    def test_express_rejects_an_extra_non_pivot_entry(self):
+        # the coefficient read at the pivot is right; only the residual rejects the vector
+        ext = ext_algebra(_H(P3, 2))
+
+        def extra_key(block, x):
+            """A non-pivot entry of another basis vector of x's degree part, not an entry of x."""
+            d = ext.basis[x].degree
+            part = [ext.basis[i].vector for i in ext.by_block[block] if ext.basis[i].degree == d]
+            return min({k for w in part for k in w} - {min(w) for w in part} - set(ext.basis[x].vector),
+                       default=None)
+
+        block, x, k = next((block, x, k) for block, ids in sorted(ext.by_block.items()) for x in ids
+                           if (k := extra_key(block, x)) is not None)
+        bx = ext.basis[x]
+        assert ext.express(block, bx.degree, bx.vector) == {x: 1}
+        assert ext.express(block, bx.degree, {**bx.vector, k: 1}) is None
 
     def test_express_rejects_a_sum_of_two_degrees(self):
         H, ext = build_ext(P1)
@@ -490,6 +559,29 @@ class TestDiagonalUnitCheck:
         assert sec.dims == {0: 1}
         with pytest.raises(DatumError, match="diagonal unit is not a global section"):
             diagonal_unit(sh, sec)
+
+    def test_missing_idempotent_is_a_datum_error(self):
+        # the diagonal unit passes the constraint rows but lies outside a degree-0
+        # basis that lost its vector: no idempotent, so no algebra
+        H = _document_H("p1_trivial", 6)
+        del H.sections(H.blocks[(0, 0)]).vectors[0]
+        with pytest.raises(DatumError, match="diagonal unit of block 0:0"):
+            ext_algebra(H)
+
+    def test_missing_idempotent_exits_2(self, monkeypatch):
+        sections = HSheaf.sections
+
+        def without_unit(H, block):
+            sec = sections(H, block)
+            if (block.i, block.j) == (0, 0):
+                sec.vectors.pop(0, None)
+            return sec
+
+        monkeypatch.setattr(HSheaf, "sections", without_unit)
+        argv = ["--input", str(DATA / "p1_trivial.json"), "--command", "ext", "--cutoff", "6"]
+        out = io.StringIO()
+        assert cli.run(argv, out=out) == 2
+        assert json.loads(out.getvalue())["error"]["kind"] == "datum-invalid"
 
 
 class TestReportsComputeOnce:
