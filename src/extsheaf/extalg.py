@@ -246,11 +246,14 @@ def vanishing_report(H: HSheaf) -> Report:
     """Čech cohomology of H' vanishes in positive degrees on every
     G-stable open, and the closed-face sections surject onto the
     punctured-star sections in the Mayer-Vietoris step.  One complex is
-    computed per (sheaf, open), for this call only.
+    computed per (sheaf, open), and one step per nonempty orbit (each is
+    maximal in its own down-closure), for this call only; each family
+    reports the steps of its maximal orbits.
     """
     entries = []
     datum = H.datum
     cohomology = {}     # (sheaf, open) -> [dims of H^0, H^1, ...]
+    steps = {delta: _mv_surjectivity(H, delta, cohomology) for delta in datum.S if delta}
     for fam in downward_closed_families(datum):
         U = g_stable_open(datum, H.space, fam)
         famname = family_name(fam)
@@ -266,14 +269,12 @@ def vanishing_report(H: HSheaf) -> Report:
             ))
         # Mayer-Vietoris step at each maximal nonempty orbit of the family
         for delta in fam:
-            if any(set(delta) < set(other) for other in fam):
+            if not delta or any(set(delta) < set(other) for other in fam):
                 continue
-            if not delta:
-                continue
-            ok, detail = _mv_surjectivity(H, delta, fam, cohomology)
+            ok, detail = steps[delta]
             entries.append(ReportEntry(
                 name=f"mv-surjectivity[{famname}][{set_name(delta)}]",
-                ok=ok, details=detail))
+                ok=ok, details=dict(detail)))
     return Report(ok=all(e.ok for e in entries), entries=entries)
 
 
@@ -286,34 +287,34 @@ def _cohomology(H: HSheaf, U, sheaf, memo):
     return memo[key]
 
 
-def _mv_surjectivity(H: HSheaf, delta, family, cohomology):
-    """The Mayer-Vietoris step of the vanishing argument, blockwise.
+def _mv_surjectivity(H: HSheaf, delta, cohomology):
+    """The Mayer-Vietoris step of the vanishing argument at the orbit
+    delta, blockwise.
 
-    A block only sees the part of the variety away from its forbidden
-    divisors, so the induction family is restricted accordingly before
-    peeling the orbit delta; sections over the punctured star must be
-    hit by the closed-face stalk, and the punctured star itself carries
-    no higher cohomology.  Both are read from one complex per (sheaf,
-    open) in cohomology, the memo of vanishing_report.  Each region and
-    each passing (sheaf, open) pair is settled once per call.
+    The step peels the faces over delta off a G-stable open whose
+    family has delta maximal, restricted to the orbits away from the
+    block's forbidden divisors F; blocks with delta meeting F are
+    skipped.  What it leaves of the star of the closed face cf is the
+    punctured star U': the faces of minimal_open(cf) not over delta.
+    U' is the same in every family and every block, since each face of
+    the star lies over a subset of delta, and each proper subset of
+    delta is in the family (which is downward closed) and misses F.
+    Sections over U' must be hit by the closed-face stalk, and U'
+    itself carries no higher cohomology.  Both are read from one complex
+    per (sheaf, open) in cohomology, the memo of vanishing_report.  Each
+    passing sheaf is settled once per call.
     """
-    datum = H.datum
-    cf = closed_face(datum, delta).key()
-    star = set(H.space.minimal_open(cf))
+    face = closed_face(H.datum, delta)
+    cf = face.key()
+    over = {f.key() for f in H.datum.faces() if f.orbit == face.orbit}
+    uprime = tuple(q for q in H.space.minimal_open(cf) if q not in over)
     detail = {"closed_face": cf}
-    opens = {}      # region -> its G-stable open
-    settled = set()     # (sheaf, U') pairs that passed
+    settled = set()     # sheaves that passed
     for (i, j), blk in sorted(H.blocks.items()):
         if blk.zero:
             continue
         forbidden = set(H.catalog.dprime(i)) | set(H.catalog.dprime(j))
-        if set(delta) & forbidden:
-            continue
-        region = tuple(s for s in family if not set(s) & forbidden and s != delta)
-        if region not in opens:
-            opens[region] = set(g_stable_open(datum, H.space, region))
-        uprime = tuple(sorted(star & opens[region]))
-        if not uprime or (blk.sheaf, uprime) in settled:
+        if set(delta) & forbidden or blk.sheaf in settled:
             continue
         h0, *hs = _cohomology(H, uprime, blk.sheaf, cohomology)
         if any(hs):
@@ -335,7 +336,7 @@ def _mv_surjectivity(H: HSheaf, delta, family, cohomology):
                 detail["degree"] = d
                 detail["intersection"] = list(uprime)
                 return False, detail
-        settled.add((blk.sheaf, uprime))
+        settled.add(blk.sheaf)
     return True, detail
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -16,10 +17,10 @@ from extsheaf.extalg import (
     ext_module,
     vanishing_report,
 )
-from extsheaf.faces import downward_closed_families, g_stable_open
+from extsheaf.faces import FacePoint, closed_face, downward_closed_families, g_stable_open
 from extsheaf.fans import Fan, toric_datum
 from extsheaf.hsheaf import HSheaf, build_H
-from extsheaf.isotropy import DatumError, build_catalog
+from extsheaf.isotropy import DatumError, build_catalog, set_name
 from extsheaf.posets import FiniteSpace, GradedSheaf, GradedSpace, SectionSpace, global_sections
 
 ONE = Fraction(1)
@@ -586,7 +587,8 @@ class TestDiagonalUnitCheck:
 
 class TestReportsComputeOnce:
     """vanishing_report and concentration_check build one Čech complex per
-    (sheaf, open), and the Mayer-Vietoris step one open per region."""
+    (sheaf, open), and vanishing_report runs one Mayer-Vietoris step per
+    nonempty orbit, over its punctured star."""
 
     NAMES = ("p1xp1", "canonical_l2")
 
@@ -626,28 +628,124 @@ class TestReportsComputeOnce:
             assert sorted(id(s) for s, _ in seen) == sorted({id(b.sheaf) for b in H.blocks.values()})
             assert len(seen) < len(H.blocks), name
 
-    def test_mv_step_one_open_per_region(self, monkeypatch):
-        real_open, real_mv = extalg.g_stable_open, extalg._mv_surjectivity
-        stack, per_call = [], []
+    def test_mv_step_once_per_orbit(self, monkeypatch):
+        real_mv, real_cohomology = extalg._mv_surjectivity, extalg._cohomology
+        stack, opens = [], {}       # opens: orbit -> the opens its step computes on
 
-        def counting_open(datum, space, region):
-            if stack:
-                stack[-1].append(tuple(region))
-            return real_open(datum, space, region)
-
-        def recording_mv(*args):
-            stack.append([])
+        def recording_mv(H, delta, cohomology):
+            stack.append(delta)
+            opens[delta] = set()
             try:
-                return real_mv(*args)
+                return real_mv(H, delta, cohomology)
             finally:
-                per_call.append(stack.pop())
+                stack.pop()
 
-        monkeypatch.setattr(extalg, "g_stable_open", counting_open)
+        def recording_cohomology(H, U, sheaf, memo):
+            if stack:
+                opens[stack[-1]].add(U)
+            return real_cohomology(H, U, sheaf, memo)
+
         monkeypatch.setattr(extalg, "_mv_surjectivity", recording_mv)
-        for name in self.NAMES:
-            per_call.clear()
-            assert vanishing_report(_document_H(name)).ok, name
-            assert per_call and all(len(regions) == len(set(regions)) for regions in per_call), name
+        monkeypatch.setattr(extalg, "_cohomology", recording_cohomology)
+        for name, steps in zip(self.NAMES, (8, 3)):
+            opens.clear()
+            H = _document_H(name)
+            assert vanishing_report(H).ok, name
+            orbits = [s for s in H.datum.S if s]
+            assert len(orbits) == steps and sorted(opens) == sorted(orbits), name
+            # the open of the step before it was made a function of the orbit:
+            # the star of the closed face inside the G-stable open of the family
+            # without delta and without the orbits meeting the forbidden divisors
+            old = {delta: set() for delta in orbits}
+            for fam in downward_closed_families(H.datum):
+                for delta in fam:
+                    if not delta or any(set(delta) < set(other) for other in fam):
+                        continue
+                    star = set(H.space.minimal_open(closed_face(H.datum, delta).key()))
+                    for (i, j), blk in sorted(H.blocks.items()):
+                        forbidden = set(H.catalog.dprime(i)) | set(H.catalog.dprime(j))
+                        if blk.zero or set(delta) & forbidden:
+                            continue
+                        region = [s for s in fam if not set(s) & forbidden and s != delta]
+                        old[delta].add(tuple(sorted(star & set(g_stable_open(H.datum, H.space, region)))))
+            assert old == opens, name
+            assert all(len(us) == 1 for us in opens.values()), name
+            if name == "canonical_l2":
+                assert any(closed_face(H.datum, delta).j for delta in orbits)
+
+
+class TestMayerVietorisSteps:
+    """The entries of vanishing_report are pinned, a failing step fails in
+    every family that peels its orbit, and every step passes on (P^1)^3."""
+
+    # sha256 of json.dumps([[name, ok, details] for each entry]) of
+    # vanishing_report at the document's cutoff
+    VANISHING = {
+        "canonical_l1": "c0489527eeb32a6df35f4c8590be8d3542a775483b78a8298a0f3ea0076d2e18",
+        "canonical_l2": "991adc51c9b3e728c942704b6876c08a41f2418fda0ef95b8db9ece88c6d3529",
+        "p1_halfint": "dc73fe16d8efe320b3c00b929540aac47a13b03c37ac269e84e18fa4ffa205e7",
+        "p1_trivial": "90fe8d17c38d6f77035f47255a4bf7d06af7b01db61af5388532734841182999",
+        "p1xp1": "1f17e9d1c06884b71403f875478b26ed88bf684407f7909fcb8e873cc5a1c7f6",
+        "p2": "a63dfb17755b0f324af0e59336cbe02e9884db71a4b41ec6ed455fa2c88c0789",
+        "synthetic_symmetric_rank1": "d8df0ac30f21f151bf78097a24f6f6228db7777536411d2d58c5179ddad387fe",
+    }
+
+    def test_vanishing_entries_pinned(self):
+        seen = {}
+        for name, H in _shipped_H():
+            rep = vanishing_report(H)
+            blob = json.dumps([[e.name, e.ok, e.details] for e in rep.entries])
+            seen[name] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        assert seen == self.VANISHING
+
+    def test_a_failing_step_fails_in_every_family(self, monkeypatch):
+        H = _document_H("p1xp1")
+        delta = max(H.datum.S, key=len)
+        real_mv, real_rank = extalg._mv_surjectivity, extalg.rank
+        stack = []
+
+        def tracking_mv(H, orbit, cohomology):
+            stack.append(orbit)
+            try:
+                return real_mv(H, orbit, cohomology)
+            finally:
+                stack.pop()
+
+        def short_rank(rows):
+            # the image of the closed face of delta falls one short
+            return real_rank(rows) - (stack[-1] == delta)
+
+        monkeypatch.setattr(extalg, "_mv_surjectivity", tracking_mv)
+        monkeypatch.setattr(extalg, "rank", short_rank)
+        rep = vanishing_report(H)
+        suffix = f"][{set_name(delta)}]"
+        failed = [e for e in rep.entries if not e.ok]
+        assert len(failed) > 1 and all(e.name.startswith("mv-surjectivity[") for e in failed)
+        assert all(e.name.endswith(suffix) for e in failed)
+        assert len(failed) == sum(e.name.endswith(suffix) for e in rep.entries)
+        face = closed_face(H.datum, delta)
+        punctured = [q for q in H.space.minimal_open(face.key())
+                     if FacePoint.from_key(q).orbit != face.orbit]
+        first = failed[0].details
+        assert first["closed_face"] == face.key() and first["intersection"] == punctured
+        for e in failed:
+            assert e.details == first
+            assert {"block", "degree", "intersection"} <= set(e.details)
+        assert len({id(e.details) for e in rep.entries}) == len(rep.entries)
+        argv = ["--input", str(DATA / "p1xp1.json"), "--command", "check-all", "--cutoff", "8"]
+        out = io.StringIO()
+        assert cli.run(argv, out=out) == 3
+        checks_out = {c["name"]: c for c in json.loads(out.getvalue())["checks"]}
+        assert checks_out["vanishing-report"]["status"] == "fail"
+
+    def test_every_step_passes_on_p1_cubed(self):
+        H = _H(P1X3, 8)
+        orbits = [s for s in H.datum.S if s]
+        assert len(orbits) == 26
+        cohomology = {}
+        for delta in orbits:
+            ok, detail = extalg._mv_surjectivity(H, delta, cohomology)
+            assert ok, detail
 
 
 class TestBatteryOncePerSheaf:
