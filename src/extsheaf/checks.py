@@ -6,6 +6,7 @@ seed, and every failure carries a counterexample payload in details.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 
@@ -102,8 +103,14 @@ EXHAUSTIVE_BASIS = 220     # ext.associativity tests every triple up to this bas
 SECTION_TRIPLES = 600      # and otherwise a seeded sample of this many triples
 
 
-def _sampled_triples(H: HSheaf, rng: random.Random):
-    """Direct stalk-level triple products both ways, seeded sample."""
+def _stalk_chains(H: HSheaf, rng: random.Random):
+    """STALK_TRIPLES seeded composable stalk chains x ∈ H^{ab}, y ∈ H^{bc},
+    z ∈ H^{cd} at one face with deg x + deg y + deg z <= cutoff.
+
+    y is drawn among the partners of x that leave room for some z, and z
+    among those that fit, so every x that starts a chain gives one.  Any
+    other x is redrawn, under the same attempt cap as _section_associativity.
+    """
     labels = range(len(H.catalog))
     pool = []
     for f in H.space.points:
@@ -114,30 +121,51 @@ def _sampled_triples(H: HSheaf, rng: random.Random):
                     for lab in labs:
                         pool.append((f, a, b, d, lab))
     if not pool:
-        return True
+        return
     partners = {}
+    extensions = {}
 
     def composable(f, b):
-        """Stalk labels (c, degree, label) of the blocks (b, c) at f, built once per (f, b)."""
+        """Stalk labels (c, degree, label) of the blocks (b, c) at f in
+        degree order, and their degrees; built once per (f, b)."""
         if (f, b) not in partners:
-            partners[(f, b)] = [(c, d2, lab) for c in labels
-                                for d2, labs in sorted(H.blocks[(b, c)].stalk(f).basis.items())
-                                for lab in labs if f in H.blocks[(b, c)].support.members()]
+            found = sorted(((c, d2, lab) for c in labels if f in H.blocks[(b, c)].support.members()
+                            for d2, labs in H.blocks[(b, c)].stalk(f).basis.items() for lab in labs),
+                           key=lambda y: y[1])
+            partners[(f, b)] = found, [y[1] for y in found]
         return partners[(f, b)]
 
-    for _ in range(STALK_TRIPLES):
+    def extendable(f, b):
+        """The y of composable(f, b) that some z follows, in order of deg y
+        plus the least degree of such a z, and those sums; built once per (f, b)."""
+        if (f, b) not in extensions:
+            found = []
+            for y in composable(f, b)[0]:
+                degs = composable(f, y[0])[1]
+                if degs:
+                    found.append((y[1] + degs[0], y))
+            found.sort(key=lambda e: e[0])
+            extensions[(f, b)] = [y for _, y in found], [least for least, _ in found]
+        return extensions[(f, b)]
+
+    produced = attempts = 0
+    while produced < STALK_TRIPLES and attempts < 50 * STALK_TRIPLES:
+        attempts += 1
         f, a, b, d1, x = pool[rng.randrange(len(pool))]
-        # pick composable partners at the same face
-        ys = composable(f, b)
-        if not ys:
+        ys, least = extendable(f, b)
+        k = bisect.bisect_right(least, H.cutoff - d1)
+        if not k:
             continue
-        c, d2, y = ys[rng.randrange(len(ys))]
-        zs = composable(f, c)
-        if not zs:
-            continue
-        dd, d3, z = zs[rng.randrange(len(zs))]
-        if d1 + d2 + d3 > H.cutoff:
-            continue
+        c, d2, y = ys[rng.randrange(k)]
+        zs, degs = composable(f, c)
+        dd, _, z = zs[rng.randrange(bisect.bisect_right(degs, H.cutoff - d1 - d2))]
+        produced += 1
+        yield f, (a, b, c, dd), (x, y, z)
+
+
+def _sampled_triples(H: HSheaf, rng: random.Random):
+    """Direct stalk-level triple products both ways on seeded chains."""
+    for f, (a, b, c, dd), (x, y, z) in _stalk_chains(H, rng):
         xy = H.compose(a, b, c, f, x, y)
         yz = H.compose(b, c, dd, f, y, z)
         left = None if xy is None else H.compose(a, c, dd, f, xy, z)

@@ -12,6 +12,7 @@ two support-set identities behind the twisted product.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -319,9 +320,68 @@ class FuzzReport:
     failures: list = field(default_factory=list)
 
 
+FUZZ_GROUND = tuple(f"g{i}" for i in range(8))
+
+
+def _fuzz_tables():
+    """One tuple T_s per prefix size s = 0..8 of FUZZ_GROUND.
+
+    Each subset S of the first s elements appears L_s / ((s+1)·C(s,|S|))
+    times, where L_s = lcm_k (s+1)·C(s,k), so a uniform entry of T_s has
+    |S| uniform in 0..s and S uniform among the subsets of that size.
+    """
+    tables = []
+    for s in range(len(FUZZ_GROUND) + 1):
+        weights = [(s + 1) * math.comb(s, k) for k in range(s + 1)]
+        length = math.lcm(*weights)
+        table = []
+        for k, weight in enumerate(weights):
+            for subset in itertools.combinations(FUZZ_GROUND[:s], k):
+                table += [frozenset(subset)] * (length // weight)
+        tables.append(tuple(table))
+    return tables
+
+
+def _fuzz_quadruples(trials: int, seed: int):
+    """`trials` seeded quadruples of frozensets, two RNG calls each: a
+    prefix size s, then one index below L_s^4 read as four base-L_s
+    digits into T_s (see _fuzz_tables)."""
+    tables = _fuzz_tables()
+    rng = random.Random(seed)
+    for _ in range(trials):
+        table = tables[rng.randrange(len(tables))]
+        n = len(table)
+        i, a = divmod(rng.randrange(n ** 4), n)
+        i, b = divmod(i, n)
+        d, c = divmod(i, n)
+        yield table[a], table[b], table[c], table[d]
+
+
+def _fuzz_kinds(engine_nabla, a, b, c, d):
+    """The failure kinds of one quadruple, in report order, as a tuple: the
+    empty tuple is shared by every quadruple that passes."""
+    kinds = []
+    abc = engine_nabla(a, b, c)
+    if abc != _nabla(a, b, c):
+        kinds.append("transcription")
+    acd, bcd, abd = engine_nabla(a, c, d), engine_nabla(b, c, d), engine_nabla(a, b, d)
+    if abc | acd != bcd | abd or abc & acd != bcd & abd:
+        kinds.append("cocycle")
+    if len(a - b) + len(b - c) != len(a - c) + len(abc):
+        kinds.append("degree")
+    return tuple(kinds)
+
+
 def identity_fuzz(trials: int, seed: int) -> FuzzReport:
     """Random support quadruples must satisfy the twist cocycle identity
     (as multisets) and the degree bookkeeping identity, exactly.
+
+    Each trial draws a prefix size s uniform in 0..8, then four sets
+    independently: |S| uniform in 0..s and S uniform among the subsets of
+    the first s ground elements of that size.  That takes two RNG calls
+    per trial (see _fuzz_quadruples).  The checks of a quadruple depend on
+    nothing else, so each distinct quadruple is checked once per call and
+    a repeat records the same failures under its own trial number.
 
     The engine's nabla returns sets, and for sets A, B, C, D the multiset
     sums agree, A + B = C + D, exactly when A | B = C | D and
@@ -329,23 +389,14 @@ def identity_fuzz(trials: int, seed: int) -> FuzzReport:
     """
     from .algebra import nabla as engine_nabla
 
-    rng = random.Random(seed)
     failures = []
-    ground = [f"g{i}" for i in range(8)]
-    for t in range(trials):
-        size = rng.randint(0, len(ground))
-        pool = ground[:size] if size else []
-        quad = [set(rng.sample(pool, rng.randint(0, len(pool)))) if pool else set()
-                for _ in range(4)]
-        a, b, c, d = quad
-        abc = engine_nabla(a, b, c)
-        if abc != _nabla(a, b, c):
-            failures.append({"trial": t, "kind": "transcription", "sets": [sorted(x) for x in quad]})
-        acd, bcd, abd = engine_nabla(a, c, d), engine_nabla(b, c, d), engine_nabla(a, b, d)
-        if abc | acd != bcd | abd or abc & acd != bcd & abd:
-            failures.append({"trial": t, "kind": "cocycle", "sets": [sorted(x) for x in quad]})
-        if len(a - b) + len(b - c) != len(a - c) + len(abc):
-            failures.append({"trial": t, "kind": "degree", "sets": [sorted(x) for x in quad]})
+    checked = {}
+    for t, quad in enumerate(_fuzz_quadruples(trials, seed)):
+        kinds = checked.get(quad)
+        if kinds is None:
+            kinds = checked[quad] = _fuzz_kinds(engine_nabla, *quad)
+        for kind in kinds:
+            failures.append({"trial": t, "kind": kind, "sets": [sorted(x) for x in quad]})
         if len(failures) > 10:
             break
     return FuzzReport(ok=not failures, trials=trials, seed=seed, failures=failures)

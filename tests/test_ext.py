@@ -794,3 +794,27 @@ class TestBatteryOncePerSheaf:
         entry = entries["sheaf.restriction-functoriality"]
         assert not entry.ok
         assert [c["block"] for c in entry.details["counterexamples"]] == owners[:3]
+
+
+class TestStalkChains:
+    """sheaf.associativity-sampled-triples tests STALK_TRIPLES composable
+    stalk chains under the cutoff, not the few of its draws that compose."""
+
+    @pytest.mark.parametrize("name", ["p1xp1", "p2"])
+    def test_every_sampled_chain_is_tested(self, monkeypatch, name):
+        H = _document_H(name, cutoff=20)
+        chains = []
+        real = checks._stalk_chains
+
+        def recording(H, rng):
+            for chain in real(H, rng):
+                chains.append(chain)
+                yield chain
+
+        monkeypatch.setattr(checks, "_stalk_chains", recording)
+        assert checks._sampled_triples(H, random.Random(2026))
+        assert len(chains) == checks.STALK_TRIPLES == 400
+        for f, (a, b, c, d), (x, y, z) in chains:
+            degrees = [H.blocks[key].stalk(f).degree_of[lab]
+                       for key, lab in (((a, b), x), ((b, c), y), ((c, d), z))]
+            assert sum(degrees) <= H.cutoff

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -155,16 +157,11 @@ class TestFuzz:
 
 def counter_fuzz(trials, seed):
     """identity_fuzz with the cocycle compared as Counter multisets, the
-    engine's nabla recomputed at every use: the oracle for the set form."""
+    engine's nabla recomputed at every use and no memo: the oracle for the
+    set form, on the same quadruples."""
     engine_nabla, transcription = algebra.nabla, oracles._nabla
-    rng = random.Random(seed)
     failures = []
-    ground = [f"g{i}" for i in range(8)]
-    for t in range(trials):
-        size = rng.randint(0, len(ground))
-        pool = ground[:size] if size else []
-        quad = [set(rng.sample(pool, rng.randint(0, len(pool)))) if pool else set()
-                for _ in range(4)]
+    for t, quad in enumerate(oracles._fuzz_quadruples(trials, seed)):
         a, b, c, d = quad
         if engine_nabla(a, b, c) != transcription(a, b, c):
             failures.append({"trial": t, "kind": "transcription", "sets": [sorted(x) for x in quad]})
@@ -211,3 +208,85 @@ class TestFuzzSetForm:
             assert got == want and not got.ok, name
             kinds |= {f["kind"] for f in got.failures}
         assert kinds == {"cocycle", "degree"}
+
+
+class _Scripted:
+    """Stands in for random.Random: randrange answers from a script and
+    records its bound."""
+
+    def __init__(self, answers):
+        self.answers = iter(answers)
+        self.bounds = []
+
+    def randrange(self, n):
+        self.bounds.append(n)
+        return next(self.answers)
+
+
+class TestFuzzDraws:
+    """The exact tables behind the fuzz, the two draws per trial, and the
+    memo that checks each distinct quadruple once."""
+
+    SUBSETS = [frozenset(c) for k in range(3) for c in itertools.combinations(("g0", "g1"), k)]
+
+    def test_tables(self):
+        tables = oracles._fuzz_tables()
+        assert [len(t) for t in tables] == [1, 2, 6, 12, 60, 60, 420, 840, 2520]
+        for s, table in enumerate(tables):
+            counts = Counter(table)
+            ground = [f"g{i}" for i in range(s)]
+            assert set(counts) == {frozenset(c) for k in range(s + 1)
+                                   for c in itertools.combinations(ground, k)}
+            # each size is equally likely, and each subset within its size
+            assert {n * (s + 1) * math.comb(s, len(S)) for S, n in counts.items()} == {len(table)}
+
+    def test_every_index_decodes_to_one_quadruple(self, monkeypatch):
+        # s = 3: the 12^4 indices give every ordered quadruple of table entries once
+        table = oracles._fuzz_tables()[3]
+        n = len(table)
+        rng = _Scripted(v for i in range(n ** 4) for v in (3, i))
+        monkeypatch.setattr(oracles, "random", types.SimpleNamespace(Random=lambda seed: rng))
+        quads = list(oracles._fuzz_quadruples(n ** 4, 0))
+        assert rng.bounds == [9, n ** 4] * n ** 4
+        assert Counter(quads) == Counter(itertools.product(table, repeat=4))
+
+    def test_each_distinct_quadruple_checked_once(self, monkeypatch):
+        calls = []
+        real = algebra.nabla
+        monkeypatch.setattr(algebra, "nabla", lambda *sets: calls.append(sets) or real(*sets))
+        assert identity_fuzz(10_000, 2026).ok
+        distinct = set(oracles._fuzz_quadruples(10_000, 2026))
+        assert len(distinct) == 6424
+        assert len(calls) == 4 * len(distinct)
+
+    def _reports(self, monkeypatch, quads):
+        monkeypatch.setattr(oracles, "_fuzz_quadruples", lambda trials, seed: iter(quads[:trials]))
+        return identity_fuzz(len(quads), 0), counter_fuzz(len(quads), 0)
+
+    def _kinds(self, monkeypatch, quad):
+        return {f["kind"] for f in self._reports(monkeypatch, [quad])[1].failures}
+
+    def test_a_repeated_quadruple_is_reported_at_each_trial(self, monkeypatch):
+        for name, wrong in sorted(WRONG_NABLAS.items()):
+            monkeypatch.setattr(algebra, "nabla", wrong)
+            quads = list(itertools.product(self.SUBSETS, repeat=4))
+            bad = next(q for q in quads if self._kinds(monkeypatch, q))
+            good = next(q for q in quads if not self._kinds(monkeypatch, q))
+            got, want = self._reports(monkeypatch, [bad, good, bad, good, bad])
+            assert got == want, name
+            assert {f["trial"] for f in got.failures} == {0, 2, 4}, name
+            assert all(f["sets"] == [sorted(x) for x in bad] for f in got.failures), name
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_quadruples_that_differ_in_one_set_are_checked_apart(self, monkeypatch, position):
+        monkeypatch.setattr(algebra, "nabla", WRONG_NABLAS["first-term-only"])
+        for good in itertools.product(self.SUBSETS, repeat=4):
+            if self._kinds(monkeypatch, good):
+                continue
+            for s in self.SUBSETS:
+                bad = good[:position] + (s,) + good[position + 1:]
+                if self._kinds(monkeypatch, bad):
+                    got, want = self._reports(monkeypatch, [good, bad])
+                    assert got == want and {f["trial"] for f in got.failures} == {1}
+                    return
+        pytest.fail("no pair of quadruples differs in one set and in the result")
