@@ -335,6 +335,7 @@ def cmd_ext(built, cutoff, seed, block):
     ext = ext_algebra(build_H(datum, catalog, cutoff))
     blocks = sorted(ext.H.blocks) if block is None else [block]
     shown = set(blocks)
+    names = [b.name for b in ext.basis]
     out_blocks = []
     for i, j in blocks:
         right = [(j, c) for c in range(len(catalog)) if (j, c) == (i, j) or (j, c) in shown]
@@ -343,8 +344,7 @@ def cmd_ext(built, cutoff, seed, block):
             for blk in right:
                 for y, product in ext.row(x, blk):
                     for z, cv in sorted(product.items()):
-                        table.append([ext.basis[x].name, ext.basis[y].name,
-                                      ext.basis[z].name, _frac(cv)])
+                        table.append([names[x], names[y], names[z], _frac(cv)])
         out_blocks.append({
             "alpha": i, "beta": j,
             "hilbert": ext.block_hilbert((i, j)),

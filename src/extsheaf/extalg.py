@@ -32,7 +32,9 @@ class BasisElement:
 class ExtAlgebra:
     """Graded associative unital algebra presented degreewise by basis
     and multiplication table, read by rows (row, unmemoized, for ext) or
-    by pairs (multiply, memoized, for the checks)."""
+    by pairs (multiply, memoized, for the checks).  Both run the one
+    facewise kernel HSheaf.products: a row sweeps x's entries over a face
+    index of its partners, a pair is the kernel with one partner."""
 
     def __init__(self, H: HSheaf):
         self.H = H
@@ -45,7 +47,7 @@ class ExtAlgebra:
         self.truncated_pairs = 0
         self._table = {}
         self._coord = {}          # (block, degree) -> {pivot: (basis index, basis vector)}
-        self._faces = None        # (block, face key) -> ids with an entry there, built by row
+        self._faces = None        # block -> face key -> [(y, label, coeff)] in basis order, built by row
         n = len(self.catalog)
         for i, j in itertools.product(range(n), repeat=2):
             sec = H.sections(H.blocks[(i, j)])
@@ -76,15 +78,21 @@ class ExtAlgebra:
         reduced echelon (kernel_basis): the pivot min(b) of a basis vector b
         is an entry of no other, so the coefficient of b is the vector's
         entry at that pivot, and the vector is in the span exactly when
-        subtracting those multiples leaves nothing.
+        subtracting those multiples leaves nothing.  So a one-entry vector is
+        in the span exactly when its key is the pivot of a basis vector with
+        no other entry, which one lookup settles.
         """
         if not vector:
             return {}
-        key = (block, degree)
-        if key not in self._coord:
+        pivots = self._coord.get((block, degree))
+        if pivots is None:
             part = [self.basis[i] for i in self.by_block[block]]
-            self._coord[key] = {min(b.vector): (b.index, b.vector) for b in part if b.degree == degree}
-        pivots = self._coord[key]
+            pivots = self._coord[(block, degree)] = {min(b.vector): (b.index, b.vector)
+                                                     for b in part if b.degree == degree}
+        if len(vector) == 1:
+            (c, a), = vector.items()
+            hit = pivots.get(c)
+            return {hit[0]: a} if hit is not None and len(hit[1]) == 1 else None
         coeffs, res = {}, dict(vector)
         for c, a in vector.items():
             hit = pivots.get(c)
@@ -103,28 +111,25 @@ class ExtAlgebra:
     def row(self, x: int, block):
         """Yields (y, product) in basis order for the nonzero products of
         basis[x] with its partners in block; the partners the cutoff drops are
-        counted in truncated_pairs.  The product is facewise, so only
-        partners sharing a face with x are multiplied.  Nothing is memoized.
+        counted in truncated_pairs.  One sweep of HSheaf.products over x's
+        entries meets, face by face, only the partners with an entry there
+        (the row-wise sparse product).  Nothing is memoized.
         """
-        ids = self.partners(block, self.basis[x].degree)
+        bx = self.basis[x]
+        ids = self.partners(block, bx.degree)
         self.truncated_pairs += len(self.by_block[block]) - len(ids)
-        if not ids:
+        (a, b), (b2, c) = bx.block, block
+        if not ids or b != b2:
             return
         if self._faces is None:
-            self._faces = {}
-            for b in self.basis:
-                for f in {f for f, _ in b.vector}:
-                    self._faces.setdefault((b.block, f), []).append(b.index)
-        faces = {f for f, _ in self.basis[x].vector}
-        if len(faces) == 1:
-            candidates = self._faces.get((block, faces.pop()), ())
-        else:
-            candidates = sorted({y for f in faces for y in self._faces.get((block, f), ())})
-        last = ids[-1]
-        for y in candidates:
-            if y > last:
-                break
-            out = self._product(x, y)
+            self._faces = {blk: {} for blk in self.by_block}
+            for by in self.basis:
+                faces = self._faces[by.block]
+                for (f, lab), cy in by.vector.items():
+                    faces.setdefault(f, []).append((by.index, lab, cy))
+        products = self.H.products(a, b, c, bx.vector, self._faces[block], ids[-1])
+        for y in sorted(products):
+            out = self._express_product((a, c), bx.degree + self.basis[y].degree, products[y])
             if out:
                 yield y, out
 
@@ -135,21 +140,20 @@ class ExtAlgebra:
         """
         key = (x, y)
         if key not in self._table:
-            self._table[key] = self._product(x, y)
+            bx, by = self.basis[x], self.basis[y]
+            degree = bx.degree + by.degree
+            if degree > self.cutoff:
+                raise ValueError(f"{bx.name} * {by.name} has degree {degree}, past the cutoff {self.cutoff}")
+            (a, b), (b2, c) = bx.block, by.block
+            self._table[key] = {} if b != b2 else self._express_product(
+                (a, c), degree, self.H.multiply_sections(a, b, c, bx.vector, by.vector))
         return self._table[key]
 
-    def _product(self, x: int, y: int):
-        """multiply without the memo."""
-        bx, by = self.basis[x], self.basis[y]
-        degree = bx.degree + by.degree
-        if degree > self.cutoff:
-            raise ValueError(f"{bx.name} * {by.name} has degree {degree}, past the cutoff {self.cutoff}")
-        (a, b), (b2, c) = bx.block, by.block
-        out = {}
-        if b == b2:
-            out = self.express((a, c), degree, self.H.multiply_sections(a, b, c, bx.vector, by.vector))
-            if out is None:
-                raise DatumError("product of sections is not a section")
+    def _express_product(self, block, degree, vector):
+        """express for a product of sections, which must be a section."""
+        out = self.express(block, degree, vector)
+        if out is None:
+            raise DatumError("product of sections is not a section")
         return out
 
     def unit_coeffs(self):

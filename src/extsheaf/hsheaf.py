@@ -260,16 +260,11 @@ class HSheaf:
         self._twists[key] = tw
         return tw
 
-    def compose(self, a, b, c, face_key, xlab, ylab):
-        """Stalk-level product of x ∈ H^{ab} and y ∈ H^{bc} at a face.
-
-        Returns the label in H^{ac}, whose coefficient is 1 (the twist only
-        contributes a monomial), or None for the zero map.  The label depends
-        only on the two labels and the twist, and is cached on that key.
+    def label_product(self, xlab, ylab, tw):
+        """The stalk label of xlab * ylab under the twist monomial tw: the
+        polynomial parts and tw multiply, the K-exponents add.  Its
+        coefficient is 1.  Cached on (xlab, ylab, tw).
         """
-        tw = self.product_twist(a, b, c, face_key)
-        if tw is None:
-            return None
         key = (xlab, ylab, tw)
         lab = self._labels.get(key)
         if lab is None:
@@ -277,27 +272,60 @@ class HSheaf:
             lab = self._labels[key] = mono(*pmx, *pmy, *tw), tuple(x + y for x, y in zip(kmx, kmy))
         return lab
 
+    def compose(self, a, b, c, face_key, xlab, ylab):
+        """Stalk-level product of x ∈ H^{ab} and y ∈ H^{bc} at a face: the
+        label_product under the product_twist, or None for the zero map."""
+        tw = self.product_twist(a, b, c, face_key)
+        return None if tw is None else self.label_product(xlab, ylab, tw)
+
+    def products(self, a, b, c, xvec, partners, last):
+        """Facewise products of a section vector x of H^{ab} with many y of H^{bc}.
+
+        partners maps a face key to the entries [(y, label, coeff)] of the
+        y's at that face, in increasing y; the y's past last are skipped.
+        Returns {y: product vector over H^{ac} coordinates} for every y that
+        shares a face with x where the twist is alive; a vector whose terms
+        cancel is left empty.  The twist is resolved once per face of x.
+        """
+        out = {}
+        twists = {}
+        labels = self._labels
+        for (f, xlab), cx in xvec.items():
+            entries = partners.get(f)
+            if entries is None:
+                continue
+            if f not in twists:
+                twists[f] = self.product_twist(a, b, c, f)
+            tw = twists[f]
+            if tw is None:
+                continue
+            for y, ylab, cy in entries:
+                if y > last:
+                    break
+                # label_product's cache, read inline: the call is made only on a miss
+                lab = labels.get((xlab, ylab, tw)) or self.label_product(xlab, ylab, tw)
+                vec = out.get(y)
+                if vec is None:
+                    vec = out[y] = {}
+                key = (f, lab)
+                v = vec.get(key, 0) + cx * cy
+                if v:
+                    vec[key] = v
+                else:
+                    del vec[key]
+        return out
+
     def multiply_sections(self, a, b, c, xvec, yvec):
-        """Facewise product of section vectors of H^{ab} and H^{bc}.
+        """Facewise product of section vectors of H^{ab} and H^{bc}: products
+        with yvec as the one partner.
 
         Vectors are sparse dicts over (face key, stalk label); the result
         is a vector over H^{ac} coordinates.
         """
-        out = {}
-        for (f, xlab), cx in xvec.items():
-            for (g, ylab), cy in yvec.items():
-                if g != f:
-                    continue
-                lab = self.compose(a, b, c, f, xlab, ylab)
-                if lab is None:
-                    continue
-                key = (f, lab)
-                v = out.get(key, 0) + cx * cy
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return out
+        partners = {}
+        for (f, ylab), cy in yvec.items():
+            partners.setdefault(f, []).append((0, ylab, cy))
+        return self.products(a, b, c, xvec, partners, 0).get(0, {})
 
 
 def build_H(datum: SymmetricDatum, catalog, cutoff: int) -> HSheaf:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -430,6 +431,15 @@ class TestDigestPin:
                                       "8acc343ff6ea86103552e05a906e2fa8abde8d0c8f94202d5cab073c275b3511"),
     }
 
+    # ext on generated P^3 at cutoff 6, as JSON and as TSV: many basis vectors on
+    # several faces.  The file name is fixed, since meta.input is its basename.
+    P3_DOC = {"cutoff": 6, "labels": "all", "mode": "toric",
+              "toric": {"lattice_rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                        "max_cones": [list(c) for c in itertools.combinations(range(4), 3)],
+                        "overlattice_generators": []}}
+    P3_EXT = ("e8470caa079576655d66e2d44a4a93f45c558187cdc43c68e9edbdd8589ac512",
+              "45c8584336c4a0ab03ec4801808a55a4fc001ed3044392005d27e3fa7b4fe5d2")
+
     DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
     NAMES = ("p1_trivial", "p1_halfint", "canonical_l1", "synthetic_symmetric_rank1")
 
@@ -446,6 +456,14 @@ class TestDigestPin:
 
     def test_check_all_digests(self):
         self._check("check-all", "checkall-shipped")
+
+    def test_ext_digests_on_generated_p3(self, tmp_path):
+        doc = tmp_path / "p3.json"
+        doc.write_text(json.dumps(self.P3_DOC))
+        for extra, digest in zip(((), ("--format", "tsv")), self.P3_EXT):
+            code, text = invoke("--input", str(doc), "--command", "ext", *extra)
+            assert code == 0, text
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, extra
 
     def test_check_all_digests_at_seed_7(self):
         for name, digest in self.CHECK_ALL_SEED7.items():

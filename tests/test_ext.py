@@ -270,20 +270,24 @@ class TestDegreeBoundedTable:
             assert payload["truncated_pairs"] == count
 
     def test_table_holds_no_degree_truncated_pair(self, monkeypatch):
-        # ext keeps no memo, so every pair it multiplies is recorded at _product
-        product = extalg.ExtAlgebra._product
+        # ext keeps no memo and sweeps every row through HSheaf.products, so each
+        # pair it multiplies is an x vector and a y of a products result; the x
+        # vector is a basis vector (shared by the blocks of one sheaf, at one degree)
+        products = HSheaf.products
         for name in self.NAMES:
             multiplied = []
 
-            def record(ext, x, y):
-                multiplied.append((x, y))
-                return product(ext, x, y)
+            def record(H, a, b, c, xvec, partners, last):
+                out = products(H, a, b, c, xvec, partners, last)
+                multiplied.extend((xvec, y) for y in out)
+                return out
 
-            monkeypatch.setattr(extalg.ExtAlgebra, "_product", record)
+            monkeypatch.setattr(HSheaf, "products", record)
             ext, _ = self._run_ext(name, monkeypatch)
             assert multiplied, name
-            for x, y in multiplied:
-                assert ext.basis[x].degree + ext.basis[y].degree <= ext.cutoff, (name, x, y)
+            degree = {id(b.vector): b.degree for b in ext.basis}
+            for xvec, y in multiplied:
+                assert degree[id(xvec)] + ext.basis[y].degree <= ext.cutoff, (name, y)
 
     def test_ext_keeps_no_memo(self, monkeypatch):
         for name in self.NAMES:
@@ -426,6 +430,22 @@ class TestProductContract:
         assert ext.express(block, bx.degree, bx.vector) == {x: 1}
         assert ext.express(block, bx.degree, {**bx.vector, k: 1}) is None
 
+    def test_express_one_entry_needs_a_one_entry_basis_vector(self):
+        # a one-entry vector at the pivot of a basis vector b is in the span only
+        # when b has no other entry; its coefficient is the entry
+        longer = single = 0
+        for H in (_document_H("p1xp1", 8), _H(P3, 4)):
+            ext = ext_algebra(H)
+            for b in ext.basis:
+                got = ext.express(b.block, b.degree, {min(b.vector): Fraction(2, 3)})
+                if len(b.vector) > 1:
+                    assert got is None, b.name
+                    longer += 1
+                else:
+                    assert got == {b.index: Fraction(2, 3)}, b.name
+                    single += 1
+        assert longer > 0 and single > 0
+
     def test_express_rejects_a_sum_of_two_degrees(self):
         H, ext = build_ext(P1)
         x = next(i for i in ext.by_block[(0, 0)] if ext.basis[i].degree == 0)
@@ -434,6 +454,37 @@ class TestProductContract:
         vec.update(ext.basis[y].vector)
         for degree in (0, 2):
             assert ext.express((0, 0), degree, vec) is None
+
+
+class TestProductOffTheSpan:
+    """A product that is not in the section span stops the table with DatumError:
+    block 0:0 of p1_trivial at cutoff 6 loses its last top-degree basis vector,
+    on which products land."""
+
+    MESSAGE = "product of sections is not a section"
+
+    @staticmethod
+    def _dropped(H):
+        sec = H.sections(H.blocks[(0, 0)])
+        top = max(sec.vectors)
+        sec.vectors[top] = sec.vectors[top][:-1]
+        return H
+
+    def test_row_raises(self):
+        ext = ext_algebra(self._dropped(_document_H("p1_trivial", 6)))
+        with pytest.raises(DatumError) as exc:
+            for x in ext.by_block[(0, 0)]:
+                list(ext.row(x, (0, 0)))
+        assert str(exc.value) == self.MESSAGE
+
+    def test_ext_exits_2(self, monkeypatch):
+        build = cli.build_H
+        monkeypatch.setattr(cli, "build_H", lambda *args: self._dropped(build(*args)))
+        buf = io.StringIO()
+        code = cli.run(["--input", str(DATA / "p1_trivial.json"), "--command", "ext", "--cutoff", "6"],
+                       out=buf)
+        assert code == 2
+        assert json.loads(buf.getvalue()) == {"error": {"kind": "datum-invalid", "message": self.MESSAGE}}
 
 
 P3 = Fan(rank=3, overlattice_gens=(),
