@@ -51,8 +51,12 @@ def load_document(path):
             doc = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read input: {exc}")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"input is not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"input is not valid JSON: {exc}")
+    except RecursionError:
+        raise SchemaError("input is nested too deeply to parse")
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
     mode = _need(doc, "mode", str)
@@ -222,28 +226,85 @@ def _frac(x):
     return str(x)
 
 
+class Rows:
+    """A table already written as text in the output format, which emit_json
+    and emit_tsv put where it sits in the payload: in JSON the elements of
+    the array, comma-separated; in TSV its whole lines, each ending in a
+    newline.  The text is built once, as the rows are made, so that no row
+    is kept as a list (see cmd_ext)."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _holds_rows(obj):
+    """Whether a Rows lies in the dict or list obj; its own values are looked at first."""
+    values = obj.values() if isinstance(obj, dict) else obj
+    for v in values:
+        if type(v) is Rows:
+            return True
+    for v in values:
+        if isinstance(v, (dict, list)) and _holds_rows(v):
+            return True
+    return False
+
+
+def _json_parts(obj, parts):
+    """Append the canonical JSON of obj to parts: a dict or list that holds a
+    Rows piece by piece, anything else in one json.dumps."""
+    if type(obj) is Rows:
+        parts += ("[", obj.text, "]")
+    elif isinstance(obj, dict) and _holds_rows(obj):
+        sep = "{"
+        for k in sorted(obj):
+            parts.append(sep + _dumps(k) + ":")
+            _json_parts(obj[k], parts)
+            sep = ","
+        parts.append("}")
+    elif isinstance(obj, list) and _holds_rows(obj):
+        sep = "["
+        for x in obj:
+            parts.append(sep)
+            _json_parts(x, parts)
+            sep = ","
+        parts.append("]")
+    else:
+        parts.append(_dumps(obj))
+
+
 def emit_json(payload):
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    parts = []
+    _json_parts(payload, parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def emit_tsv(payload):
-    lines = []
+    parts = []
 
     def walk(prefix, obj):
-        if isinstance(obj, dict):
+        if type(obj) is Rows:
+            parts.append(obj.text)
+        elif isinstance(obj, dict):
             for k in sorted(obj):
                 walk(prefix + [str(k)], obj[k])
         elif isinstance(obj, list):
             if obj and all(isinstance(x, (str, int, float)) for x in obj):
-                lines.append("\t".join(prefix + [",".join(str(x) for x in obj)]))
+                parts.append("\t".join(prefix + [",".join(str(x) for x in obj)]) + "\n")
             else:
                 for i, x in enumerate(obj):
                     walk(prefix + [str(i)], x)
         else:
-            lines.append("\t".join(prefix + [str(obj)]))
+            parts.append("\t".join(prefix + [str(obj)]) + "\n")
 
     walk([], payload)
-    return "\n".join(lines) + "\n"
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +317,7 @@ def _datum_catalog(doc):
     return datum, dbasis, build_catalog(datum.isotropy, datum.V, labels), fan
 
 
-def cmd_validate(built, cutoff, seed, block):
+def cmd_validate(built, cutoff, seed, block, fmt):
     datum, dbasis, catalog, fan = built
     H = build_H(datum, catalog, cutoff)
     checks = [{"name": "schema", "status": "pass"},
@@ -269,12 +330,12 @@ def cmd_validate(built, cutoff, seed, block):
     return 0, {"checks": checks}
 
 
-def cmd_faces(built, cutoff, seed, block):
+def cmd_faces(built, cutoff, seed, block, fmt):
     datum, dbasis, catalog, fan = built
     return 0, {"faces": [{"orbit": list(f.orbit), "J": list(f.j)} for f in datum.faces()]}
 
 
-def cmd_labels(built, cutoff, seed, block):
+def cmd_labels(built, cutoff, seed, block, fmt):
     datum, dbasis, catalog, fan = built
     labels = [{"index": k, "orbit": list(lab.orbit), "character": "".join(str(b) for b in lab.char),
                "delta_prime": list(catalog.dprime(k))} for k, lab in enumerate(catalog.labels)]
@@ -302,7 +363,7 @@ def _parse_block(text, catalog):
     return a, b
 
 
-def cmd_hilbert(built, cutoff, seed, block):
+def cmd_hilbert(built, cutoff, seed, block, fmt):
     """Block Hilbert series from section ranks, no ext basis; every diagonal
     unit is checked, as ext does, whatever block is shown."""
     datum, dbasis, catalog, fan = built
@@ -330,33 +391,41 @@ def _basis_entry(ext, idx):
     }
 
 
-def cmd_ext(built, cutoff, seed, block):
+def cmd_ext(built, cutoff, seed, block, fmt):
+    """Basis and multiplication table; each table row [x, y, z, c] (basis
+    names and a coefficient) is written as text in fmt as row yields it, and
+    the rows of a block are joined into one Rows."""
     datum, dbasis, catalog, fan = built
     ext = ext_algebra(build_H(datum, catalog, cutoff))
     blocks = sorted(ext.H.blocks) if block is None else [block]
     shown = set(blocks)
     names = [b.name for b in ext.basis]
+    as_json = fmt == "json"
     out_blocks = []
-    for i, j in blocks:
+    for b, (i, j) in enumerate(blocks):
         right = [(j, c) for c in range(len(catalog)) if (j, c) == (i, j) or (j, c) in shown]
-        table = []
+        head = f"blocks\t{b}\ttable\t"       # the TSV path of the table: blocks[b].table
+        rows = []
         for x in ext.by_block[(i, j)]:
+            nx = names[x]
             for blk in right:
                 for y, product in ext.row(x, blk):
+                    ny = names[y]
                     for z, cv in sorted(product.items()):
-                        table.append([names[x], names[y], names[z], _frac(cv)])
+                        rows.append(f'["{nx}","{ny}","{names[z]}","{cv!s}"]' if as_json
+                                    else f"{head}{len(rows)}\t{nx},{ny},{names[z]},{cv!s}\n")
         out_blocks.append({
             "alpha": i, "beta": j,
             "hilbert": ext.block_hilbert((i, j)),
             "basis": [_basis_entry(ext, idx) for idx in ext.by_block[(i, j)]],
-            "table": table,
+            "table": Rows(("," if as_json else "").join(rows)),
         })
     return 0, {"unit": {ext.basis[k].name: _frac(v) for k, v in sorted(ext.unit_coeffs().items())},
                "truncated_pairs": ext.truncated_pairs,
                "blocks": out_blocks}
 
 
-def cmd_cohomology(built, cutoff, seed, block):
+def cmd_cohomology(built, cutoff, seed, block, fmt):
     datum, dbasis, catalog, fan = built
     H = build_H(datum, catalog, cutoff)
     opens = []
@@ -373,7 +442,7 @@ def cmd_cohomology(built, cutoff, seed, block):
     return 0, {"opens": opens}
 
 
-def cmd_check_all(built, cutoff, seed, block):
+def cmd_check_all(built, cutoff, seed, block, fmt):
     datum, dbasis, catalog, fan = built
     H = build_H(datum, catalog, cutoff)
     report = run_battery(H, ext_algebra(H), seed, fan)
@@ -383,8 +452,8 @@ def cmd_check_all(built, cutoff, seed, block):
 
 
 # command name -> (handler, whether it takes --block).  run calls
-# handler(_datum_catalog(doc), cutoff, seed, block or None), which returns
-# (exit code, payload), and adds the payload's "meta" itself.
+# handler(_datum_catalog(doc), cutoff, seed, block or None, format), which
+# returns (exit code, payload), and adds the payload's "meta" itself.
 COMMANDS = {
     "validate": (cmd_validate, False),
     "faces": (cmd_faces, False),
@@ -428,7 +497,7 @@ def run(argv, out=None):
         cutoff = _cutoff(doc.get("cutoff", DEFAULT_CUTOFF) if args.cutoff is None else args.cutoff)
         built = _datum_catalog(doc)
         block = None if args.block is None else _parse_block(args.block, built[2])
-        code, payload = handler(built, cutoff, args.seed, block)
+        code, payload = handler(built, cutoff, args.seed, block, args.format)
         payload["meta"] = {"input": os.path.basename(args.input), "command": args.command,
                            "cutoff": cutoff, "seed": args.seed, "format_version": 1}
         out.write(emit_json(payload) if args.format == "json" else emit_tsv(payload))

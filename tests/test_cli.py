@@ -1,8 +1,10 @@
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,7 +16,8 @@ from extsheaf.cli import (
     parse_labels_output,
     run,
 )
-from extsheaf.extalg import ExtAlgebra
+from extsheaf.extalg import ExtAlgebra, ext_algebra
+from extsheaf.hsheaf import build_H
 from extsheaf.isotropy import build_catalog
 from extsheaf.posets import SectionSpace
 
@@ -106,6 +109,21 @@ class TestErrors:
         code, payload = invoke_json("--input", str(p), "--command", "validate")
         assert code == 1
         assert "overlattice_generators" in payload["error"]["message"]
+
+    def test_file_not_in_utf8_is_schema_error(self, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes('{"mode": "toric", "labels": "ä"}'.encode("latin-1"))
+        code, payload = invoke_json("--input", str(p), "--command", "validate")
+        assert code == 1
+        assert payload["error"]["kind"] == "schema"
+        assert "UTF-8" in payload["error"]["message"]
+
+    def test_deeply_nested_file_is_schema_error(self, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text('{"mode": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, payload = invoke_json("--input", str(p), "--command", "validate")
+        assert code == 1
+        assert payload["error"] == {"kind": "schema", "message": "input is nested too deeply to parse"}
 
     def test_block_rejected_where_it_does_not_apply(self):
         # only ext and hilbert show one block; the other commands refuse --block
@@ -549,6 +567,71 @@ class TestSymmetricTypes:
         code, payload = self._validate(tmp_path, lambda d: d["symmetric"]["D_subspaces"].update(v="zz"))
         assert code == 1
         assert "symmetric.D_subspaces['v']" in payload["error"]["message"]
+
+
+def _generated_documents():
+    """perfbench/documents.py, which generates the benchmark's and CI's documents."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_documents", Path(__file__).resolve().parents[1] / "perfbench" / "documents.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTableEmission:
+    """ext writes each table row as text as it is made.  Its bytes equal the
+    emitters' output for the table held as lists of four str, which the
+    reference below builds from ExtAlgebra.row."""
+
+    @staticmethod
+    def _list_payload(path, block):
+        doc = load_document(str(path))
+        datum, _, catalog, _ = cli._datum_catalog(doc)
+        ext = ext_algebra(build_H(datum, catalog, doc["cutoff"]))
+        blocks = sorted(ext.H.blocks) if block is None else [block]
+        names = [b.name for b in ext.basis]
+        out = []
+        for i, j in blocks:
+            right = [(j, c) for c in range(len(catalog)) if (j, c) == (i, j) or (j, c) in blocks]
+            table = [[names[x], names[y], names[z], str(c)]
+                     for x in ext.by_block[(i, j)] for blk in right
+                     for y, product in ext.row(x, blk) for z, c in sorted(product.items())]
+            out.append({"alpha": i, "beta": j, "hilbert": ext.block_hilbert((i, j)),
+                        "basis": [cli._basis_entry(ext, idx) for idx in ext.by_block[(i, j)]],
+                        "table": table})
+        return {"unit": {ext.basis[k].name: str(v) for k, v in sorted(ext.unit_coeffs().items())},
+                "truncated_pairs": ext.truncated_pairs,
+                "blocks": out,
+                "meta": {"input": path.name, "command": "ext", "cutoff": doc["cutoff"],
+                         "seed": cli.DEFAULT_SEED, "format_version": 1}}
+
+    def test_bytes_equal_the_list_table(self, tmp_path):
+        docs = _generated_documents()
+        for name, doc in (("p3", docs.projective_space(3, cutoff=6)), ("f1", docs.hirzebruch(1, cutoff=8)),
+                          ("l3", docs.canonical_symmetric(3, cutoff=8))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(docs.dump(doc))
+            for block, extra in ((None, ()), ((0, 0), ("--block", "0:0"))):
+                want = self._list_payload(path, block)
+                assert any(b["table"] for b in want["blocks"]), (name, block)
+                assert cli.emit_json(want) == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
+                for fmt, emit in (("json", cli.emit_json), ("tsv", cli.emit_tsv)):
+                    code, text = invoke("--input", str(path), "--command", "ext", "--format", fmt, *extra)
+                    assert code == 0, text
+                    assert text == emit(want), (name, block, fmt)
+
+    def test_traced_peak_of_ext(self):
+        # canonical_l2: 47,785 table rows and 1.33 MiB of output; held as lists
+        # of four str before one json.dumps, the rows made the peak 11.4 MiB
+        buf = io.StringIO()
+        tracemalloc.start()
+        try:
+            code = run(["--input", str(DATA / "canonical_l2.json"), "--command", "ext"], out=buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 6 * 2**20, peak
 
 
 class TestBuildOnce:

@@ -238,10 +238,11 @@ class TestDegreeBoundedTable:
             return built[-1]
 
         monkeypatch.setattr(cli, "ext_algebra", capture)
-        doc = cli.load_document(str(DATA / f"{name}.json"))
-        code, payload = cli.cmd_ext(cli._datum_catalog(doc), doc["cutoff"], cli.DEFAULT_SEED, None)
+        buf = io.StringIO()
+        code = cli.run(["--input", str(DATA / f"{name}.json"), "--command", "ext"], out=buf)
         assert code == 0
-        return built[0], payload
+        assert len(built) == 1
+        return built[0], json.loads(buf.getvalue())
 
     def test_partners_are_the_pairs_in_range(self):
         for name in self.NAMES:

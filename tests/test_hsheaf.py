@@ -340,7 +340,7 @@ class TestSharedSheaves:
             doc = cli.load_document(str(path))
             H = document_H(doc, 8)
             seen = self._count_sections(monkeypatch)
-            cli.cmd_hilbert(cli._datum_catalog(doc), 8, 0, None)
+            cli.cmd_hilbert(cli._datum_catalog(doc), 8, 0, None, "json")
             assert len(seen) == len({id(s) for s in seen})
             assert len(seen) == len({id(b.sheaf) for b in H.blocks.values()}) < len(H.blocks)
 
