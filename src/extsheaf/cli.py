@@ -411,7 +411,7 @@ def cmd_ext(built, cutoff, seed, block, fmt):
             for blk in right:
                 for y, product in ext.row(x, blk):
                     ny = names[y]
-                    for z, cv in sorted(product.items()):
+                    for z, cv in product.items():
                         rows.append(f'["{nx}","{ny}","{names[z]}","{cv!s}"]' if as_json
                                     else f"{head}{len(rows)}\t{nx},{ny},{names[z]},{cv!s}\n")
         out_blocks.append({

@@ -32,9 +32,10 @@ class BasisElement:
 class ExtAlgebra:
     """Graded associative unital algebra presented degreewise by basis
     and multiplication table, read by rows (row, unmemoized, for ext) or
-    by pairs (multiply, memoized, for the checks).  Both run the one
-    facewise kernel HSheaf.products: a row sweeps x's entries over a face
-    index of its partners, a pair is the kernel with one partner."""
+    by pairs (multiply, memoized, for the checks).  A row settles each
+    one-term product with one pivot lookup and sweeps the others with the
+    one facewise kernel HSheaf.products over a face index of x's partners;
+    a pair is HSheaf.multiply_sections."""
 
     def __init__(self, H: HSheaf):
         self.H = H
@@ -48,6 +49,7 @@ class ExtAlgebra:
         self._table = {}
         self._coord = {}          # (block, degree) -> {pivot: (basis index, basis vector)}
         self._faces = None        # block -> face key -> [(y, label, coeff)] in basis order, built by row
+        self._crowded = None      # (block, face key) where a basis vector has several entries, built by row
         n = len(self.catalog)
         for i, j in itertools.product(range(n), repeat=2):
             sec = H.sections(H.blocks[(i, j)])
@@ -84,11 +86,7 @@ class ExtAlgebra:
         """
         if not vector:
             return {}
-        pivots = self._coord.get((block, degree))
-        if pivots is None:
-            part = [self.basis[i] for i in self.by_block[block]]
-            pivots = self._coord[(block, degree)] = {min(b.vector): (b.index, b.vector)
-                                                     for b in part if b.degree == degree}
+        pivots = self._pivots(block, degree)
         if len(vector) == 1:
             (c, a), = vector.items()
             hit = pivots.get(c)
@@ -102,6 +100,15 @@ class ExtAlgebra:
                 _subtract(res, row, a)
         return None if res else coeffs
 
+    def _pivots(self, block, degree):
+        """{pivot: (basis index, basis vector)} of the degree part of block, built on first use."""
+        pivots = self._coord.get((block, degree))
+        if pivots is None:
+            part = [self.basis[i] for i in self.by_block[block]]
+            pivots = self._coord[(block, degree)] = {min(b.vector): (b.index, b.vector)
+                                                     for b in part if b.degree == degree}
+        return pivots
+
     # -- products
 
     def partners(self, block, degree):
@@ -109,11 +116,13 @@ class ExtAlgebra:
         return self.by_block[block][:bisect_right(self._degrees[block], self.cutoff - degree)]
 
     def row(self, x: int, block):
-        """Yields (y, product) in basis order for the nonzero products of
-        basis[x] with its partners in block; the partners the cutoff drops are
-        counted in truncated_pairs.  One sweep of HSheaf.products over x's
-        entries meets, face by face, only the partners with an entry there
-        (the row-wise sparse product).  Nothing is memoized.
+        """Yields (y, {z: c} in increasing z) in basis order for the nonzero
+        products of basis[x] with its partners in block; the partners the
+        cutoff drops are counted in truncated_pairs.  If x has one entry (f,
+        label) and no basis vector of block has two at f, each product has
+        one term, settled by one pivot lookup as in express.  Otherwise one
+        sweep of HSheaf.products meets, face by face, only the partners with
+        an entry there.  Nothing is memoized.
         """
         bx = self.basis[x]
         ids = self.partners(block, bx.degree)
@@ -122,16 +131,36 @@ class ExtAlgebra:
         if not ids or b != b2:
             return
         if self._faces is None:
-            self._faces = {blk: {} for blk in self.by_block}
+            self._faces, self._crowded = {blk: {} for blk in self.by_block}, set()
             for by in self.basis:
                 faces = self._faces[by.block]
                 for (f, lab), cy in by.vector.items():
-                    faces.setdefault(f, []).append((by.index, lab, cy))
-        products = self.H.products(a, b, c, bx.vector, self._faces[block], ids[-1])
-        for y in sorted(products):
-            out = self._express_product((a, c), bx.degree + self.basis[y].degree, products[y])
-            if out:
-                yield y, out
+                    entries = faces.setdefault(f, [])
+                    if entries and entries[-1][0] == by.index:
+                        self._crowded.add((by.block, f))
+                    entries.append((by.index, lab, cy))
+        H, basis, last = self.H, self.basis, ids[-1]
+        (f, xlab), cx = next(iter(bx.vector.items()))
+        if len(bx.vector) > 1 or (block, f) in self._crowded:
+            products = H.products(a, b, c, bx.vector, self._faces[block], last)
+            for y in sorted(products):
+                out = self._express_product((a, c), bx.degree + basis[y].degree, products[y])
+                if out:
+                    yield y, out if len(out) == 1 else dict(sorted(out.items()))
+            return
+        tw = H.product_twist(a, b, c, f)
+        if tw is None:
+            return
+        dx, degree, pivots = bx.degree, None, None
+        for y, ylab, cy in self._faces[block].get(f, ()):
+            if y > last:
+                break
+            if (d := dx + basis[y].degree) != degree:
+                degree, pivots = d, self._pivots((a, c), d)
+            hit = pivots.get((f, H.label_product(xlab, ylab, tw)))
+            if hit is None or len(hit[1]) > 1:
+                raise DatumError("product of sections is not a section")
+            yield y, {hit[0]: cx * cy}
 
     def multiply(self, x: int, y: int):
         """Structure constants {z index: coefficient} of basis[x] * basis[y],

@@ -317,11 +317,16 @@ class HSheaf:
 
     def multiply_sections(self, a, b, c, xvec, yvec):
         """Facewise product of section vectors of H^{ab} and H^{bc}: products
-        with yvec as the one partner.
+        with yvec as the one partner, or compose when both have one entry.
 
         Vectors are sparse dicts over (face key, stalk label); the result
         is a vector over H^{ac} coordinates.
         """
+        if len(xvec) == len(yvec) == 1:
+            ((f, xlab), cx), = xvec.items()
+            ((g, ylab), cy), = yvec.items()
+            lab = self.compose(a, b, c, f, xlab, ylab) if f == g else None
+            return {} if lab is None else {(f, lab): cx * cy}
         partners = {}
         for (f, ylab), cy in yvec.items():
             partners.setdefault(f, []).append((0, ylab, cy))

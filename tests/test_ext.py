@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -326,6 +327,52 @@ class TestTableRows:
         ext = self._check("P^3", _H(P3, 6))
         assert any(len({f for f, _ in b.vector}) > 1 for b in ext.basis)
 
+    def test_generated_f1_and_l3(self):
+        # l=3 at cutoff 8: 1,208 of its 2,240 basis vectors have several entries,
+        # so its rows take both the pivot lookup and the products sweep
+        self._check("F_1", _H(F1, 8))
+        ext = self._check("l=3", _l3_H())
+        assert (sum(len(b.vector) > 1 for b in ext.basis), len(ext.basis)) == (1208, 2240)
+
+    def test_one_entry_rows_make_no_product_vector(self, monkeypatch):
+        # a one-entry x settles each product at a pivot: no products sweep, no express
+        ext = ext_algebra(_document_H("p1xp1"))
+        calls = []
+        monkeypatch.setattr(HSheaf, "products", lambda *args: calls.append("products"))
+        monkeypatch.setattr(extalg.ExtAlgebra, "express", lambda *args: calls.append("express"))
+        products = 0
+        for x, bx in enumerate(ext.basis):
+            if len(bx.vector) == 1:
+                for blk in _composable(ext, x):
+                    for y, product in ext.row(x, blk):
+                        assert len(product) == 1, (x, y)
+                        products += 1
+        assert products > 0 and calls == []
+
+    def test_partner_with_two_entries_on_the_face(self):
+        # y becomes y + y2, basis vectors of one degree with distinct labels at the face
+        # f of a one-entry x: still a section, so row and multiply agree on it
+        H = _document_H("p1xp1", 6)
+        by_row, by_pair = ext_algebra(H), ext_algebra(H)
+        x, blk, y, y2 = next(
+            (x, blk, y, y2) for x, bx in enumerate(by_row.basis) if len(bx.vector) == 1
+            for (f, _), in [bx.vector] if bx.block[0] != bx.block[1]
+            for blk in _composable(by_row, x) if H.product_twist(*bx.block, blk[1], f) is not None
+            for y, y2 in itertools.combinations(by_row.partners(blk, bx.degree), 2)
+            if by_row.basis[y].degree == by_row.basis[y2].degree
+            and len({k for k in {**by_row.basis[y].vector, **by_row.basis[y2].vector} if k[0] == f}) == 2)
+        for ext in (by_row, by_pair):
+            vy, vy2 = ext.basis[y].vector, ext.basis[y2].vector
+            ext.basis[y].vector = {k: vy.get(k, 0) + vy2.get(k, 0) for k in {**vy, **vy2}}
+        for x2 in by_row.by_block[by_row.basis[x].block]:
+            got = list(by_row.row(x2, blk))
+            assert got == [(z, m) for z in by_pair.partners(blk, by_pair.basis[x2].degree)
+                           if (m := by_pair.multiply(x2, z))], x2
+            if x2 == x:
+                assert len(dict(got)[y]) == 2
+        (f, _), = by_row.basis[x].vector
+        assert (blk, f) in by_row._crowded
+
 
 def _brute_product(H, a, b, c, xvec, yvec):
     """Facewise product over every pair of entries, with the label product
@@ -358,6 +405,28 @@ class TestMultiplySections:
                     assert H.multiply_sections(a, b, c, bx.vector, by.vector) == want, (x, y)
                     pairs += bool(want)
         assert pairs > 0
+
+    def test_one_entry_vectors(self, monkeypatch):
+        # one entry times one entry: compose at a shared face, {} at another face
+        # or where the twist is dead (which no shipped document has with both stalks nonzero)
+        H = _document_H("p1xp1", 2)
+        n = len(H.catalog)
+        seen = set()
+        for a, b, c in itertools.product(range(n), repeat=3):
+            xs = [{(f, lab): 2} for f in sorted(H.blocks[(a, b)].support.members())
+                  for labs in H.blocks[(a, b)].stalk(f).basis.values() for lab in labs]
+            ys = [{(f, lab): Fraction(-1, 3)} for f in sorted(H.blocks[(b, c)].support.members())
+                  for labs in H.blocks[(b, c)].stalk(f).basis.values() for lab in labs]
+            for xvec, yvec in itertools.product(xs, ys):
+                got = H.multiply_sections(a, b, c, xvec, yvec)
+                assert got == _brute_product(H, a, b, c, xvec, yvec), (a, b, c, xvec, yvec)
+                ((f, _),), ((g, _),) = xvec, yvec
+                seen.add("product" if got else "other face" if f != g else "dead twist")
+                if got:
+                    shared = (a, b, c, xvec, yvec)
+        assert seen == {"product", "other face"}
+        monkeypatch.setattr(H, "product_twist", lambda *args: None)
+        assert H.multiply_sections(*shared) == {}
 
     def test_cancelling_terms_are_dropped(self):
         # (p + q) * (q - p) at one face: the two p*q terms cancel, p*p and q*q stay;
@@ -478,6 +547,46 @@ class TestProductOffTheSpan:
                 list(ext.row(x, (0, 0)))
         assert str(exc.value) == self.MESSAGE
 
+    def test_one_term_product_on_a_multi_entry_pivot(self):
+        # a one-entry basis vector z gains the pivot of another as a second entry:
+        # a one-term product at z's pivot is then outside the span
+        ext = ext_algebra(_document_H("p1_trivial", 6))
+        x, blk, y, z = next((x, blk, y, z) for x, bx in enumerate(ext.basis) if len(bx.vector) == 1
+                            for blk in _composable(ext, x) for y, product in ext.row(x, blk)
+                            for z in product if ext.basis[z].degree > 0
+                            and ext.basis[z].block not in (bx.block, blk))
+        bz = ext.basis[z]
+        w = next(w for w in ext.by_block[bz.block] if ext.basis[w].degree == bz.degree
+                 and len(ext.basis[w].vector) == 1 and min(ext.basis[w].vector) > min(bz.vector))
+        for read in (lambda e: list(e.row(x, blk)), lambda e: e.multiply(x, y)):
+            e = ext_algebra(_document_H("p1_trivial", 6))
+            e.basis[z].vector = {**bz.vector, **ext.basis[w].vector}
+            with pytest.raises(DatumError) as exc:
+                read(e)
+            assert str(exc.value) == self.MESSAGE
+
+    def test_product_of_another_degree(self, monkeypatch):
+        # label_product shifted by 2 in degree: the label is the pivot of a one-entry
+        # basis vector two degrees up, which a lookup keyed on the block alone would take
+        H, ext = build_ext(P1)
+        x = next(i for i in ext.by_block[(0, 0)] if ext.basis[i].degree == 2 and len(ext.basis[i].vector) == 1)
+        y = ext.by_block[(0, 0)][0]
+
+        def shifted(xlab, ylab, tw):
+            # transcribed, so that HSheaf's label cache stays empty for products to miss
+            (pmx, kmx), (pmy, kmy) = xlab, ylab
+            pm = mono(*pmx, *pmy, *tw)
+            return mono(*pm, (pm[0][0], 1)), tuple(p + q for p, q in zip(kmx, kmy))
+
+        (f, xlab), = ext.basis[x].vector
+        lab = shifted(xlab, next(l for g, l in ext.basis[y].vector if g == f), ())
+        assert ext.express((0, 0), 4, {(f, lab): 1}) is not None
+        monkeypatch.setattr(H, "label_product", shifted)
+        for read in (lambda: next(ext.row(x, (0, 0))), lambda: ext.multiply(x, y)):
+            with pytest.raises(DatumError) as exc:
+                read()
+            assert str(exc.value) == self.MESSAGE
+
     def test_ext_exits_2(self, monkeypatch):
         build = cli.build_H
         monkeypatch.setattr(cli, "build_H", lambda *args: self._dropped(build(*args)))
@@ -508,6 +617,16 @@ def _shipped_H():
 def _H(fan, cutoff):
     datum, _ = toric_datum(fan)
     return build_H(datum, build_catalog(datum.isotropy, datum.V, "all"), cutoff)
+
+
+def _l3_H():
+    """The rank-3 canonical datum at cutoff 8, as perfbench/documents.py generates it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_documents", Path(__file__).resolve().parents[1] / "perfbench" / "documents.py")
+    docs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(docs)
+    datum, _, catalog, _ = cli._datum_catalog(json.loads(docs.dump(docs.canonical_symmetric(3, cutoff=8))))
+    return build_H(datum, catalog, 8)
 
 
 def _document_H(name, cutoff=8):
@@ -819,6 +938,38 @@ class TestBatteryOncePerSheaf:
         assert entries["oracle.brute-sections"].ok
         assert sorted(map(id, seen)) == sorted({id(b.sheaf) for b in H.blocks.values()})
         assert len(seen) < len(H.blocks)
+
+    def test_twisted_tensor_once_per_input(self, monkeypatch):
+        # canonical_l2 asks 64 (J, chars) pairs of 16 distinct (module, ca, cb)
+        H = _document_H("canonical_l2")
+        ext = ext_algebra(H)
+        calls = {"twisted_tensor": [], "twisted_tensor_relations": []}
+        for name, seen in calls.items():
+            monkeypatch.setattr(checks, name, lambda *args, real=getattr(checks, name), seen=seen:
+                                seen.append(args[:3]) or real(*args))
+        entries = {e.name: e for e in checks.oracle_checks(H, ext, seed=2026, fan=None)}
+        assert entries["oracle.twisted-tensor-dual-implementation"].ok
+        for seen in calls.values():
+            assert len(seen) == len(set(seen)) == 16
+
+    def test_twisted_tensor_counterexample_per_pair(self, monkeypatch):
+        # one distinct input that fails is reported at each of its (J, chars) pairs
+        H = _document_H("canonical_l2")
+        ext = ext_algebra(H)
+        kdata = H.datum.kdata
+        chars = sorted({lab.char for lab in H.catalog.labels})
+        pairs = {}      # (module, ca, cb) -> its (J, chars) pairs in loop order
+        for j in sorted(kdata.entries):
+            for ra, rb in itertools.product(chars, repeat=2):
+                ca, cb = kdata.char_at(j, ra), kdata.char_at(j, rb)
+                pairs.setdefault((kdata.module(j), ca, cb), []).append({"J": list(j), "chars": [list(ca), list(cb)]})
+        bad, want = next((key, found) for key, found in pairs.items() if len(found) > 1)
+        real = checks.twisted_tensor_relations
+        monkeypatch.setattr(checks, "twisted_tensor_relations", lambda *args: GradedSpace(basis={99: ((),)})
+                            if args[:3] == bad else real(*args))
+        entry = {e.name: e for e in checks.oracle_checks(H, ext, seed=2026, fan=None)}[
+            "oracle.twisted-tensor-dual-implementation"]
+        assert not entry.ok and entry.details["counterexamples"] == want[:3]
 
     def test_functoriality(self, monkeypatch):
         H = _document_H("p1xp1")
