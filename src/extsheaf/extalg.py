@@ -33,9 +33,9 @@ class ExtAlgebra:
     """Graded associative unital algebra presented degreewise by basis
     and multiplication table, read by rows (row, unmemoized, for ext) or
     by pairs (multiply, memoized, for the checks).  A row settles each
-    one-term product with one pivot lookup and sweeps the others with the
-    one facewise kernel HSheaf.products over a face index of x's partners;
-    a pair is HSheaf.multiply_sections."""
+    one-term product with one pivot lookup and sweeps the others over a
+    face index of x's partners, which only row builds and reads; a pair
+    is HSheaf.multiply_sections."""
 
     def __init__(self, H: HSheaf):
         self.H = H
@@ -121,8 +121,9 @@ class ExtAlgebra:
         cutoff drops are counted in truncated_pairs.  If x has one entry (f,
         label) and no basis vector of block has two at f, each product has
         one term, settled by one pivot lookup as in express.  Otherwise one
-        sweep of HSheaf.products meets, face by face, only the partners with
-        an entry there.  Nothing is memoized.
+        sweep over the faces of x meets, through the face index, only the
+        partners with an entry there, and each product goes through express.
+        Nothing is memoized.
         """
         bx = self.basis[x]
         ids = self.partners(block, bx.degree)
@@ -139,10 +140,26 @@ class ExtAlgebra:
                     if entries and entries[-1][0] == by.index:
                         self._crowded.add((by.block, f))
                     entries.append((by.index, lab, cy))
-        H, basis, last = self.H, self.basis, ids[-1]
+        H, basis, last, faces = self.H, self.basis, ids[-1], self._faces[block]
         (f, xlab), cx = next(iter(bx.vector.items()))
         if len(bx.vector) > 1 or (block, f) in self._crowded:
-            products = H.products(a, b, c, bx.vector, self._faces[block], last)
+            products = {}       # y -> product vector, summed over the faces x shares with y
+            for (f, xlab), cx in bx.vector.items():
+                entries = faces.get(f)
+                tw = None if entries is None else H.product_twist(a, b, c, f)
+                if tw is None:
+                    continue
+                for y, ylab, cy in entries:
+                    if y > last:
+                        break
+                    vec = products.get(y)
+                    if vec is None:
+                        vec = products[y] = {}
+                    key = (f, H.label_product(xlab, ylab, tw))
+                    if v := vec.get(key, 0) + cx * cy:
+                        vec[key] = v
+                    else:
+                        del vec[key]
             for y in sorted(products):
                 out = self._express_product((a, c), bx.degree + basis[y].degree, products[y])
                 if out:
@@ -152,7 +169,7 @@ class ExtAlgebra:
         if tw is None:
             return
         dx, degree, pivots = bx.degree, None, None
-        for y, ylab, cy in self._faces[block].get(f, ()):
+        for y, ylab, cy in faces.get(f, ()):
             if y > last:
                 break
             if (d := dx + basis[y].degree) != degree:

@@ -278,59 +278,24 @@ class HSheaf:
         tw = self.product_twist(a, b, c, face_key)
         return None if tw is None else self.label_product(xlab, ylab, tw)
 
-    def products(self, a, b, c, xvec, partners, last):
-        """Facewise products of a section vector x of H^{ab} with many y of H^{bc}.
-
-        partners maps a face key to the entries [(y, label, coeff)] of the
-        y's at that face, in increasing y; the y's past last are skipped.
-        Returns {y: product vector over H^{ac} coordinates} for every y that
-        shares a face with x where the twist is alive; a vector whose terms
-        cancel is left empty.  The twist is resolved once per face of x.
-        """
-        out = {}
-        twists = {}
-        labels = self._labels
-        for (f, xlab), cx in xvec.items():
-            entries = partners.get(f)
-            if entries is None:
-                continue
-            if f not in twists:
-                twists[f] = self.product_twist(a, b, c, f)
-            tw = twists[f]
-            if tw is None:
-                continue
-            for y, ylab, cy in entries:
-                if y > last:
-                    break
-                # label_product's cache, read inline: the call is made only on a miss
-                lab = labels.get((xlab, ylab, tw)) or self.label_product(xlab, ylab, tw)
-                vec = out.get(y)
-                if vec is None:
-                    vec = out[y] = {}
-                key = (f, lab)
-                v = vec.get(key, 0) + cx * cy
-                if v:
-                    vec[key] = v
-                else:
-                    del vec[key]
-        return out
-
     def multiply_sections(self, a, b, c, xvec, yvec):
-        """Facewise product of section vectors of H^{ab} and H^{bc}: products
-        with yvec as the one partner, or compose when both have one entry.
+        """Facewise product of section vectors of H^{ab} and H^{bc}: each pair
+        of entries at a common face multiplies through compose, and a sum
+        whose terms cancel is dropped.
 
         Vectors are sparse dicts over (face key, stalk label); the result
         is a vector over H^{ac} coordinates.
         """
-        if len(xvec) == len(yvec) == 1:
-            ((f, xlab), cx), = xvec.items()
-            ((g, ylab), cy), = yvec.items()
-            lab = self.compose(a, b, c, f, xlab, ylab) if f == g else None
-            return {} if lab is None else {(f, lab): cx * cy}
-        partners = {}
-        for (f, ylab), cy in yvec.items():
-            partners.setdefault(f, []).append((0, ylab, cy))
-        return self.products(a, b, c, xvec, partners, 0).get(0, {})
+        out = {}
+        for (f, xlab), cx in xvec.items():
+            for (g, ylab), cy in yvec.items():
+                if f == g and (lab := self.compose(a, b, c, f, xlab, ylab)) is not None:
+                    key = (f, lab)
+                    if v := out.get(key, 0) + cx * cy:
+                        out[key] = v
+                    else:
+                        out.pop(key, None)
+        return out
 
 
 def build_H(datum: SymmetricDatum, catalog, cutoff: int) -> HSheaf:
@@ -421,12 +386,12 @@ def check_restriction_product(H: HSheaf):
     bad = []
     n = len(H.catalog)
     pairs = H.space.covering_pairs()
-    images = {}     # (sheaf, f1, f2, label) -> restriction of the label, shared by the blocks of a sheaf
+    images = {}     # (sheaf, f1, f2, label) -> its restriction over (f2, label), shared by the blocks of a sheaf
 
     def image(sheaf, f1, f2, lab):
         key = (sheaf, f1, f2, lab)
         if key not in images:
-            images[key] = sheaf.apply(f1, f2, {lab: 1})
+            images[key] = {(f2, lab2): v for lab2, v in sheaf.apply(f1, f2, {lab: 1}).items()}
         return images[key]
 
     for a, b, c in itertools.product(range(n), repeat=3):
@@ -442,16 +407,8 @@ def check_restriction_product(H: HSheaf):
                         xr = image(bab.sheaf, f1, f2, xl)
                         for yl in labsy:
                             z = H.compose(a, b, c, f1, xl, yl)
-                            zr = {} if z is None else bac.sheaf.apply(f1, f2, {z: 1})
-                            yr = image(bbc.sheaf, f1, f2, yl)
-                            prod = {}
-                            for xl2, cx in xr.items():
-                                for yl2, cy in yr.items():
-                                    lab = H.compose(a, b, c, f2, xl2, yl2)
-                                    if lab is not None:
-                                        prod[lab] = prod.get(lab, 0) + cx * cy
-                            prod = {k: v for k, v in prod.items() if v}
-                            if prod != zr:
+                            zr = {} if z is None else image(bac.sheaf, f1, f2, z)
+                            if H.multiply_sections(a, b, c, xr, image(bbc.sheaf, f1, f2, yl)) != zr:
                                 bad.append((a, b, c, f1, f2, xl, yl))
     return bad
 

@@ -99,7 +99,6 @@ class IntersectionReport:
     ok: bool
     violations: list = field(default_factory=list)
     empty_pairs: int = 0
-    checked_pairs: int = 0
 
 
 def validate_intersection_axiom(space: FiniteSpace) -> IntersectionReport:
@@ -107,7 +106,6 @@ def validate_intersection_axiom(space: FiniteSpace) -> IntersectionReport:
     rep = IntersectionReport(ok=True)
     opens = {p: set(space.minimal_open(p)) for p in space.points}
     for i, j in itertools.combinations(space.points, 2):
-        rep.checked_pairs += 1
         inter = opens[i] & opens[j]
         if not inter:
             rep.empty_pairs += 1

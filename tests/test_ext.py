@@ -272,24 +272,24 @@ class TestDegreeBoundedTable:
             assert payload["truncated_pairs"] == count
 
     def test_table_holds_no_degree_truncated_pair(self, monkeypatch):
-        # ext keeps no memo and sweeps every row through HSheaf.products, so each
-        # pair it multiplies is an x vector and a y of a products result; the x
-        # vector is a basis vector (shared by the blocks of one sheaf, at one degree)
-        products = HSheaf.products
+        # ext keeps no memo, and a row settles each product it makes against the
+        # pivot table of the product's block and degree (one lookup, or express);
+        # so the degrees those reads ask for cover every pair the table multiplies
+        pivots = extalg.ExtAlgebra._pivots
         for name in self.NAMES:
-            multiplied = []
+            read = set()
 
-            def record(H, a, b, c, xvec, partners, last):
-                out = products(H, a, b, c, xvec, partners, last)
-                multiplied.extend((xvec, y) for y in out)
-                return out
+            def record(ext, block, degree):
+                read.add((block, degree))
+                return pivots(ext, block, degree)
 
-            monkeypatch.setattr(HSheaf, "products", record)
-            ext, _ = self._run_ext(name, monkeypatch)
-            assert multiplied, name
-            degree = {id(b.vector): b.degree for b in ext.basis}
-            for xvec, y in multiplied:
-                assert degree[id(xvec)] + ext.basis[y].degree <= ext.cutoff, (name, y)
+            monkeypatch.setattr(extalg.ExtAlgebra, "_pivots", record)
+            ext, payload = self._run_ext(name, monkeypatch)
+            basis = {b.name: b for b in ext.basis}
+            made = {(basis[z].block, basis[x].degree + basis[y].degree)
+                    for blk in payload["blocks"] for x, y, z, _ in blk["table"]}
+            assert made and made <= read, name
+            assert max(degree for _, degree in read) <= ext.cutoff, name
 
     def test_ext_keeps_no_memo(self, monkeypatch):
         for name in self.NAMES:
@@ -329,16 +329,16 @@ class TestTableRows:
 
     def test_generated_f1_and_l3(self):
         # l=3 at cutoff 8: 1,208 of its 2,240 basis vectors have several entries,
-        # so its rows take both the pivot lookup and the products sweep
+        # so its rows take both the pivot lookup and the sweep over x's faces
         self._check("F_1", _H(F1, 8))
         ext = self._check("l=3", _l3_H())
         assert (sum(len(b.vector) > 1 for b in ext.basis), len(ext.basis)) == (1208, 2240)
 
     def test_one_entry_rows_make_no_product_vector(self, monkeypatch):
-        # a one-entry x settles each product at a pivot: no products sweep, no express
+        # a one-entry x settles each product at a pivot: no product vector, no express
         ext = ext_algebra(_document_H("p1xp1"))
         calls = []
-        monkeypatch.setattr(HSheaf, "products", lambda *args: calls.append("products"))
+        monkeypatch.setattr(HSheaf, "multiply_sections", lambda *args: calls.append("multiply_sections"))
         monkeypatch.setattr(extalg.ExtAlgebra, "express", lambda *args: calls.append("express"))
         products = 0
         for x, bx in enumerate(ext.basis):
@@ -573,7 +573,7 @@ class TestProductOffTheSpan:
         y = ext.by_block[(0, 0)][0]
 
         def shifted(xlab, ylab, tw):
-            # transcribed, so that HSheaf's label cache stays empty for products to miss
+            # label_product transcribed, with no cache
             (pmx, kmx), (pmy, kmy) = xlab, ylab
             pm = mono(*pmx, *pmy, *tw)
             return mono(*pm, (pm[0][0], 1)), tuple(p + q for p, q in zip(kmx, kmy))

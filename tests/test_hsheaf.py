@@ -146,6 +146,24 @@ class TestProduct:
             _, _, H = build(fan, cutoff=6)
             assert check_restriction_product(H) == []
 
+    def test_restriction_product_fails_without_the_twist(self, monkeypatch):
+        # the product twist dropped (set to 1) where a = c != b: on p1xp1 the
+        # restriction of a product and the product of restrictions differ
+        twist = hsheaf.HSheaf.product_twist
+
+        def mutant(self, a, b, c, face_key):
+            tw = twist(self, a, b, c, face_key)
+            return mono() if tw is not None and a == c != b else tw
+
+        monkeypatch.setattr(hsheaf.HSheaf, "product_twist", mutant)
+        H = document_H(cli.load_document(str(DATA / "p1xp1.json")), 6)
+        bad = check_restriction_product(H)
+        assert len(bad) == 148
+        # check-all prints the first three, so their order is part of its bytes
+        assert bad[:3] == [(0, 1, 0, "r0+r2|-", "r2|-", ((), ()), ((), ())),
+                           (0, 1, 0, "r0+r2|-", "r2|-", ((), ()), ((("r2", 1),), ())),
+                           (0, 1, 0, "r0+r2|-", "r2|-", ((), ()), ((("r2", 2),), ()))]
+
     def test_face_local_associativity(self):
         for fan in (P1, P1_HALF):
             _, _, H = build(fan)
