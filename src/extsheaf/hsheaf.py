@@ -175,7 +175,7 @@ class HSheaf:
                     for pm in self._monomials_of(point.orbit, pd // 2):
                         for km in kms:
                             basis.setdefault(d, []).append((pm, km))
-            self._stalks[key] = GradedSpace(basis={d: tuple(sorted(b)) for d, b in basis.items()})
+            self._stalks[key] = GradedSpace(basis=basis)
         return self._stalks[key]
 
     def _kpart(self, jkey, target):

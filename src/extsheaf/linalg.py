@@ -3,13 +3,17 @@
 Vectors are dicts mapping hashable column keys to nonzero exact
 rationals: an int until a division forces a Fraction, and a Fraction
 only from a pivot other than +-1; the integral entries of a row scaled
-by such a pivot stay ints.  Never a float.  The oracle module
-carries its own independent dense elimination (see oracles.py).
+by such a pivot, and of a back-substituted row, stay ints.  Never a
+float.  There is one elimination kernel: `Eliminator` keeps its rows in
+row-echelon form and never rewrites a stored row, and `kernel_basis`
+back-substitutes once, where it needs the reduced form.  The oracle
+module carries its own independent dense elimination (see oracles.py).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 
 class Tag:
@@ -54,27 +58,45 @@ def exact(q):
 class Eliminator:
     """Incremental row echelon store over Q with sparse rows.
 
-    Each kept row owns one pivot column, its least column key, so results
-    do not depend on insertion order.  Stored rows are updated in place.
+    Each kept row owns one pivot column, its least column key, with
+    coefficient 1 there, so the rows are in row-echelon form and the
+    rank and the span do not depend on insertion order.  A row is stored
+    as reduce leaves it and never rewritten: adding a row reads no other
+    stored row than those its own reduction meets.
     """
 
     def __init__(self):
-        self.pivots = {}  # pivot column -> reduced row (dict), coefficient 1 at pivot
+        self.pivots = {}  # pivot column -> echelon row (dict), coefficient 1 at its least column
 
     def reduce(self, row, coeffs=None):
         """Fully reduce a copy of row against current pivots; returns the residual.
 
-        Stored pivot rows carry no entries at other pivot columns, so a
-        single pass over the row's pivot-column entries suffices.  The
-        multiples used are recorded in coeffs when given.
+        The row's pivot-column entries are cleared in increasing column
+        order, kept in a heap: subtracting the row of pivot c adds entries
+        only past c, so a cleared column never comes back, and the
+        residual has no entry at any pivot column.  The multiples used,
+        coefficients of the stored echelon rows, are recorded in coeffs
+        when given.
         """
         row = dict(row)
         pivots = self.pivots
-        for c in [c for c in row if c in pivots]:
-            v = row[c]
+        todo = [c for c in row if c in pivots]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            v = row.get(c)
+            if v is None:
+                continue        # pushed again after it cancelled, and cleared already
             if coeffs is not None:
                 coeffs[c] = v
-            _subtract(row, pivots[c], v)
+            for k, a in pivots[c].items():
+                b = row.get(k, 0) - v * a
+                if b:
+                    if k not in row and k in pivots:
+                        heappush(todo, k)
+                    row[k] = b
+                else:
+                    del row[k]
         return row
 
     def add(self, row):
@@ -89,11 +111,6 @@ class Eliminator:
         elif p != 1:
             inv = Fraction(1) / p
             row = {k: exact(a * inv) for k, a in row.items()}
-        # keep stored rows fully reduced against each other
-        for other in self.pivots.values():
-            c = other.get(col)
-            if c:
-                _subtract(other, row, c)
         self.pivots[col] = row
         return True
 
@@ -102,7 +119,7 @@ class Eliminator:
         return len(self.pivots)
 
     def coordinates(self, row):
-        """Express row as a combination of pivot rows.
+        """Express row as a combination of the stored echelon rows.
 
         Returns (coeffs keyed by pivot column, residual).  No engine code
         calls this (ExtAlgebra.express reads coordinates at the basis
@@ -120,31 +137,46 @@ def rank(rows):
     return e.rank
 
 
+def _back_substitute(pivots):
+    """The reduced echelon form of echelon rows {pivot: row}, by pivot, with exact entries.
+
+    From the greatest pivot down, each row is cleared at the pivots past
+    its own with rows already reduced, which carry no entry at another
+    pivot, so one pass over the row's entries does it.
+    """
+    done = {}
+    for p in sorted(pivots, reverse=True):
+        row = dict(pivots[p])
+        for c in [c for c in row if c in done]:
+            _subtract(row, done[c], row[c])
+        done[p] = {k: exact(a) for k, a in row.items()}
+    return {p: done[p] for p in reversed(done)}
+
+
 def kernel_basis(rows, cols):
     """Exact kernel basis of the system {row . x = 0 for each row}.
 
     cols is the ordered list of column keys.  The result is the reduced
     echelon basis of the kernel (one pivot column with coefficient 1 per
     vector, pivots mutually eliminated), sorted by pivot column, so the
-    output is canonical.
+    output is canonical.  Each of the two eliminations (the rows, then
+    the raw kernel vectors) stays in echelon form while it runs and is
+    back-substituted once, at its end.
     """
     e = Eliminator()
     for r in rows:
         e.add(r)
-    free = [c for c in cols if c not in e.pivots]
-    raw = []
-    for f in free:
-        # each pivot row reads x_p + sum(row[c] * x_c over free c) = 0
-        v = {f: 1}
-        for p, row in e.pivots.items():
-            c = row.get(f)
-            if c:
-                v[p] = -c
-        raw.append({k: a for k, a in v.items() if a})
+    reduced = _back_substitute(e.pivots)
+    raw = {c: {c: 1} for c in cols if c not in reduced}
+    for p, row in reduced.items():
+        # the pivot row reads x_p + sum(row[f] * x_f over free f) = 0
+        for f, c in row.items():
+            if f != p:
+                raw[f][p] = -c
     e2 = Eliminator()
-    for v in raw:
+    for v in raw.values():
         e2.add(v)
-    return [e2.pivots[c] for c in sorted(e2.pivots)]
+    return list(_back_substitute(e2.pivots).values())
 
 
 def abs_det(rows):

@@ -122,12 +122,13 @@ def validate_intersection_axiom(space: FiniteSpace) -> IntersectionReport:
 
 
 class GradedSpace:
-    """Finite-dimensional space per integer degree, with optional basis labels;
-    a based space maps each label to its degree in degree_of."""
+    """Finite-dimensional space per integer degree, with optional basis labels,
+    kept sorted in each degree; a based space maps each label to its degree
+    in degree_of."""
 
     def __init__(self, dims=None, basis=None):
         if basis is not None:
-            self.basis = {d: tuple(b) for d, b in basis.items() if b}
+            self.basis = {d: tuple(sorted(b)) for d, b in basis.items() if b}
             dims = {d: len(b) for d, b in self.basis.items()}
             self.degree_of = {lab: d for d, labs in self.basis.items() for lab in labs}
         else:
@@ -259,9 +260,12 @@ def _compose(first, second):
 class SectionSpace(GradedSpace):
     """Sections over an open set: dimensions by rank, basis vectors on demand.
 
-    rows[d] is the echelon form of the degree-d constraints over the
-    columns columns[d], one per (point, label); vectors[d], the canonical
-    kernel basis, is built the first time vectors is read.
+    columns[d] is the sorted list of the degree-d columns, one per (point,
+    label), and rows[d] is the echelon form of the degree-d constraints
+    over positions into columns[d], so every key the elimination hashes
+    is an int and the least position is the least column.  vectors[d],
+    the canonical kernel basis over the (point, label) keys, is built the
+    first time vectors is read.
     """
 
     def __init__(self, rows_by_degree, columns_by_degree):
@@ -276,29 +280,38 @@ class SectionSpace(GradedSpace):
         if self._vectors is None:
             self._vectors = {}
             for d in sorted(self.columns):
-                vs = kernel_basis(self.rows[d], self.columns[d])
+                cols = self.columns[d]
+                vs = kernel_basis(self.rows[d], range(len(cols)))
                 if vs:
-                    self._vectors[d] = tuple(vs)
+                    self._vectors[d] = tuple({cols[n]: a for n, a in v.items()} for v in vs)
         return self._vectors
 
     def contains(self, degree, vector):
         """Whether a sparse vector over (point, label) columns is a section of the given degree."""
-        cols = set(self.columns.get(degree, ()))
-        if any(k not in cols for k in vector):
+        at = {k: n for n, k in enumerate(self.columns.get(degree, ()))}
+        if any(k not in at for k in vector):
             return False
-        return all(sum(c * vector.get(k, 0) for k, c in row.items()) == 0
+        vector = {at[k]: a for k, a in vector.items()}
+        return all(sum(c * vector.get(n, 0) for n, c in row.items()) == 0
                    for row in self.rows.get(degree, ()))
 
 
 def _section_columns(U, sheaf, cutoff):
-    cols = {}
-    for p in sorted(U):
+    """The sorted (point, label) columns of each degree, and point -> label -> position there.
+
+    U is sorted and a stalk keeps the labels of each degree sorted, so
+    the columns come out sorted point by point.
+    """
+    cols, at = {}, {}
+    for p in U:
+        at[p] = here = {}
         for d, labs in sheaf.stalks[p].basis.items():
             if d <= cutoff:
-                cols.setdefault(d, []).extend((p, lab) for lab in labs)
-    for d in cols:
-        cols[d].sort()
-    return cols
+                keys = cols.setdefault(d, [])
+                for lab in labs:
+                    here[lab] = len(keys)
+                    keys.append((p, lab))
+    return cols, at
 
 
 def _check_cutoff(sheaf, cutoff):
@@ -318,7 +331,7 @@ def global_sections(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff) -> Sectio
     if not space.is_open(U):
         raise SpaceError("global_sections needs an open set")
     _check_cutoff(sheaf, cutoff)
-    cols = _section_columns(U, sheaf, cutoff)
+    cols, at = _section_columns(U, sheaf, cutoff)
     elims = {d: Eliminator() for d in cols}
     targets = {}    # point -> its labels under the cutoff with their degrees, by repr
     for i, j in space.covering_pairs(within=U):
@@ -328,14 +341,17 @@ def global_sections(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff) -> Sectio
             targets[j] = sorted(((t, d) for d, labs in sheaf.stalks[j].basis.items() if d <= cutoff
                                  for t in labs), key=lambda td: repr(td[0]))
         m = sheaf.restriction(i, j)
-        rows = {t: {(j, t): -1} for t, _ in targets[j]}
+        src, dst = at[i], at[j]
+        rows = {t: {dst[t]: -1} for t, _ in targets[j]}
         for d, labs in sheaf.stalks[i].basis.items():
             if d > cutoff:
                 continue
             for s in labs:
-                for t, c in m.get(s, ()):
-                    row = rows[t]
-                    row[(i, s)] = row.get((i, s), 0) + c
+                if s in m:
+                    n = src[s]
+                    for t, c in m[s]:
+                        row = rows[t]
+                        row[n] = row.get(n, 0) + c
         for t, d in targets[j]:
             elims[d].add({k: v for k, v in rows[t].items() if v})
     return SectionSpace({d: list(e.pivots.values()) for d, e in elims.items()}, cols)
@@ -354,7 +370,7 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
     (-1)^k a_{.. without p_k ..} + (-1)^{r+1} restriction(p_r, p_{r+1})
     a_{p_0..p_r}.  Returns one GradedSpace per cohomological degree up to
     cutoff, trailing zeros dropped; the first, H^0, is the SectionSpace of
-    the echelon of d^0 over the columns ((p,), label).
+    the echelon of d^0 over positions into the sorted columns ((p,), label).
     """
     U = tuple(sorted(U))
     if not space.is_open(U):
@@ -383,8 +399,21 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
             pulled[(i, j)] = back
         return pulled[(i, j)]
 
-    ranks = {}      # (r, d) -> rank of d^r : C^r -> C^{r+1} in degree d
-    for r in range(len(chains) - 1):
+    # d^0 over positions into the sorted columns ((p,), label), in one echelon per degree kept as H^0
+    cols, at = _section_columns(U, sheaf, cutoff)
+    d0 = {d: Eliminator() for d in degrees}
+    for p, q in chains[1]:
+        if not labels[q]:
+            continue
+        back, src, dst = pullback(p, q), at[p], at[q]
+        for d, labs in labels[q].items():
+            for lab in labs:
+                row = {dst[lab]: 1}
+                for s, c in back.get(lab, ()):
+                    row[src[s]] = -c
+                d0[d].add(row)
+    ranks = {(0, d): e.rank for d, e in d0.items()}     # (r, d) -> rank of d^r : C^r -> C^{r+1} in degree d
+    for r in range(1, len(chains) - 1):
         rows = {d: [] for d in degrees}
         last = -1 if r % 2 == 0 else 1      # (-1)^{r+1}
         for t in chains[r + 1]:
@@ -398,16 +427,11 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
                     for s, c in back.get(lab, ()):
                         row[(t[:-1], s)] = last * c
                     rows[d].append(row)
-        if r == 0:
-            d0 = {d: Eliminator() for d in degrees}     # kept: its echelon is H^0
-            for d in degrees:
-                for row in rows[d]:
-                    d0[d].add(row)
         for d in degrees:
-            ranks[(r, d)] = d0[d].rank if r == 0 else sparse_rank(rows[d])
+            ranks[(r, d)] = sparse_rank(rows[d])
 
     out = [SectionSpace({d: list(e.pivots.values()) for d, e in d0.items()},
-                        {d: [((p,), lab) for p in U for lab in labels[p].get(d, ())] for d in degrees})]
+                        {d: [((p,), lab) for p, lab in cols[d]] for d in degrees})]
     for r, level in enumerate(chains[1:-1], 1):
         dims = {d: -ranks[(r, d)] - ranks[(r - 1, d)] for d in degrees}
         for c in level:

@@ -231,7 +231,8 @@ def _composable(ext, x):
 class TestDegreeBoundedTable:
     NAMES = ("p1_trivial", "canonical_l2")
 
-    def _run_ext(self, name, monkeypatch):
+    def _ext(self, name, monkeypatch):
+        """ext on a shipped document: (the ExtAlgebra it built, exit code, stdout)."""
         built = []
 
         def capture(H):
@@ -241,9 +242,13 @@ class TestDegreeBoundedTable:
         monkeypatch.setattr(cli, "ext_algebra", capture)
         buf = io.StringIO()
         code = cli.run(["--input", str(DATA / f"{name}.json"), "--command", "ext"], out=buf)
-        assert code == 0
         assert len(built) == 1
-        return built[0], json.loads(buf.getvalue())
+        return built[0], code, buf.getvalue()
+
+    def _run_ext(self, name, monkeypatch):
+        ext, code, out = self._ext(name, monkeypatch)
+        assert code == 0
+        return ext, json.loads(out)
 
     def test_partners_are_the_pairs_in_range(self):
         for name in self.NAMES:
@@ -284,12 +289,16 @@ class TestDegreeBoundedTable:
                 return pivots(ext, block, degree)
 
             monkeypatch.setattr(extalg.ExtAlgebra, "_pivots", record)
-            ext, payload = self._run_ext(name, monkeypatch)
+            ext, code, out = self._ext(name, monkeypatch)
+            # before the exit code: a row that multiplies a pair past the cutoff
+            # reads a pivot table of that degree, finds no section there and
+            # makes ext exit 2, so this is the assertion that names the fault
+            assert read and max(degree for _, degree in read) <= ext.cutoff, name
+            assert code == 0, name
             basis = {b.name: b for b in ext.basis}
             made = {(basis[z].block, basis[x].degree + basis[y].degree)
-                    for blk in payload["blocks"] for x, y, z, _ in blk["table"]}
+                    for blk in json.loads(out)["blocks"] for x, y, z, _ in blk["table"]}
             assert made and made <= read, name
-            assert max(degree for _, degree in read) <= ext.cutoff, name
 
     def test_ext_keeps_no_memo(self, monkeypatch):
         for name in self.NAMES:

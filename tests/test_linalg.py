@@ -169,6 +169,103 @@ class TestIntFirst:
             vals += got
             assert all(type(c) in (int, Fraction) for c in vals)
 
+    def test_back_substitution_keeps_integral_entries_as_ints(self):
+        # clearing row 0 at pivot 1 sums two halves into an integral entry
+        kernel = kernel_basis([{0: 2, 1: 1, 2: 1}, {1: 1, 2: -1}], range(3))
+        assert kernel == [{0: 1, 1: -1, 2: -1}]
+        assert all(type(c) is int for c in _entries(kernel))
+
     def test_frac_renders_ints_and_fractions_alike(self):
         assert _frac(3) == _frac(Fraction(3)) == "3"
         assert _frac(Fraction(-1, 2)) == "-1/2"
+
+
+def _random_system(rng, keys):
+    """Sparse rows over keys, a third of them combinations of earlier rows."""
+    rows = []
+    for _ in range(rng.randint(1, len(keys) + 2)):
+        if len(rows) > 1 and rng.random() < 0.35:
+            row = _combo(rng.sample(rows, 2), [rng.randint(-2, 2), Fraction(rng.randint(1, 3), 2)])
+        else:
+            row = {k: rng.randint(-3, 3) for k in keys if rng.random() < 0.4}
+            row = {k: v for k, v in row.items() if v}
+        rows.append(row)
+    return rows
+
+
+def _dense(rows, keys):
+    return [[Fraction(r.get(k, 0)) for k in keys] for r in rows]
+
+
+class TestEchelonEliminator:
+    """The echelon store and its kernel basis against the dense oracle, over
+    int keys and over nested tuple keys (dense columns in sorted key order)."""
+
+    KEYS = {
+        "int": list(range(7)),
+        "tuple": sorted(((p,), ("lab", i % 3, (i,))) for p in range(3) for i in range(3)),
+    }
+
+    def _systems(self, seed):
+        rng = random.Random(seed)
+        for kind, keys in self.KEYS.items():
+            for _ in range(60):
+                yield keys, _random_system(rng, keys), rng
+
+    def test_rank_matches_dense_rank(self):
+        dependent = 0
+        for keys, rows, _ in self._systems(24):
+            elim = Eliminator()
+            for r in rows:
+                elim.add(r)
+            want = dense_rank(_dense(rows, keys))
+            assert elim.rank == rank(rows) == want
+            dependent += want < len(rows)
+            for p, row in elim.pivots.items():
+                assert p == min(row) and row[p] == 1
+        assert dependent > 20
+
+    def test_reduce_clears_pivots_and_is_empty_exactly_on_the_span(self):
+        inside = outside = 0
+        for keys, rows, rng in self._systems(25):
+            elim = Eliminator()
+            for r in rows:
+                elim.add(r)
+            if rng.random() < 0.5:
+                target = _combo(rows, [rng.randint(-2, 2) for _ in rows])
+            else:
+                target = {k: rng.randint(-2, 2) for k in keys if rng.random() < 0.4}
+                target = {k: v for k, v in target.items() if v}
+            res = elim.reduce(target)
+            assert not any(k in elim.pivots for k in res)
+            spanned = dense_rank(_dense(rows + [target], keys)) == dense_rank(_dense(rows, keys))
+            assert (res == {}) == spanned
+            coeffs, res2 = elim.coordinates(target)
+            assert res2 == res
+            assert _combo([elim.pivots[p] for p in coeffs] + [res], list(coeffs.values()) + [1]) == target
+            inside += spanned
+            outside += not spanned
+        assert inside > 20 and outside > 20
+
+    def test_kernel_basis_matches_dense_rref(self):
+        for keys, rows, _ in self._systems(26):
+            mat = _dense(rows, keys)
+            pivots = dense_rref(mat)
+            raw = []
+            for f in (c for c in range(len(keys)) if c not in pivots):
+                v = [Fraction(0)] * len(keys)
+                v[f] = Fraction(1)
+                for r, p in enumerate(pivots):
+                    v[p] = -mat[r][f]
+                raw.append(v)
+            # the kernel's own reduced echelon form, read off a second dense rref
+            n = len(dense_rref(raw))
+            want = [{keys[c]: x for c, x in enumerate(v) if x} for v in raw[:n]]
+            got = kernel_basis(rows, keys)
+            assert got == want
+            leads = [min(v) for v in got]
+            assert leads == sorted(leads)
+            for v, p in zip(got, leads):
+                assert v[p] == 1
+                assert sum(p in w for w in got) == 1
+            assert all(type(c) is int for c in _entries(got) if c.denominator == 1)

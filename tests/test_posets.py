@@ -6,7 +6,7 @@ import pytest
 from extsheaf import cli
 from extsheaf.faces import downward_closed_families, g_stable_open
 from extsheaf.hsheaf import build_H
-from extsheaf.oracles import brute_sections
+from extsheaf.oracles import brute_sections, dense_rank
 from extsheaf.posets import (
     FiniteSpace,
     GradedSheaf,
@@ -307,3 +307,27 @@ class TestLazySections:
         assert not sec.contains(0, {("a", "c"): 1})
         assert not sec.contains(0, {("a", "c"): 1, ("b", "c"): 2})
         assert not sec.contains(2, {("a", "c"): 1, ("b", "c"): 1})
+
+    def test_contains_over_position_rows(self):
+        # the rows are over positions into the sorted columns; contains maps keys
+        # to positions, so it must agree with the span of the basis vectors
+        doc = cli.load_document(str(DATA / "p1xp1.json"))
+        datum, _, catalog, _ = cli._datum_catalog(doc)
+        H = build_H(datum, catalog, 4)
+        rejected = 0
+        for _, blk in sorted(H.blocks.items())[:6]:
+            sec = H.sections(blk)
+            for d, vs in sec.vectors.items():
+                cols = sec.columns[d]
+                assert cols == sorted(cols)
+                assert all(isinstance(n, int) for row in sec.rows[d] for n in row)
+                span = dense_rank([[v.get(k, 0) for k in cols] for v in vs])
+                for i, v in enumerate(vs):
+                    assert sec.contains(d, v)
+                    k = cols[(3 * i) % len(cols)]
+                    changed = {**v, k: v.get(k, 0) + 1}
+                    inside = dense_rank([[w.get(c, 0) for c in cols] for w in (*vs, changed)]) == span
+                    assert sec.contains(d, changed) == inside
+                    rejected += not inside
+                    assert not sec.contains(d, {**v, ("no such point", "x"): 1})
+        assert rejected > 10
