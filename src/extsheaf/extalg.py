@@ -400,10 +400,10 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra) -> Report:
     algebra degreewise, as subspaces of the stalk product, and on
     structure constants (all composable pairs up to PAIR_CAP, then a
     deterministic truncation of the pair list).  Both bases are the
-    canonical reduced echelon basis of their span over the same key
-    order, so the spans agree exactly when the bases are equal.  The
-    complex and its comparison with the sections are computed once per
-    distinct sheaf.
+    canonical reduced echelon basis of their span over the same
+    (point, label) columns, so the spans agree exactly when the bases
+    are equal.  The complex and its comparison with the sections are
+    computed once per distinct sheaf.
     """
     entries = []
     whole = H.space.points
@@ -413,11 +413,8 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra) -> Report:
         sec = ext.sections[(i, j)]
         if blk.sheaf not in per_sheaf:
             hs = cech_cohomology(H.space, whole, blk.sheaf, H.cutoff)
-            vecs = {d: tuple({(c[0], lab): a for (c, lab), a in v.items()} for v in vs)
-                    for d, vs in hs[0].vectors.items()}
-            span_match = vecs == sec.vectors
             per_sheaf[blk.sheaf] = ({p: h.dims for p, h in enumerate(hs) if p > 0 and h.dims},
-                                    hs[0].dims, vecs, span_match)
+                                    hs[0].dims, hs[0].vectors, hs[0].vectors == sec.vectors)
         higher, h0_dims, vecs, span_match = per_sheaf[blk.sheaf]
         entries.append(ReportEntry(
             name=f"concentration[{i}:{j}]", ok=not higher,

@@ -204,7 +204,7 @@ class GradedSheaf:
         if self.stalks[i].total_dim() == 0 or self.stalks[j].total_dim() == 0:
             self._rest[key] = {}
             return {}
-        for k in sorted(self.space.minimal_open(i)):
+        for k in self.space.minimal_open(i):
             if k not in (i, j) and self.space.leq(k, j) and (i, k) in self._rest:
                 comp = _compose(self._rest[(i, k)], self.restriction(k, j))
                 self._rest[key] = comp
@@ -229,11 +229,11 @@ class GradedSheaf:
         problems = []
         for i, j in self.space.comparable_pairs():
             direct = self.restriction(i, j)
+            srcs = [lab for labs in self.stalks[i].basis.values() for lab in labs]
             for k in self.space.minimal_open(i):
                 if k in (i, j) or not self.space.leq(k, j):
                     continue
                 via = _compose(self.restriction(i, k), self.restriction(k, j))
-                srcs = {lab for labs in self.stalks[i].basis.values() for lab in labs}
                 for s in srcs:
                     left = {t: c for t, c in via.get(s, ()) if c}
                     right = {t: c for t, c in direct.get(s, ()) if c}
@@ -249,7 +249,7 @@ def _compose(first, second):
         for mid, c in terms:
             for t, c2 in second.get(mid, ()):
                 acc[t] = acc.get(t, 0) + c * c2
-        out[s] = tuple(sorted(((t, c) for t, c in acc.items() if c), key=lambda kv: repr(kv[0])))
+        out[s] = tuple((t, c) for t, c in acc.items() if c)
     return out
 
 
@@ -296,28 +296,35 @@ class SectionSpace(GradedSpace):
                    for row in self.rows.get(degree, ()))
 
 
-def _section_columns(U, sheaf, cutoff):
-    """The sorted (point, label) columns of each degree, and point -> label -> position there.
-
-    U is sorted and a stalk keeps the labels of each degree sorted, so
-    the columns come out sorted point by point.
-    """
-    cols, at = {}, {}
-    for p in U:
-        at[p] = here = {}
-        for d, labs in sheaf.stalks[p].basis.items():
-            if d <= cutoff:
-                keys = cols.setdefault(d, [])
-                for lab in labs:
-                    here[lab] = len(keys)
-                    keys.append((p, lab))
-    return cols, at
-
-
-def _check_cutoff(sheaf, cutoff):
+def _stalk_labels(U, sheaf, cutoff):
+    """Point of U -> its labels of degree at most cutoff, by degree; a cutoff under them all raises."""
     lo = sheaf.min_degree()
     if lo is not None and cutoff < lo:
         raise SpaceError(f"cutoff {cutoff} below minimal occupied degree {lo}")
+    return {p: {d: labs for d, labs in sheaf.stalks[p].basis.items() if d <= cutoff} for p in U}
+
+
+def _section_columns(cells, labels):
+    """The sorted (cell, label) columns of each degree, and cell -> label -> position there.
+
+    A cell is a strict chain p_0 < ... < p_r, read at its last point:
+    its labels are labels[p_r].  A cell of one point is named by the
+    point, so the columns of points are (point, label).  Only the cells
+    whose last point carries labels get columns.  The cells come sorted
+    and a stalk keeps the labels of each degree sorted, so the columns
+    come out sorted cell by cell.
+    """
+    cols, at = {}, {}
+    for cell in cells:
+        if labels[cell[-1]]:
+            name = cell if len(cell) > 1 else cell[0]
+            at[cell] = here = {}
+            for d, labs in labels[cell[-1]].items():
+                keys = cols.setdefault(d, [])
+                for lab in labs:
+                    here[lab] = len(keys)
+                    keys.append((name, lab))
+    return cols, at
 
 
 def global_sections(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff) -> SectionSpace:
@@ -325,35 +332,29 @@ def global_sections(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff) -> Sectio
 
     One pass over the covering pairs of U imposes the constraints of
     every degree (functoriality makes the other comparable pairs
-    redundant); only ranks are taken, so dimensions cost no kernel basis.
+    redundant), one row per label at j; the kernel basis is canonical
+    whatever the row order.  Only ranks are taken, so dimensions cost
+    no kernel basis.
     """
     U = tuple(sorted(U))
     if not space.is_open(U):
         raise SpaceError("global_sections needs an open set")
-    _check_cutoff(sheaf, cutoff)
-    cols, at = _section_columns(U, sheaf, cutoff)
+    labels = _stalk_labels(U, sheaf, cutoff)
+    cols, at = _section_columns([(p,) for p in U], labels)
     elims = {d: Eliminator() for d in cols}
-    targets = {}    # point -> its labels under the cutoff with their degrees, by repr
     for i, j in space.covering_pairs(within=U):
-        if not sheaf.stalks[j].dims:
+        dst = at.get((j,))
+        if dst is None:
             continue            # nothing to match, and no restriction to compose
-        if j not in targets:
-            targets[j] = sorted(((t, d) for d, labs in sheaf.stalks[j].basis.items() if d <= cutoff
-                                 for t in labs), key=lambda td: repr(td[0]))
         m = sheaf.restriction(i, j)
-        src, dst = at[i], at[j]
-        rows = {t: {dst[t]: -1} for t, _ in targets[j]}
-        for d, labs in sheaf.stalks[i].basis.items():
-            if d > cutoff:
-                continue
-            for s in labs:
-                if s in m:
-                    n = src[s]
-                    for t, c in m[s]:
-                        row = rows[t]
-                        row[n] = row.get(n, 0) + c
-        for t, d in targets[j]:
-            elims[d].add({k: v for k, v in rows[t].items() if v})
+        rows = {t: {n: -1} for t, n in dst.items()}
+        for s, n in at.get((i,), {}).items():
+            for t, c in m.get(s, ()):
+                row = rows[t]
+                row[n] = row.get(n, 0) + c
+        for d, labs in labels[j].items():
+            for t in labs:
+                elims[d].add({k: v for k, v in rows[t].items() if v})
     return SectionSpace({d: list(e.pivots.values()) for d, e in elims.items()}, cols)
 
 
@@ -368,23 +369,20 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
     U (Bousfield-Kan): C^r is the sum, over strict chains p_0 < ... < p_r
     in U, of the stalk at p_r, and (da)_{p_0..p_{r+1}} = sum_{k<=r}
     (-1)^k a_{.. without p_k ..} + (-1)^{r+1} restriction(p_r, p_{r+1})
-    a_{p_0..p_r}.  Returns one GradedSpace per cohomological degree up to
-    cutoff, trailing zeros dropped; the first, H^0, is the SectionSpace of
-    the echelon of d^0 over positions into the sorted columns ((p,), label).
+    a_{p_0..p_r}.  One loop builds every d^r by that formula, over
+    positions into the columns that _section_columns gives the chains
+    of length r + 1.  Returns one GradedSpace per cohomological degree,
+    trailing zeros dropped.  The first, H^0, is the SectionSpace of the
+    echelon of d^0 over the (point, label) columns of global_sections;
+    the others are dimensions from ranks.
     """
     U = tuple(sorted(U))
     if not space.is_open(U):
         raise SpaceError("cech_cohomology needs an open set")
-    _check_cutoff(sheaf, cutoff)
-    degrees = sorted({d for p in U for d in sheaf.stalks[p].dims if d <= cutoff})
-    if not U or not degrees:
+    labels = _stalk_labels(U, sheaf, cutoff)
+    degrees = sorted({d for labs in labels.values() for d in labs})
+    if not degrees:
         return [SectionSpace({}, {})]
-
-    labels = {p: {d: labs for d, labs in sheaf.stalks[p].basis.items() if d <= cutoff} for p in U}
-    chains = [[(p,) for p in U]]    # chains[r]: the chains p_0 < ... < p_r, sorted; the last is empty
-    while chains[-1]:
-        chains.append([c + (q,) for c in chains[-1] for q in space.minimal_open(c[-1]) if q != c[-1]])
-
     pulled = {}
 
     def pullback(i, j):
@@ -399,45 +397,35 @@ def cech_cohomology(space: FiniteSpace, U, sheaf: GradedSheaf, cutoff):
             pulled[(i, j)] = back
         return pulled[(i, j)]
 
-    # d^0 over positions into the sorted columns ((p,), label), in one echelon per degree kept as H^0
-    cols, at = _section_columns(U, sheaf, cutoff)
-    d0 = {d: Eliminator() for d in degrees}
-    for p, q in chains[1]:
-        if not labels[q]:
-            continue
-        back, src, dst = pullback(p, q), at[p], at[q]
-        for d, labs in labels[q].items():
-            for lab in labs:
-                row = {dst[lab]: 1}
-                for s, c in back.get(lab, ()):
-                    row[src[s]] = -c
-                d0[d].add(row)
-    ranks = {(0, d): e.rank for d, e in d0.items()}     # (r, d) -> rank of d^r : C^r -> C^{r+1} in degree d
-    for r in range(1, len(chains) - 1):
-        rows = {d: [] for d in degrees}
+    out, chains = [], [(p,) for p in U]     # chains: the strict chains p_0 < ... < p_r of U, sorted
+    while chains:
+        r = len(chains[0]) - 1
+        cols, at = _section_columns(chains, labels)
+        chains = [c + (q,) for c in chains for q in space.minimal_open(c[-1]) if q != c[-1]]
+        rows = {d: [] for d in degrees}     # d^r : C^r -> C^{r+1}, one row per (chain, label) of C^{r+1}
         last = -1 if r % 2 == 0 else 1      # (-1)^{r+1}
-        for t in chains[r + 1]:
+        for t in chains:
             if not labels[t[-1]]:
                 continue
-            faces = [(t[:k] + t[k + 1:], 1 if k % 2 == 0 else -1) for k in range(r + 1)]
-            back = pullback(t[-2], t[-1])
+            faces = [(at[t[:k] + t[k + 1:]], 1 if k % 2 == 0 else -1) for k in range(r + 1)]
+            back, src = pullback(t[-2], t[-1]), at.get(t[:-1])
             for d, labs in labels[t[-1]].items():
                 for lab in labs:
-                    row = {(f, lab): e for f, e in faces}
+                    row = {f[lab]: e for f, e in faces}
                     for s, c in back.get(lab, ()):
-                        row[(t[:-1], s)] = last * c
+                        row[src[s]] = last * c
                     rows[d].append(row)
-        for d in degrees:
-            ranks[(r, d)] = sparse_rank(rows[d])
-
-    out = [SectionSpace({d: list(e.pivots.values()) for d, e in d0.items()},
-                        {d: [((p,), lab) for p, lab in cols[d]] for d in degrees})]
-    for r, level in enumerate(chains[1:-1], 1):
-        dims = {d: -ranks[(r, d)] - ranks[(r - 1, d)] for d in degrees}
-        for c in level:
-            for d, labs in labels[c[-1]].items():
-                dims[d] += len(labs)
-        out.append(GradedSpace(dims=dims))
+        if r:
+            ranks = {d: sparse_rank(rows[d]) for d in degrees}
+            out.append(GradedSpace(dims={d: len(cols.get(d, ())) - ranks[d] - below[d] for d in degrees}))
+        else:   # the echelon of d^0 is kept as H^0
+            h0 = {d: Eliminator() for d in degrees}
+            for d, e in h0.items():
+                for row in rows[d]:
+                    e.add(row)
+            ranks = {d: e.rank for d, e in h0.items()}
+            out.append(SectionSpace({d: list(e.pivots.values()) for d, e in h0.items()}, cols))
+        below = ranks
     while len(out) > 1 and not out[-1].dims:
         out.pop()
     return out

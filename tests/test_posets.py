@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +49,17 @@ def pseudo_sphere():
              ("b1", "a1"), ("b1", "a2"), ("b2", "a1"), ("b2", "a2")]
     above = [(c, a) for c in ("c1", "c2") for a in ("a1", "a2")]
     return FiniteSpace(["a1", "a2", "b1", "b2", "c1", "c2"], below + above)
+
+
+def sphere_model(levels):
+    # minimal model of S^(levels-1): two points per level, each below every point of the levels above
+    points = [f"{i}{s}" for i in range(levels) for s in "+-"]
+    return FiniteSpace(points, [(p, q) for p in points for q in points if p[0] < q[0]])
+
+
+def total_order(n):
+    points = [f"t{i}" for i in range(n)]
+    return FiniteSpace(points, itertools.combinations(points, 2))
 
 
 class TestFiniteSpace:
@@ -189,6 +202,120 @@ class TestCech:
             GradedSheaf(sp, stalks, {("a", "b"): {"u": (("w", ONE),)}})
         with pytest.raises(SpaceError, match="'x' is not a basis label"):
             GradedSheaf(sp, stalks, {("a", "b"): {"x": (("v", ONE),)}})
+
+
+def dense_cech(space, U, sheaf, cutoff, last_sign):
+    """Dimensions of each H^r over U from the coboundary written out as dense matrices.
+
+    C^r has one column per (chain p_0 < ... < p_r in U, label at p_r);
+    the row of d^r at (t, label) is sum_{k<=r} (-1)^k at (t without t_k,
+    label), plus last_sign(r) times the restriction along t_r < t_{r+1}
+    read at label.  Also returns whether every d^r d^(r-1) vanishes.
+    """
+    U = sorted(U)
+    chains = [[(p,) for p in U]]
+    while chains[-1]:
+        chains.append([c + (q,) for c in chains[-1] for q in U if q != c[-1] and space.leq(c[-1], q)])
+    degrees = sorted({d for p in U for d in sheaf.stalks[p].dims if d <= cutoff})
+
+    def basis(r, d):
+        level = chains[r] if r < len(chains) else []
+        return [(c, lab) for c in level for lab in sheaf.stalks[c[-1]].basis.get(d, ())]
+
+    def coboundary(r, d):
+        at = {key: n for n, key in enumerate(basis(r, d))}
+        rows = []
+        for t, lab in basis(r + 1, d):
+            row = [0] * len(at)
+            for k in range(r + 1):
+                row[at[(t[:k] + t[k + 1:], lab)]] += (-1) ** k
+            m = sheaf.restriction(t[-2], t[-1])
+            for s in sheaf.stalks[t[-2]].basis.get(d, ()):
+                row[at[(t[:-1], s)]] += last_sign(r) * sum(c for u, c in m.get(s, ()) if u == lab)
+            rows.append(row)
+        return rows
+
+    dims, is_complex = [], True
+    for r in range(max(1, len(chains) - 1)):
+        dims.append({})
+        for d in degrees:
+            lower, upper = coboundary(r - 1, d) if r else [], coboundary(r, d)
+            if upper and lower:
+                is_complex &= all(sum(a * b for a, b in zip(row, col)) == 0
+                                  for row in upper for col in zip(*lower))
+            n = len(basis(r, d)) - (dense_rank(upper) if upper else 0) - (dense_rank(lower) if lower else 0)
+            if n:
+                dims[-1][d] = n
+    while len(dims) > 1 and not dims[-1]:
+        dims.pop()
+    return dims, is_complex
+
+
+def right_sign(r):
+    return (-1) ** (r + 1)
+
+
+def wrong_sign_at_odd_r(r):
+    return -1
+
+
+def weighted_sheaf(space, rng, n):
+    """A seeded random sheaf: n lines, each the constant sheaf on a random closed set in degree 0 or 2,
+    with random weights w at each point, so that a restriction i < j multiplies by w_j / w_i there."""
+    support, degree, weight = [], [], []
+    for _ in range(n):
+        tops = rng.sample(space.points, rng.randint(1, len(space.points)))
+        support.append({p for p in space.points if any(space.leq(p, q) for q in tops)})
+        degree.append(rng.choice((0, 2)))
+        weight.append({p: Fraction(rng.choice((1, 2, 3, -1, -5)), rng.choice((1, 2, 7))) for p in space.points})
+    stalks = {p: GradedSpace(basis={d: [("e", k) for k in range(n) if p in support[k] and degree[k] == d]
+                                    for d in (0, 2)})
+              for p in space.points}
+    rest = {(i, j): {("e", k): ((("e", k), weight[k][j] / weight[k][i]),) for k in range(n) if j in support[k]}
+            for i, j in space.covering_pairs()}
+    return GradedSheaf(space, stalks, rest)
+
+
+def opens(space):
+    return [U for n in range(len(space.points) + 1) for U in itertools.combinations(space.points, n)
+            if space.is_open(U)]
+
+
+class TestCechSign:
+    """Every H^r against a dense coboundary; the sign of the restriction term changes with r."""
+
+    def test_weighted_sheaves_on_model_spaces(self):
+        rng = random.Random(2026)
+        for sp in (vee_space(), pseudo_circle(), pseudo_sphere(), total_order(4)):
+            for _ in range(5):
+                sh = weighted_sheaf(sp, rng, 4)
+                for U in opens(sp):
+                    want, is_complex = dense_cech(sp, U, sh, 2, right_sign)
+                    assert is_complex, U
+                    assert [h.dims for h in cech_cohomology(sp, U, sh, 2)] == want, U
+
+    def test_chains_of_four_points_tell_the_sign(self):
+        # with the sign of r = 0 at every r, the complex breaks but on chains of at most three
+        # points (pseudo_sphere, the p1xp1 face poset) the dimensions happen to stay; with
+        # four points H^1 comes out negative
+        for sp, want in ((total_order(4), [{0: 2}]), (sphere_model(4), [{0: 2}, {}, {}, {0: 2}])):
+            sh = constant_sheaf(sp, gens=("x", "y"))
+            assert dense_cech(sp, sp.points, sh, 0, right_sign) == (want, True)
+            wrong, is_complex = dense_cech(sp, sp.points, sh, 0, wrong_sign_at_odd_r)
+            assert not is_complex and wrong[1][0] < 0
+            assert [h.dims for h in cech_cohomology(sp, sp.points, sh, 0)] == want
+
+    def test_face_blocks_of_p1xp1(self):
+        doc = cli.load_document(str(DATA / "p1xp1.json"))
+        datum, _, catalog, _ = cli._datum_catalog(doc)
+        H = build_H(datum, catalog, 2)
+        blocks = [blk for _, blk in sorted(H.blocks.items()) if not blk.zero][:8]
+        for fam in downward_closed_families(datum):
+            U = g_stable_open(datum, H.space, fam)
+            for blk in blocks:
+                want, is_complex = dense_cech(H.space, U, blk.sheaf, 2, right_sign)
+                assert is_complex, fam
+                assert [h.dims for h in cech_cohomology(H.space, U, blk.sheaf, 2)] == want, fam
 
 
 class TestSections:
