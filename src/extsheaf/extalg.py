@@ -13,7 +13,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .faces import closed_face, downward_closed_families, family_name, g_stable_open
+from .faces import FacePoint, closed_face, downward_closed_families, family_name, g_stable_open
 from .hsheaf import HSheaf, unit_label
 from .isotropy import DatumError, set_name
 from .linalg import _subtract, rank
@@ -32,10 +32,18 @@ class BasisElement:
 class ExtAlgebra:
     """Graded associative unital algebra presented degreewise by basis
     and multiplication table, read by rows (row, unmemoized, for ext) or
-    by pairs (multiply, memoized, for the checks).  A row settles each
-    one-term product with one pivot lookup and sweeps the others over a
-    face index of x's partners, which only row builds and reads; a pair
-    is HSheaf.multiply_sections."""
+    by pairs (multiply, memoized, for the checks; a pair is
+    HSheaf.multiply_sections).
+
+    Basis vectors stay keyed on (face key, stalk label), in their order;
+    the table path packs such a column into one int: a face id (from the
+    sorted face points) above one w-bit slot per divisor variable (the
+    sorted union of the point orbits), then one per K-exponent.  A stored
+    exponent is below 2^(w-1) and a twist exponent is 0 or 1, so a slot of
+    x + y + twist stays under 2^w: no sum carries, packing is injective on
+    such sums, and face base + codes of x, y and twist is the code of the
+    label_product.
+    """
 
     def __init__(self, H: HSheaf):
         self.H = H
@@ -47,9 +55,17 @@ class ExtAlgebra:
         self._degrees = {}        # block -> degrees of its ids
         self.truncated_pairs = 0
         self._table = {}
-        self._coord = {}          # (block, degree) -> {pivot: (basis index, basis vector)}
-        self._faces = None        # block -> face key -> [(y, label, coeff)] in basis order, built by row
+        self._coord = {}          # (block, degree) -> {packed pivot: (basis index, packed vector or None)}
+        self._faces = None        # block -> face key -> [(y, label code, coeff)] in basis order, built by row
         self._crowded = None      # (block, face key) where a basis vector has several entries, built by row
+        self._codes = {}          # stalk label -> its packed int, one shared object per label
+        self._twist_codes = {}    # (a, b, c, face key) -> packed twist (0 for the unit), None if zero
+        w = (2 * self.cutoff + 2).bit_length()     # a label of degree <= cutoff has exponents <= cutoff / 2
+        names = sorted({v for f in H.space.points for v in FacePoint.from_key(f).orbit})
+        nk = max(len(e["generators"]) for e in H.datum.kdata.entries.values())
+        self._slots = {v: w * k for k, v in enumerate([*names, *range(nk)])}   # variable or K index -> shift
+        self._bound = 1 << (w - 1)
+        self._face_base = {f: k << w * len(self._slots) for k, f in enumerate(H.space.points)}
         n = len(self.catalog)
         for i, j in itertools.product(range(n), repeat=2):
             sec = H.sections(H.blocks[(i, j)])
@@ -71,42 +87,77 @@ class ExtAlgebra:
                 raise DatumError(f"diagonal unit of block {a}:{a} is not in its degree-0 basis")
             self.idempotents[a] = coeffs
 
+    def _code(self, lab):
+        """The packed int of a stalk label, cached, or None off the slots (a
+        variable of no face, too many K-exponents, an exponent >= 2^(w-1))."""
+        code = self._codes.get(lab)
+        if code is None:
+            pairs, slots = (*lab[0], *enumerate(lab[1])), self._slots
+            if not all(v in slots and 0 <= e < self._bound for v, e in pairs):
+                return None
+            code = self._codes[lab] = sum(e << slots[v] for v, e in pairs)
+        return code
+
+    def _twist_code(self, a, b, c, f):
+        """The packed product_twist of (a, b, c) at face f, or None for the zero map; cached."""
+        if (a, b, c, f) not in self._twist_codes:
+            tw = self.H.product_twist(a, b, c, f)
+            self._twist_codes[(a, b, c, f)] = None if tw is None else self._code((tw, ()))
+        return self._twist_codes[(a, b, c, f)]
+
+    def _packed(self, vector):
+        """{packed column: c} of a vector over (face key, stalk label), or None if a column does not pack."""
+        out, bases, codes = {}, self._face_base, self._codes
+        try:
+            for (f, lab), a in vector.items():
+                out[bases[f] + codes[lab]] = a
+        except KeyError:        # a label met for the first time, or a column off the slots
+            if any(f not in bases or self._code(lab) is None for f, lab in vector):
+                return None
+            return self._packed(vector)
+        return out
+
     # -- coordinates
 
     def express(self, block, degree, vector):
-        """Coefficients {basis index: c} of a vector in the degree part of
-        the block basis, or None if it lies outside that span (as a vector
-        with entries of another degree does).  A degree part of the basis is
-        reduced echelon (kernel_basis): the pivot min(b) of a basis vector b
-        is an entry of no other, so the coefficient of b is the vector's
-        entry at that pivot, and the vector is in the span exactly when
-        subtracting those multiples leaves nothing.  So a one-entry vector is
-        in the span exactly when its key is the pivot of a basis vector with
-        no other entry, which one lookup settles.
-        """
+        """Coefficients {basis index: c} of a vector in the degree part of the
+        block basis, or None if it lies outside that span (as a vector with
+        entries of another degree or off the slots does); see _settle."""
+        packed = self._packed(vector)
+        return None if packed is None else self._settle(block, degree, packed)
+
+    def _settle(self, block, degree, vector):
+        """express over packed columns.  A degree part of the basis is reduced
+        echelon (kernel_basis): the pivot min(b) of a basis vector b is an entry
+        of no other, so b's coefficient is the vector's entry there, and the
+        vector is in the span exactly when subtracting those multiples leaves
+        nothing; a one-entry vector exactly when its column is the pivot of a
+        one-entry basis vector, which one lookup settles."""
         if not vector:
             return {}
         pivots = self._pivots(block, degree)
         if len(vector) == 1:
             (c, a), = vector.items()
             hit = pivots.get(c)
-            return {hit[0]: a} if hit is not None and len(hit[1]) == 1 else None
+            return {hit[0]: a} if hit is not None and hit[1] is None else None
         coeffs, res = {}, dict(vector)
         for c, a in vector.items():
             hit = pivots.get(c)
             if hit is not None:
                 i, row = hit
                 coeffs[i] = a
-                _subtract(res, row, a)
+                _subtract(res, {c: 1} if row is None else row, a)
         return None if res else coeffs
 
     def _pivots(self, block, degree):
-        """{pivot: (basis index, basis vector)} of the degree part of block, built on first use."""
+        """{packed min(b): (index of b, packed b, or None if b has one entry)} over
+        the degree part of block, built on first use; min(b) is in tuple order."""
         pivots = self._coord.get((block, degree))
         if pivots is None:
-            part = [self.basis[i] for i in self.by_block[block]]
-            pivots = self._coord[(block, degree)] = {min(b.vector): (b.index, b.vector)
-                                                     for b in part if b.degree == degree}
+            pivots = self._coord[(block, degree)] = {}
+            for b in (self.basis[i] for i in self.by_block[block] if self.basis[i].degree == degree):
+                (f, lab), many = min(b.vector), len(b.vector) > 1
+                pivots[self._face_base[f] + self._code(lab)] = (b.index, self._packed(b.vector) if many else None)
         return pivots
 
     # -- products
@@ -118,12 +169,14 @@ class ExtAlgebra:
     def row(self, x: int, block):
         """Yields (y, {z: c} in increasing z) in basis order for the nonzero
         products of basis[x] with its partners in block; the partners the
-        cutoff drops are counted in truncated_pairs.  If x has one entry (f,
-        label) and no basis vector of block has two at f, each product has
-        one term, settled by one pivot lookup as in express.  Otherwise one
-        sweep over the faces of x meets, through the face index, only the
-        partners with an entry there, and each product goes through express.
-        Nothing is memoized.
+        cutoff drops are counted in truncated_pairs.  A face index holds
+        (y, label code, coefficient) per face of the partners, and a product
+        column at a face is face base + codes of x's label, the twist and
+        y's label.  If x has one entry at f and no basis vector of block has
+        two at f, the first three are fixed for the row: each product is one
+        int addition and one pivot lookup.  Otherwise one sweep over the
+        faces of x sums packed product vectors, each settled by _settle.  A
+        product off the span raises DatumError.  Nothing is memoized.
         """
         bx = self.basis[x]
         ids = self.partners(block, bx.degree)
@@ -139,43 +192,43 @@ class ExtAlgebra:
                     entries = faces.setdefault(f, [])
                     if entries and entries[-1][0] == by.index:
                         self._crowded.add((by.block, f))
-                    entries.append((by.index, lab, cy))
-        H, basis, last, faces = self.H, self.basis, ids[-1], self._faces[block]
+                    entries.append((by.index, self._code(lab), cy))
+        basis, last, faces, dx = self.basis, ids[-1], self._faces[block], bx.degree
         (f, xlab), cx = next(iter(bx.vector.items()))
         if len(bx.vector) > 1 or (block, f) in self._crowded:
-            products = {}       # y -> product vector, summed over the faces x shares with y
+            products = {}       # y -> packed product vector, summed over the faces x shares with y
             for (f, xlab), cx in bx.vector.items():
                 entries = faces.get(f)
-                tw = None if entries is None else H.product_twist(a, b, c, f)
+                tw = None if entries is None else self._twist_code(a, b, c, f)
                 if tw is None:
                     continue
-                for y, ylab, cy in entries:
+                base = self._face_base[f] + self._code(xlab) + tw
+                for y, ycode, cy in entries:
                     if y > last:
                         break
                     vec = products.get(y)
                     if vec is None:
                         vec = products[y] = {}
-                    key = (f, H.label_product(xlab, ylab, tw))
+                    key = base + ycode
                     if v := vec.get(key, 0) + cx * cy:
                         vec[key] = v
                     else:
                         del vec[key]
             for y in sorted(products):
-                out = self._express_product((a, c), bx.degree + basis[y].degree, products[y])
-                if out:
+                if out := self._express_product((a, c), dx + basis[y].degree, products[y]):
                     yield y, out if len(out) == 1 else dict(sorted(out.items()))
             return
-        tw = H.product_twist(a, b, c, f)
+        tw = self._twist_code(a, b, c, f)
         if tw is None:
             return
-        dx, degree, pivots = bx.degree, None, None
-        for y, ylab, cy in faces.get(f, ()):
+        base, degree, pivots = self._face_base[f] + self._code(xlab) + tw, None, None
+        for y, ycode, cy in faces.get(f, ()):
             if y > last:
                 break
             if (d := dx + basis[y].degree) != degree:
                 degree, pivots = d, self._pivots((a, c), d)
-            hit = pivots.get((f, H.label_product(xlab, ylab, tw)))
-            if hit is None or len(hit[1]) > 1:
+            hit = pivots.get(base + ycode)
+            if hit is None or hit[1] is not None:
                 raise DatumError("product of sections is not a section")
             yield y, {hit[0]: cx * cy}
 
@@ -192,12 +245,12 @@ class ExtAlgebra:
                 raise ValueError(f"{bx.name} * {by.name} has degree {degree}, past the cutoff {self.cutoff}")
             (a, b), (b2, c) = bx.block, by.block
             self._table[key] = {} if b != b2 else self._express_product(
-                (a, c), degree, self.H.multiply_sections(a, b, c, bx.vector, by.vector))
+                (a, c), degree, self._packed(self.H.multiply_sections(a, b, c, bx.vector, by.vector)))
         return self._table[key]
 
-    def _express_product(self, block, degree, vector):
-        """express for a product of sections, which must be a section."""
-        out = self.express(block, degree, vector)
+    def _express_product(self, block, degree, packed):
+        """_settle for a packed product of sections (None off the slots), which must be a section."""
+        out = None if packed is None else self._settle(block, degree, packed)
         if out is None:
             raise DatumError("product of sections is not a section")
         return out

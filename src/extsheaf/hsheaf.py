@@ -263,8 +263,8 @@ class HSheaf:
     def label_product(self, xlab, ylab, tw):
         """The stalk label of xlab * ylab under the twist monomial tw: the
         polynomial parts and tw multiply, the K-exponents add.  Its
-        coefficient is 1.  Cached on (xlab, ylab, tw).
-        """
+        coefficient is 1.  Cached on (xlab, ylab, tw).  Only compose (so the
+        checks) calls it; the ext table adds packed codes (ExtAlgebra)."""
         key = (xlab, ylab, tw)
         lab = self._labels.get(key)
         if lab is None:

@@ -161,7 +161,9 @@ class GradedSheaf:
     stalk).  restrictions: (i, j) -> {source_label: ((target_label,
     coefficient), ...)} for i < j; at least the covering pairs out of every
     point with a nonzero stalk must be present, the rest are composed.
-    Every given entry must preserve degree (so the composed ones do too).
+    Every given entry must preserve degree (so the composed ones do too),
+    and is kept merged (_merged), so apply, global_sections and
+    cech_cohomology read one normal form.
     """
 
     def __init__(self, space: FiniteSpace, stalks, restrictions):
@@ -177,15 +179,17 @@ class GradedSheaf:
             if i == j or not space.leq(i, j):
                 raise SpaceError(f"restriction on non-comparable pair ({i!r}, {j!r})")
             source, target = self.stalks[i].degree_of, self.stalks[j].degree_of
+            rest = self._rest[(i, j)] = {}
             try:
                 for s, terms in m.items():
                     d = source[s]
                     for t, _ in terms:
                         if target[t] != d:
                             raise SpaceError("restriction map is not degree-preserving")
+                    # one term with a nonzero coefficient is merged already
+                    rest[s] = _merged(terms) if len(terms) > 1 or terms and not terms[0][1] else tuple(terms)
             except KeyError as exc:
                 raise SpaceError(f"{exc.args[0]!r} is not a basis label") from None
-            self._rest[(i, j)] = {s: tuple(t) for s, t in m.items()}
         # sheaves are read-only once built, so the lowest occupied degree is fixed
         self._min_degree = min((d for st in self.stalks.values() for d in st.dims), default=None)
 
@@ -243,14 +247,17 @@ class GradedSheaf:
 
 
 def _compose(first, second):
-    out = {}
-    for s, terms in first.items():
-        acc = {}
-        for mid, c in terms:
-            for t, c2 in second.get(mid, ()):
-                acc[t] = acc.get(t, 0) + c * c2
-        out[s] = tuple((t, c) for t, c in acc.items() if c)
-    return out
+    return {s: _merged((t, c * c2) for mid, c in terms for t, c2 in second.get(mid, ()))
+            for s, terms in first.items()}
+
+
+def _merged(terms):
+    """Restriction terms (label, coefficient) in normal form: each label once, in
+    the order it first comes, and no zero coefficient."""
+    acc = {}
+    for t, c in terms:
+        acc[t] = acc.get(t, 0) + c
+    return tuple((t, c) for t, c in acc.items() if c)
 
 
 # ---------------------------------------------------------------------------

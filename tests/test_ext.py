@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import importlib.util
 import io
@@ -535,6 +536,57 @@ class TestProductContract:
             assert ext.express((0, 0), degree, vec) is None
 
 
+class TestPackedColumns:
+    """The table path packs each (face, stalk label) column into one int."""
+
+    def test_packed_sum_is_the_code_of_the_label_product(self):
+        # every face-local composable (x label, y label, twist), of any degree
+        triples = 0
+        for name, H in _shipped_H():
+            ext, n = ext_algebra(H), len(H.catalog)
+            for f in H.space.points:
+                seen = set()
+                for a, b, c in itertools.product(range(n), repeat=3):
+                    tw, sx, sy = H.product_twist(a, b, c, f), H.blocks[(a, b)].stalk(f), H.blocks[(b, c)].stalk(f)
+                    if tw is None or (id(sx), id(sy), tw) in seen:
+                        continue
+                    seen.add((id(sx), id(sy), tw))
+                    base = ext._face_base[f] + ext._twist_code(a, b, c, f)
+                    for xl in (lab for labs in sx.basis.values() for lab in labs):
+                        for yl in (lab for labs in sy.basis.values() for lab in labs):
+                            got = base + ext._code(xl) + ext._code(yl)
+                            assert ext._packed({(f, H.label_product(xl, yl, tw)): 1}) == {got: 1}, (name, f, xl, yl)
+                            triples += 1
+        assert triples > 100000
+
+    def test_express_rejects_a_label_past_the_slots(self):
+        # (u, e * 2^w) would pack onto (v, e) of the next slot: a one-entry basis vector
+        ext = ext_algebra(_document_H("p1xp1"))
+        slot = {s: v for v, s in ext._slots.items()}
+        w = (2 * ext.cutoff + 2).bit_length()
+        b, f, v, e, km = next((b, f, v, e, km) for b in ext.basis if len(b.vector) == 1
+                              for (f, (pm, km)), in [b.vector] if len(pm) == 1
+                              for (v, e), in [pm] if ext._slots[v] >= w)
+        u = slot[ext._slots[v] - w]
+        assert b.vector == {(f, (((v, e),), km)): 1}
+        for lab in ((((u, e << w),), km), (((u, ext._bound),), km), ((("zz", 1),), km),
+                    (((v, e),), km + (0,) * len(ext._slots))):
+            for vec in ({(f, lab): 1}, {(f, lab): 1, **b.vector}):
+                assert ext.express(b.block, b.degree, vec) is None, lab
+        assert ext.express(b.block, b.degree, {("no|face", (((v, e),), km)): 1}) is None
+
+    def test_unit_twist_is_computed_once(self, monkeypatch):
+        # the unit twist packs to 0, which must still count as cached
+        H = _document_H("p1xp1")
+        ext, calls, twist = ext_algebra(H), collections.Counter(), H.product_twist
+        monkeypatch.setattr(H, "product_twist", lambda *key: calls.update([key]) or twist(*key))
+        for x in range(len(ext.basis)):
+            for blk in _composable(ext, x):
+                list(ext.row(x, blk))
+        assert calls and max(calls.values()) == 1
+        assert any(ext._twist_codes[key] == 0 for key in calls)
+
+
 class TestProductOffTheSpan:
     """A product that is not in the section span stops the table with DatumError:
     block 0:0 of p1_trivial at cutoff 6 loses its last top-degree basis vector,
@@ -575,8 +627,10 @@ class TestProductOffTheSpan:
             assert str(exc.value) == self.MESSAGE
 
     def test_product_of_another_degree(self, monkeypatch):
-        # label_product shifted by 2 in degree: the label is the pivot of a one-entry
-        # basis vector two degrees up, which a lookup keyed on the block alone would take
+        # the product shifted by 2 in degree: the label is the pivot of a one-entry
+        # basis vector two degrees up, which a lookup keyed on the block alone would take.
+        # multiply reads the shift from label_product; row, which adds packed codes,
+        # from a twist code one exponent up in the slot of the face's first variable
         H, ext = build_ext(P1)
         x = next(i for i in ext.by_block[(0, 0)] if ext.basis[i].degree == 2 and len(ext.basis[i].vector) == 1)
         y = ext.by_block[(0, 0)][0]
@@ -590,7 +644,10 @@ class TestProductOffTheSpan:
         (f, xlab), = ext.basis[x].vector
         lab = shifted(xlab, next(l for g, l in ext.basis[y].vector if g == f), ())
         assert ext.express((0, 0), 4, {(f, lab): 1}) is not None
+        assert lab[0][0][0] == FacePoint.from_key(f).orbit[0]
+        twist_code, step = ext._twist_code, 1 << ext._slots[lab[0][0][0]]
         monkeypatch.setattr(H, "label_product", shifted)
+        monkeypatch.setattr(ext, "_twist_code", lambda *key: twist_code(*key) + step)
         for read in (lambda: next(ext.row(x, (0, 0))), lambda: ext.multiply(x, y)):
             with pytest.raises(DatumError) as exc:
                 read()

@@ -203,6 +203,18 @@ class TestCech:
         with pytest.raises(SpaceError, match="'x' is not a basis label"):
             GradedSheaf(sp, stalks, {("a", "b"): {"x": (("v", ONE),)}})
 
+    def test_repeated_restriction_target_is_summed_once(self):
+        # u -> v + v is u -> 2v for apply, the section solve and the Čech H^0 alike,
+        # and a zero coefficient is dropped when the sheaf is built
+        sp = chain_space()
+        stalks = {"a": GradedSpace(basis={0: ("u", "w")}), "b": GradedSpace(basis={0: ("v",)})}
+        sh = GradedSheaf(sp, stalks, {("a", "b"): {"u": (("v", 1), ("v", 1)), "w": (("v", 0),)}})
+        assert sh.restriction("a", "b") == {"u": (("v", 2),), "w": ()}
+        assert sh.apply("a", "b", {"u": 1}) == {"v": 2}
+        want = ({("a", "u"): 1, ("b", "v"): 2}, {("a", "w"): 1})
+        assert global_sections(sp, sp.points, sh, 0).vectors == {0: want}
+        assert cech_cohomology(sp, sp.points, sh, 0)[0].vectors == {0: want}
+
 
 def dense_cech(space, U, sheaf, cutoff, last_sign):
     """Dimensions of each H^r over U from the coboundary written out as dense matrices.
