@@ -165,7 +165,8 @@ def _stalk_chains(H: HSheaf, rng: random.Random):
 
 def _sampled_triples(H: HSheaf, rng: random.Random):
     """Direct stalk-level triple products both ways on seeded chains."""
-    for f, (a, b, c, dd), (x, y, z) in _stalk_chains(H, rng):
+    for f, (a, b, c, dd), labs in _stalk_chains(H, rng):
+        x, y, z = map(H.code, labs)
         xy = H.compose(a, b, c, f, x, y)
         yz = H.compose(b, c, dd, f, y, z)
         left = None if xy is None else H.compose(a, c, dd, f, xy, z)

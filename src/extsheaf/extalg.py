@@ -13,7 +13,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .faces import FacePoint, closed_face, downward_closed_families, family_name, g_stable_open
+from .faces import closed_face, downward_closed_families, family_name, g_stable_open
 from .hsheaf import HSheaf, unit_label
 from .isotropy import DatumError, set_name
 from .linalg import _subtract, rank
@@ -36,13 +36,8 @@ class ExtAlgebra:
     HSheaf.multiply_sections).
 
     Basis vectors stay keyed on (face key, stalk label), in their order;
-    the table path packs such a column into one int: a face id (from the
-    sorted face points) above one w-bit slot per divisor variable (the
-    sorted union of the point orbits), then one per K-exponent.  A stored
-    exponent is below 2^(w-1) and a twist exponent is 0 or 1, so a slot of
-    x + y + twist stays under 2^w: no sum carries, packing is injective on
-    such sums, and face base + codes of x, y and twist is the code of the
-    label_product.
+    products and pivot tables are keyed on H's packed columns (face base +
+    label code, see HSheaf.code), so a product column is an int sum.
     """
 
     def __init__(self, H: HSheaf):
@@ -58,14 +53,6 @@ class ExtAlgebra:
         self._coord = {}          # (block, degree) -> {packed pivot: (basis index, packed vector or None)}
         self._faces = None        # block -> face key -> [(y, label code, coeff)] in basis order, built by row
         self._crowded = None      # (block, face key) where a basis vector has several entries, built by row
-        self._codes = {}          # stalk label -> its packed int, one shared object per label
-        self._twist_codes = {}    # (a, b, c, face key) -> packed twist (0 for the unit), None if zero
-        w = (2 * self.cutoff + 2).bit_length()     # a label of degree <= cutoff has exponents <= cutoff / 2
-        names = sorted({v for f in H.space.points for v in FacePoint.from_key(f).orbit})
-        nk = max(len(e["generators"]) for e in H.datum.kdata.entries.values())
-        self._slots = {v: w * k for k, v in enumerate([*names, *range(nk)])}   # variable or K index -> shift
-        self._bound = 1 << (w - 1)
-        self._face_base = {f: k << w * len(self._slots) for k, f in enumerate(H.space.points)}
         n = len(self.catalog)
         for i, j in itertools.product(range(n), repeat=2):
             sec = H.sections(H.blocks[(i, j)])
@@ -87,43 +74,13 @@ class ExtAlgebra:
                 raise DatumError(f"diagonal unit of block {a}:{a} is not in its degree-0 basis")
             self.idempotents[a] = coeffs
 
-    def _code(self, lab):
-        """The packed int of a stalk label, cached, or None off the slots (a
-        variable of no face, too many K-exponents, an exponent >= 2^(w-1))."""
-        code = self._codes.get(lab)
-        if code is None:
-            pairs, slots = (*lab[0], *enumerate(lab[1])), self._slots
-            if not all(v in slots and 0 <= e < self._bound for v, e in pairs):
-                return None
-            code = self._codes[lab] = sum(e << slots[v] for v, e in pairs)
-        return code
-
-    def _twist_code(self, a, b, c, f):
-        """The packed product_twist of (a, b, c) at face f, or None for the zero map; cached."""
-        if (a, b, c, f) not in self._twist_codes:
-            tw = self.H.product_twist(a, b, c, f)
-            self._twist_codes[(a, b, c, f)] = None if tw is None else self._code((tw, ()))
-        return self._twist_codes[(a, b, c, f)]
-
-    def _packed(self, vector):
-        """{packed column: c} of a vector over (face key, stalk label), or None if a column does not pack."""
-        out, bases, codes = {}, self._face_base, self._codes
-        try:
-            for (f, lab), a in vector.items():
-                out[bases[f] + codes[lab]] = a
-        except KeyError:        # a label met for the first time, or a column off the slots
-            if any(f not in bases or self._code(lab) is None for f, lab in vector):
-                return None
-            return self._packed(vector)
-        return out
-
     # -- coordinates
 
     def express(self, block, degree, vector):
         """Coefficients {basis index: c} of a vector in the degree part of the
         block basis, or None if it lies outside that span (as a vector with
         entries of another degree or off the slots does); see _settle."""
-        packed = self._packed(vector)
+        packed = self.H._packed(vector)
         return None if packed is None else self._settle(block, degree, packed)
 
     def _settle(self, block, degree, vector):
@@ -154,10 +111,10 @@ class ExtAlgebra:
         the degree part of block, built on first use; min(b) is in tuple order."""
         pivots = self._coord.get((block, degree))
         if pivots is None:
-            pivots = self._coord[(block, degree)] = {}
+            H, pivots = self.H, self._coord.setdefault((block, degree), {})
             for b in (self.basis[i] for i in self.by_block[block] if self.basis[i].degree == degree):
                 (f, lab), many = min(b.vector), len(b.vector) > 1
-                pivots[self._face_base[f] + self._code(lab)] = (b.index, self._packed(b.vector) if many else None)
+                pivots[H._face_base[f] + H.code(lab)] = (b.index, H._packed(b.vector) if many else None)
         return pivots
 
     # -- products
@@ -184,6 +141,7 @@ class ExtAlgebra:
         (a, b), (b2, c) = bx.block, block
         if not ids or b != b2:
             return
+        H = self.H
         if self._faces is None:
             self._faces, self._crowded = {blk: {} for blk in self.by_block}, set()
             for by in self.basis:
@@ -192,17 +150,17 @@ class ExtAlgebra:
                     entries = faces.setdefault(f, [])
                     if entries and entries[-1][0] == by.index:
                         self._crowded.add((by.block, f))
-                    entries.append((by.index, self._code(lab), cy))
+                    entries.append((by.index, H.code(lab), cy))
         basis, last, faces, dx = self.basis, ids[-1], self._faces[block], bx.degree
         (f, xlab), cx = next(iter(bx.vector.items()))
         if len(bx.vector) > 1 or (block, f) in self._crowded:
             products = {}       # y -> packed product vector, summed over the faces x shares with y
             for (f, xlab), cx in bx.vector.items():
                 entries = faces.get(f)
-                tw = None if entries is None else self._twist_code(a, b, c, f)
+                tw = None if entries is None else H._twist_code(a, b, c, f)
                 if tw is None:
                     continue
-                base = self._face_base[f] + self._code(xlab) + tw
+                base = H._face_base[f] + H.code(xlab) + tw
                 for y, ycode, cy in entries:
                     if y > last:
                         break
@@ -218,10 +176,10 @@ class ExtAlgebra:
                 if out := self._express_product((a, c), dx + basis[y].degree, products[y]):
                     yield y, out if len(out) == 1 else dict(sorted(out.items()))
             return
-        tw = self._twist_code(a, b, c, f)
+        tw = H._twist_code(a, b, c, f)
         if tw is None:
             return
-        base, degree, pivots = self._face_base[f] + self._code(xlab) + tw, None, None
+        base, degree, pivots = H._face_base[f] + H.code(xlab) + tw, None, None
         for y, ycode, cy in faces.get(f, ()):
             if y > last:
                 break
@@ -234,23 +192,26 @@ class ExtAlgebra:
 
     def multiply(self, x: int, y: int):
         """Structure constants {z index: coefficient} of basis[x] * basis[y],
-        {} for non-composable blocks or zero products; memoized.  A pair
-        past the cutoff raises ValueError (partners never returns one).
+        {} for non-composable blocks or zero products; memoized.  An index
+        outside the basis, or a pair past the cutoff, raises ValueError
+        (partners never returns one).
         """
         key = (x, y)
         if key not in self._table:
+            if not (0 <= x < len(self.basis) and 0 <= y < len(self.basis)):
+                raise ValueError(f"basis index out of range({len(self.basis)}): {x}, {y}")
             bx, by = self.basis[x], self.basis[y]
             degree = bx.degree + by.degree
             if degree > self.cutoff:
                 raise ValueError(f"{bx.name} * {by.name} has degree {degree}, past the cutoff {self.cutoff}")
             (a, b), (b2, c) = bx.block, by.block
             self._table[key] = {} if b != b2 else self._express_product(
-                (a, c), degree, self._packed(self.H.multiply_sections(a, b, c, bx.vector, by.vector)))
+                (a, c), degree, self.H.multiply_sections(a, b, c, bx.vector, by.vector))
         return self._table[key]
 
     def _express_product(self, block, degree, packed):
-        """_settle for a packed product of sections (None off the slots), which must be a section."""
-        out = None if packed is None else self._settle(block, degree, packed)
+        """_settle for a packed product of sections, which must be a section."""
+        out = self._settle(block, degree, packed)
         if out is None:
             raise DatumError("product of sections is not a section")
         return out
@@ -503,7 +464,7 @@ def concentration_check(H: HSheaf, ext: ExtAlgebra) -> Report:
                         prod = H.multiply_sections(a, b, c, v1, v2)
                         pairs_checked += 1
                         # a Čech vector outside the section span has no coordinates (None)
-                        if None in (c1, c2) or ext.element_product(c1, c2) != ext.express((a, c), d1 + d2, prod):
+                        if None in (c1, c2) or ext.element_product(c1, c2) != ext._settle((a, c), d1 + d2, prod):
                             ok_products = False
     entries.append(ReportEntry(
         name="dual-path-products", ok=ok_products,

@@ -19,13 +19,15 @@ The product is homogeneous.  Where the three blocks meet at a face they
 share one K-module, and the twist is the product of X_v over
 ∇(Δ_a, Δ_b, Δ_c), where |∇(Δ_a, Δ_b, Δ_c)| = d_ab + d_bc - d_ac.  So the
 product of stalk labels of degrees i and j has degree i + j, and callers
-bound i + j by the cutoff before they multiply.
+bound i + j by the cutoff before they multiply.  Products run on labels
+packed into ints (see HSheaf.code), so each one is an int addition.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import f2
 from .algebra import mono, monomials_of_degree, twist_factor, twisted_tensor
@@ -145,7 +147,11 @@ class HSheaf:
         n = len(catalog)
         self.blocks = {(i, j): Block(self, i, j) for i in range(n) for j in range(n)}
         self._twists = {}
-        self._labels = {}      # (x label, y label, twist) -> composed label
+        # the label codec (see code): 2^(w-1) for the slot width w, which a label of
+        # degree <= cutoff has every exponent below; the slots are built on first use
+        self._bound = 1 << ((2 * cutoff + 2).bit_length() - 1)
+        self._codes = {}       # stalk label -> its packed int, one shared object per label
+        self._twist_codes = {}     # (a, b, c, face key) -> packed twist (0 for the unit), None if zero
 
     # -- the shared pieces
 
@@ -260,41 +266,86 @@ class HSheaf:
         self._twists[key] = tw
         return tw
 
-    def label_product(self, xlab, ylab, tw):
-        """The stalk label of xlab * ylab under the twist monomial tw: the
-        polynomial parts and tw multiply, the K-exponents add.  Its
-        coefficient is 1.  Cached on (xlab, ylab, tw).  Only compose (so the
-        checks) calls it; the ext table adds packed codes (ExtAlgebra)."""
-        key = (xlab, ylab, tw)
-        lab = self._labels.get(key)
-        if lab is None:
-            (pmx, kmx), (pmy, kmy) = xlab, ylab
-            lab = self._labels[key] = mono(*pmx, *pmy, *tw), tuple(x + y for x, y in zip(kmx, kmy))
-        return lab
+    # -- the label codec (Kronecker substitution)
 
-    def compose(self, a, b, c, face_key, xlab, ylab):
-        """Stalk-level product of x ∈ H^{ab} and y ∈ H^{bc} at a face: the
-        label_product under the product_twist, or None for the zero map."""
-        tw = self.product_twist(a, b, c, face_key)
-        return None if tw is None else self.label_product(xlab, ylab, tw)
+    @cached_property
+    def _slots(self):
+        """Variable or K index -> its shift: one w-bit slot per divisor variable
+        (the sorted union of the point orbits), then one per K-exponent."""
+        w = self._bound.bit_length()
+        names = sorted({v for p in self._points.values() for v in p.orbit})
+        nk = max(len(e["generators"]) for e in self.datum.kdata.entries.values())
+        return {v: w * k for k, v in enumerate([*names, *range(nk)])}
+
+    @cached_property
+    def _face_base(self):
+        """Face key -> its id (place in the sorted points) shifted above every slot."""
+        top = self._bound.bit_length() * len(self._slots)
+        return {f: k << top for k, f in enumerate(self.space.points)}
+
+    def code(self, lab):
+        """The packed int of a stalk label, cached, or None off the slots (a
+        variable of no face, too many K-exponents, an exponent >= 2^(w-1)).
+
+        A stored exponent is below 2^(w-1) and a twist exponent is 0 or 1, so
+        a slot of x + y + twist stays under 2^w: no sum carries.  So when the
+        product degree is at most the cutoff, which every caller of compose
+        and multiply_sections ensures, the sum of the codes of x, y and the
+        twist is the code of the product label, and face base + code packs a
+        column (face key, stalk label) injectively.
+        """
+        code = self._codes.get(lab)
+        if code is None:
+            pairs, slots = (*lab[0], *enumerate(lab[1])), self._slots
+            if not all(v in slots and 0 <= e < self._bound for v, e in pairs):
+                return None
+            code = self._codes[lab] = sum(e << slots[v] for v, e in pairs)
+        return code
+
+    def _twist_code(self, a, b, c, f):
+        """The packed product_twist of (a, b, c) at face f, or None for the zero map; cached."""
+        if (a, b, c, f) not in self._twist_codes:
+            tw = self.product_twist(a, b, c, f)
+            self._twist_codes[(a, b, c, f)] = None if tw is None else self.code((tw, ()))
+        return self._twist_codes[(a, b, c, f)]
+
+    def _packed(self, vector):
+        """{packed column: c} of a vector over (face key, stalk label), or None if a column does not pack."""
+        out, bases = {}, self._face_base
+        for (f, lab), a in vector.items():
+            if f not in bases or (code := self.code(lab)) is None:
+                return None
+            out[bases[f] + code] = a
+        return out
+
+    def compose(self, a, b, c, face_key, x, y):
+        """Stalk-level product of x ∈ H^{ab} and y ∈ H^{bc} at a face, on label
+        codes: x + y + the code of the product_twist, or None for the zero map.
+        Its coefficient is 1."""
+        tw = self._twist_code(a, b, c, face_key)
+        return None if tw is None else x + y + tw
 
     def multiply_sections(self, a, b, c, xvec, yvec):
         """Facewise product of section vectors of H^{ab} and H^{bc}: each pair
-        of entries at a common face multiplies through compose, and a sum
-        whose terms cancel is dropped.
+        of entries at a common face multiplies through the codes of compose,
+        and a sum whose terms cancel is dropped.
 
-        Vectors are sparse dicts over (face key, stalk label); the result
-        is a vector over H^{ac} coordinates.
+        Vectors are sparse dicts over (face key, stalk label); the result is
+        packed, {face base + label code: c} over H^{ac} coordinates.  Each
+        entry's code is read once.
         """
-        out = {}
+        code, bases, out = self.code, self._face_base, {}
+        ys = [(g, code(ylab), cy) for (g, ylab), cy in yvec.items()] if xvec else ()
         for (f, xlab), cx in xvec.items():
-            for (g, ylab), cy in yvec.items():
-                if f == g and (lab := self.compose(a, b, c, f, xlab, ylab)) is not None:
-                    key = (f, lab)
-                    if v := out.get(key, 0) + cx * cy:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
+            if (tw := self._twist_code(a, b, c, f)) is not None:
+                base = bases[f] + code(xlab) + tw
+                for g, ycode, cy in ys:
+                    if g == f:
+                        key = base + ycode
+                        if v := out.get(key, 0) + cx * cy:
+                            out[key] = v
+                        else:
+                            out.pop(key, None)
         return out
 
 
@@ -368,10 +419,8 @@ def check_diagonal_units(H: HSheaf):
         for key in sorted(blk.support.members()):
             for d, labs in sorted(blk.stalk(key).basis.items()):
                 for lab in labs:
-                    ua = ((), tuple(0 for _ in lab[1]))
-                    left = H.compose(a, a, b, key, ua, lab)
-                    right = H.compose(a, b, b, key, lab, ua)
-                    if left != lab or right != lab:
+                    x = H.code(lab)     # the unit label's code is 0
+                    if H.compose(a, a, b, key, 0, x) != x or H.compose(a, b, b, key, x, 0) != x:
                         bad.append((a, b, key, lab, "unit law fails"))
     return bad
 
@@ -386,12 +435,20 @@ def check_restriction_product(H: HSheaf):
     bad = []
     n = len(H.catalog)
     pairs = H.space.covering_pairs()
-    images = {}     # (sheaf, f1, f2, label) -> its restriction over (f2, label), shared by the blocks of a sheaf
+    images = {}     # (sheaf, f1, f2, label code) -> its restriction over (f2, label), and the same packed
+    labels = {}     # (sheaf, face) -> {label code: label} of its stalk
 
-    def image(sheaf, f1, f2, lab):
-        key = (sheaf, f1, f2, lab)
+    def image(sheaf, f1, f2, code):
+        """Shared by the blocks of a sheaf.  A code that is no label at f1
+        restricts to {}, as apply does on an unknown label."""
+        key = (sheaf, f1, f2, code)
         if key not in images:
-            images[key] = {(f2, lab2): v for lab2, v in sheaf.apply(f1, f2, {lab: 1}).items()}
+            if (sheaf, f1) not in labels:
+                labels[(sheaf, f1)] = {H.code(lab): lab for labs in sheaf.stalks[f1].basis.values()
+                                       for lab in labs}
+            lab = labels[(sheaf, f1)].get(code)
+            vec = {} if lab is None else {(f2, lab2): v for lab2, v in sheaf.apply(f1, f2, {lab: 1}).items()}
+            images[key] = vec, H._packed(vec)
         return images[key]
 
     for a, b, c in itertools.product(range(n), repeat=3):
@@ -403,12 +460,14 @@ def check_restriction_product(H: HSheaf):
                 for d2, labsy in sorted(bbc.stalk(f1).basis.items()):
                     if d1 + d2 > cut:
                         continue
+                    ys = [(yl, H.code(yl)) for yl in labsy]
                     for xl in labsx:
-                        xr = image(bab.sheaf, f1, f2, xl)
-                        for yl in labsy:
-                            z = H.compose(a, b, c, f1, xl, yl)
-                            zr = {} if z is None else image(bac.sheaf, f1, f2, z)
-                            if H.multiply_sections(a, b, c, xr, image(bbc.sheaf, f1, f2, yl)) != zr:
+                        x = H.code(xl)
+                        xr = image(bab.sheaf, f1, f2, x)[0]
+                        for yl, y in ys:
+                            z = H.compose(a, b, c, f1, x, y)
+                            zr = {} if z is None else image(bac.sheaf, f1, f2, z)[1]
+                            if H.multiply_sections(a, b, c, xr, image(bbc.sheaf, f1, f2, y)[0]) != zr:
                                 bad.append((a, b, c, f1, f2, xl, yl))
     return bad
 

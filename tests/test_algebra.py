@@ -129,9 +129,14 @@ def _composable(H):
                         yield f, a, b, c, d1, x, d2, y
 
 
+def _decoded(H, a, c, f, d):
+    """{label code: label} of the stalk of block (a, c) at face f in degree d."""
+    return {H.code(lab): lab for lab in H.blocks[(a, c)].stalk(f).basis.get(d, ())}
+
+
 class TestTwistedProduct:
-    """HSheaf.compose, the one stalk product: K-exponents add, and the
-    polynomial parts multiply times the ∇ twist."""
+    """HSheaf.compose, the one stalk product, on label codes: K-exponents add,
+    and the polynomial parts multiply times the ∇ twist."""
 
     NAMES = ("synthetic_symmetric_rank1", "canonical_l2")
 
@@ -142,7 +147,7 @@ class TestTwistedProduct:
                 blk = H.blocks[(a, a)]
                 for f in sorted(blk.support.members()):
                     u = unit_label(blk.stalk(f))
-                    assert u is not None and H.compose(a, a, a, f, u, u) == u, (name, a, f)
+                    assert u is not None and H.compose(a, a, a, f, H.code(u), H.code(u)) == H.code(u), (name, a, f)
 
     def test_trivial_group_plain_product(self):
         # the polynomial part is the product of the polynomial parts times
@@ -152,33 +157,16 @@ class TestTwistedProduct:
             orbits = [lab.orbit for lab in H.catalog.labels]
             nonzero = 0
             for f, a, b, c, d1, x, d2, y in _composable(H):
-                z = H.compose(a, b, c, f, x, y)
+                z = H.compose(a, b, c, f, H.code(x), H.code(y))
                 sac = H.blocks[(a, c)].support
                 nab = nabla(orbits[a], orbits[b], orbits[c])
                 if f not in sac.members() or not nab <= set(FacePoint.from_key(sac.rep(f)).orbit):
                     assert z is None, (name, f, a, b, c)
                     continue
-                assert z[0] == mono(*x[0], *y[0], *((v, 1) for v in nab))
+                km = tuple(p + q for p, q in zip(x[1], y[1]))
+                assert z == H.code((mono(*x[0], *y[0], *((v, 1) for v in nab)), km)), (name, f, x, y)
                 nonzero += 1
             assert nonzero, name
-
-    def test_cached_label_is_the_uncached_product(self):
-        # compose caches the label on (x label, y label, twist): a miss and the hit
-        # after it give the same label, the product transcribed from its definition
-        H = _sheaf("p1xp1")
-        calls = misses = 0
-        for f, a, b, c, d1, x, d2, y in _composable(H):
-            tw = H.product_twist(a, b, c, f)
-            if tw is None:
-                assert H.compose(a, b, c, f, x, y) is None
-                continue
-            misses += (x, y, tw) not in H._labels
-            first = H.compose(a, b, c, f, x, y)
-            assert (x, y, tw) in H._labels
-            second = H.compose(a, b, c, f, x, y)
-            assert first == second == (mono(*x[0], *y[0], *tw), tuple(p + q for p, q in zip(x[1], y[1])))
-            calls += 1
-        assert 0 < misses < calls
 
     def test_even_powers_compose(self):
         # the K-part of a product is the sum of the two K-parts
@@ -189,10 +177,11 @@ class TestTwistedProduct:
         for name in self.NAMES:
             H = _sheaf(name)
             for f, a, b, c, d1, x, d2, y in _composable(H):
-                z = H.compose(a, b, c, f, x, y)
+                z = H.compose(a, b, c, f, H.code(x), H.code(y))
                 if z is not None:
-                    assert z[1] == tuple(p + q for p, q in zip(x[1], y[1])), (name, f, x, y)
-                    products += any(z[1])
+                    km = _decoded(H, a, c, f, d1 + d2)[z][1]
+                    assert km == tuple(p + q for p, q in zip(x[1], y[1])), (name, f, x, y)
+                    products += any(km)
         assert products > 0
 
     def test_survivor_validation(self):
@@ -200,9 +189,9 @@ class TestTwistedProduct:
         for name in self.NAMES:
             H = _sheaf(name)
             for f, a, b, c, d1, x, d2, y in _composable(H):
-                z = H.compose(a, b, c, f, x, y)
+                z = H.compose(a, b, c, f, H.code(x), H.code(y))
                 if z is not None:
-                    assert z in H.blocks[(a, c)].stalk(f).basis.get(d1 + d2, ()), (name, f, x, y)
+                    assert z in _decoded(H, a, c, f, d1 + d2), (name, f, x, y)
 
     def test_associativity_on_survivors(self):
         for name in self.NAMES:
@@ -210,11 +199,13 @@ class TestTwistedProduct:
             n = len(H.catalog)
             triples = 0
             for f, a, b, c, d1, x, d2, y in _composable(H):
+                x, y = H.code(x), H.code(y)
                 xy = H.compose(a, b, c, f, x, y)
                 for d in range(n):
                     for d3, w in _labels(H, c, d, f):
                         if d1 + d2 + d3 > H.cutoff:
                             continue
+                        w = H.code(w)
                         yw = H.compose(b, c, d, f, y, w)
                         left = None if xy is None else H.compose(a, c, d, f, xy, w)
                         right = None if yw is None else H.compose(a, b, d, f, x, yw)

@@ -152,6 +152,20 @@ class TestExtModules:
                 mod.action(e, outside)
         assert mod.action(e, ext.by_block[(1, 0)][0]) == ext.multiply(e, ext.by_block[(1, 0)][0])
 
+    def test_index_outside_the_basis_raises(self):
+        # -n once read basis[0], and n escaped as an IndexError; neither is memoized
+        ext = ext_algebra(_document_H("p1_trivial", 6))
+        n, mod = len(ext.basis), ext_module(ext, 0)
+        x = mod.elements[0]
+        assert n == 29
+        for bad in (-n, -1, n):
+            for read in (lambda: ext.multiply(bad, x), lambda: ext.multiply(x, bad),
+                         lambda: mod.action(bad, x)):
+                with pytest.raises(ValueError, match="out of range"):
+                    read()
+        assert ext._table == {}
+        assert mod.action(x, x) == ext.multiply(x, x)
+
 
 class TestReports:
     def test_vanishing_p1(self):
@@ -386,7 +400,7 @@ class TestTableRows:
 
 def _brute_product(H, a, b, c, xvec, yvec):
     """Facewise product over every pair of entries, with the label product
-    transcribed from its definition (no cache)."""
+    transcribed from its definition (no codes), then packed."""
     out = {}
     for (f, (pmx, kmx)), cx in xvec.items():
         for (g, (pmy, kmy)), cy in yvec.items():
@@ -394,7 +408,7 @@ def _brute_product(H, a, b, c, xvec, yvec):
             if f == g and tw is not None:
                 key = (f, (mono(*pmx, *pmy, *tw), tuple(p + q for p, q in zip(kmx, kmy))))
                 out[key] = out.get(key, 0) + cx * cy
-    return {k: v for k, v in out.items() if v}
+    return H._packed({k: v for k, v in out.items() if v})
 
 
 class TestMultiplySections:
@@ -435,7 +449,9 @@ class TestMultiplySections:
                 if got:
                     shared = (a, b, c, xvec, yvec)
         assert seen == {"product", "other face"}
+        # a dead twist, read afresh: the twist codes are cached from the products above
         monkeypatch.setattr(H, "product_twist", lambda *args: None)
+        monkeypatch.setattr(H, "_twist_codes", {})
         assert H.multiply_sections(*shared) == {}
 
     def test_cancelling_terms_are_dropped(self):
@@ -451,8 +467,9 @@ class TestMultiplySections:
         yvec = {(f, q): 1, (f, p): -1}
         out = H.multiply_sections(0, 0, 0, xvec, yvec)
         assert out == _brute_product(H, 0, 0, 0, xvec, yvec)
-        assert (f, H.compose(0, 0, 0, f, p, q)) not in out
-        assert out == {(f, H.compose(0, 0, 0, f, q, q)): 1, (f, H.compose(0, 0, 0, f, p, p)): -1}
+        p, q, base = H.code(p), H.code(q), H._face_base[f]
+        assert base + H.compose(0, 0, 0, f, p, q) not in out
+        assert out == {base + H.compose(0, 0, 0, f, q, q): 1, base + H.compose(0, 0, 0, f, p, p): -1}
 
 
 class TestHomogeneousProducts:
@@ -470,7 +487,10 @@ class TestHomogeneousProducts:
                         by = ext.basis[y]
                         (a, b), (_, c) = bx.block, by.block
                         sheaf = H.blocks[(a, c)].sheaf
-                        for f, lab in H.multiply_sections(a, b, c, bx.vector, by.vector):
+                        columns = {H._face_base[f] + H.code(lab): (f, lab) for f, st in sheaf.stalks.items()
+                                   for labs in st.basis.values() for lab in labs}
+                        for key in H.multiply_sections(a, b, c, bx.vector, by.vector):
+                            f, lab = columns[key]
                             assert sheaf.stalks[f].degree_of[lab] == bx.degree + by.degree, (name, x, y)
                             entries += 1
             assert entries > 0, name
@@ -537,13 +557,17 @@ class TestProductContract:
 
 
 class TestPackedColumns:
-    """The table path packs each (face, stalk label) column into one int."""
+    """Products add packed label codes (HSheaf.code); a column is face base + code."""
 
     def test_packed_sum_is_the_code_of_the_label_product(self):
-        # every face-local composable (x label, y label, twist), of any degree
+        # every face-local composable (x label, y label, twist), of any degree, on the
+        # 7 shipped documents at their cutoffs and on four of them at the cutoffs 0 and 2,
+        # whose slots are the narrowest (w = 2 and w = 3)
         triples = 0
-        for name, H in _shipped_H():
-            ext, n = ext_algebra(H), len(H.catalog)
+        small = [(name, cutoff) for name in ("p1_trivial", "p1xp1", "canonical_l2", "synthetic_symmetric_rank1")
+                 for cutoff in (0, 2)]
+        for name, H in [*_shipped_H(), *((f"{name} at {c}", _document_H(name, c)) for name, c in small)]:
+            n = len(H.catalog)
             for f in H.space.points:
                 seen = set()
                 for a, b, c in itertools.product(range(n), repeat=3):
@@ -551,26 +575,28 @@ class TestPackedColumns:
                     if tw is None or (id(sx), id(sy), tw) in seen:
                         continue
                     seen.add((id(sx), id(sy), tw))
-                    base = ext._face_base[f] + ext._twist_code(a, b, c, f)
                     for xl in (lab for labs in sx.basis.values() for lab in labs):
                         for yl in (lab for labs in sy.basis.values() for lab in labs):
-                            got = base + ext._code(xl) + ext._code(yl)
-                            assert ext._packed({(f, H.label_product(xl, yl, tw)): 1}) == {got: 1}, (name, f, xl, yl)
+                            # the label product transcribed from its definition
+                            lab = mono(*xl[0], *yl[0], *tw), tuple(p + q for p, q in zip(xl[1], yl[1]))
+                            got = H.compose(a, b, c, f, H.code(xl), H.code(yl))
+                            assert H._packed({(f, lab): 1}) == {H._face_base[f] + got: 1}, (name, f, xl, yl)
                             triples += 1
         assert triples > 100000
 
     def test_express_rejects_a_label_past_the_slots(self):
         # (u, e * 2^w) would pack onto (v, e) of the next slot: a one-entry basis vector
-        ext = ext_algebra(_document_H("p1xp1"))
-        slot = {s: v for v, s in ext._slots.items()}
+        H = _document_H("p1xp1")
+        ext = ext_algebra(H)
+        slot = {s: v for v, s in H._slots.items()}
         w = (2 * ext.cutoff + 2).bit_length()
         b, f, v, e, km = next((b, f, v, e, km) for b in ext.basis if len(b.vector) == 1
                               for (f, (pm, km)), in [b.vector] if len(pm) == 1
-                              for (v, e), in [pm] if ext._slots[v] >= w)
-        u = slot[ext._slots[v] - w]
+                              for (v, e), in [pm] if H._slots[v] >= w)
+        u = slot[H._slots[v] - w]
         assert b.vector == {(f, (((v, e),), km)): 1}
-        for lab in ((((u, e << w),), km), (((u, ext._bound),), km), ((("zz", 1),), km),
-                    (((v, e),), km + (0,) * len(ext._slots))):
+        for lab in ((((u, e << w),), km), (((u, H._bound),), km), ((("zz", 1),), km),
+                    (((v, e),), km + (0,) * len(H._slots))):
             for vec in ({(f, lab): 1}, {(f, lab): 1, **b.vector}):
                 assert ext.express(b.block, b.degree, vec) is None, lab
         assert ext.express(b.block, b.degree, {("no|face", (((v, e),), km)): 1}) is None
@@ -584,7 +610,7 @@ class TestPackedColumns:
             for blk in _composable(ext, x):
                 list(ext.row(x, blk))
         assert calls and max(calls.values()) == 1
-        assert any(ext._twist_codes[key] == 0 for key in calls)
+        assert any(H._twist_codes[key] == 0 for key in calls)
 
 
 class TestProductOffTheSpan:
@@ -629,25 +655,19 @@ class TestProductOffTheSpan:
     def test_product_of_another_degree(self, monkeypatch):
         # the product shifted by 2 in degree: the label is the pivot of a one-entry
         # basis vector two degrees up, which a lookup keyed on the block alone would take.
-        # multiply reads the shift from label_product; row, which adds packed codes,
-        # from a twist code one exponent up in the slot of the face's first variable
+        # One fault, a twist code one exponent up in the slot of the face's first
+        # variable, reaches row and multiply, since both add H's codes
         H, ext = build_ext(P1)
         x = next(i for i in ext.by_block[(0, 0)] if ext.basis[i].degree == 2 and len(ext.basis[i].vector) == 1)
         y = ext.by_block[(0, 0)][0]
-
-        def shifted(xlab, ylab, tw):
-            # label_product transcribed, with no cache
-            (pmx, kmx), (pmy, kmy) = xlab, ylab
-            pm = mono(*pmx, *pmy, *tw)
-            return mono(*pm, (pm[0][0], 1)), tuple(p + q for p, q in zip(kmx, kmy))
-
-        (f, xlab), = ext.basis[x].vector
-        lab = shifted(xlab, next(l for g, l in ext.basis[y].vector if g == f), ())
+        (f, (pmx, kmx)), = ext.basis[x].vector
+        (pmy, kmy) = next(l for g, l in ext.basis[y].vector if g == f)
+        pm = mono(*pmx, *pmy)
+        lab = mono(*pm, (pm[0][0], 1)), tuple(p + q for p, q in zip(kmx, kmy))
         assert ext.express((0, 0), 4, {(f, lab): 1}) is not None
         assert lab[0][0][0] == FacePoint.from_key(f).orbit[0]
-        twist_code, step = ext._twist_code, 1 << ext._slots[lab[0][0][0]]
-        monkeypatch.setattr(H, "label_product", shifted)
-        monkeypatch.setattr(ext, "_twist_code", lambda *key: twist_code(*key) + step)
+        twist_code, step = H._twist_code, 1 << H._slots[lab[0][0][0]]
+        monkeypatch.setattr(H, "_twist_code", lambda *key: twist_code(*key) + step)
         for read in (lambda: next(ext.row(x, (0, 0))), lambda: ext.multiply(x, y)):
             with pytest.raises(DatumError) as exc:
                 read()

@@ -132,14 +132,14 @@ class TestProduct:
         unit = (mono(), ())
         # Hom(L_0 -> L_+) unit in degree 0 composed with Hom(L_+ -> L_0)
         # unit in degree 2 lands on the Euler class X_+ of the fixed point
-        z = H.compose(0, 1, 0, "r0|-", unit, unit)
-        assert z == ((("r0", 1),), ())
+        z = H.compose(0, 1, 0, "r0|-", H.code(unit), H.code(unit))
+        assert z == H.code(((("r0", 1),), ()))
 
     def test_product_through_zero_stalk(self):
         _, _, H = build(P1_HALF)
         unit = (mono(), ())
         # (sign, trivial) is a zero block: composing through it gives None
-        assert H.compose(1, 0, 0, "r0|-", unit, unit) is None
+        assert H.compose(1, 0, 0, "r0|-", H.code(unit), H.code(unit)) is None
 
     def test_restriction_commutes_with_product(self):
         for fan in (P1, P1_HALF):
@@ -182,10 +182,11 @@ class TestProduct:
             for xl in sup[0].stalk(f).basis.get(2 * sup[0].support.d, ()):
                 for yl in sup[1].stalk(f).basis.get(2 * sup[1].support.d + 2, ()):
                     for zl in sup[2].stalk(f).basis.get(2 * sup[2].support.d, ()):
-                        xy = H.compose(a, b, c, f, xl, yl)
-                        left = None if xy is None else H.compose(a, c, d, f, xy, zl)
-                        yz = H.compose(b, c, d, f, yl, zl)
-                        right = None if yz is None else H.compose(a, b, d, f, xl, yz)
+                        x, y, z = map(H.code, (xl, yl, zl))
+                        xy = H.compose(a, b, c, f, x, y)
+                        left = None if xy is None else H.compose(a, c, d, f, xy, z)
+                        yz = H.compose(b, c, d, f, y, z)
+                        right = None if yz is None else H.compose(a, b, d, f, x, yz)
                         assert left == right
                         checked += 1
         assert checked > 0
