@@ -309,46 +309,87 @@ class Report:
 def vanishing_report(H: HSheaf) -> Report:
     """Čech cohomology of H' vanishes in positive degrees on every
     G-stable open, and the closed-face sections surject onto the
-    punctured-star sections in the Mayer-Vietoris step.  One complex is
-    computed per (sheaf, open), and one step per nonempty orbit (each is
-    maximal in its own down-closure), for this call only; each family
-    reports the steps of its maximal orbits.
+    punctured-star sections in the Mayer-Vietoris step: one entry per
+    record of vanishing_walk.
+
+    One complex is computed per (sheaf, U ∩ Z), for this call only,
+    where Z is the down-closure of the support S of the sheaf (the
+    points with a label of degree at most the cutoff).  The complex over
+    U depends on U only through U ∩ Z: a chain p_0 < ... < p_r of U
+    carries a term only if p_r is in S, and then every p_k <= p_r lies
+    in Z, so the chains of U that carry a term, the matrices between
+    them and their column order are those of the chains of U ∩ Z
+    (the chain complex of a sheaf on a poset; Curry, Sheaves, Cosheaves
+    and Applications, arXiv:1303.3255).  U ∩ Z need not be open, so a
+    complex is built on the first U that has it.  Point sets are int
+    masks (FiniteSpace.mask), so each key is one AND.
     """
-    entries = []
-    datum = H.datum
-    cohomology = {}     # (sheaf, open) -> [dims of H^0, H^1, ...]
-    steps = {delta: _mv_surjectivity(H, delta, cohomology) for delta in datum.S if delta}
-    for fam in downward_closed_families(datum):
-        U = g_stable_open(datum, H.space, fam)
-        famname = family_name(fam)
-        for (i, j), blk in sorted(H.blocks.items()):
-            if blk.zero:
-                continue
-            _, *hs = _cohomology(H, U, blk.sheaf, cohomology)
-            nonzero = {p: dims for p, dims in enumerate(hs, 1) if dims}
-            entries.append(ReportEntry(
-                name=f"vanishing[{famname}][{i}:{j}]",
-                ok=not nonzero,
-                details={"open": famname, "block": [i, j], "higher": {str(k): v for k, v in nonzero.items()}},
-            ))
-        # Mayer-Vietoris step at each maximal nonempty orbit of the family
-        for delta in fam:
-            if not delta or any(set(delta) < set(other) for other in fam):
-                continue
-            ok, detail = steps[delta]
-            entries.append(ReportEntry(
-                name=f"mv-surjectivity[{famname}][{set_name(delta)}]",
-                ok=ok, details=dict(detail)))
+    entries = [report_entry(*record) for record in vanishing_walk(H)]
     return Report(ok=all(e.ok for e in entries), entries=entries)
+
+
+def vanishing_walk(H: HSheaf):
+    """The records (ok, kind, family name, key, payload) of the vanishing
+    report, in its order.  Per G-stable open: ("vanishing", (i, j), dims
+    of H^0, H^1, ...) for each nonzero block, then ("mv-surjectivity",
+    delta, step detail) for each nonempty orbit maximal in the family.
+    A block is ok when its dims list H^0 alone (cech_cohomology drops
+    trailing zeros).  One step is run per nonempty orbit (each is maximal in its own
+    down-closure), and a family reports the steps of its maximal orbits.
+    Nothing is built per (open, block) but the record; report_entry makes
+    its ReportEntry.
+    """
+    datum, space = H.datum, H.space
+    cohomology = {}     # see _cohomology
+    steps = {delta: _mv_surjectivity(H, delta, cohomology) for delta in datum.S if delta}
+    above = {delta: {s for s in datum.S if set(delta) < set(s)} for delta in steps}
+    blocks = [(key, blk.sheaf, _closure(H, blk.sheaf, cohomology))
+              for key, blk in sorted(H.blocks.items()) if not blk.zero]
+    for fam in downward_closed_families(datum):
+        U = g_stable_open(datum, space, fam)
+        umask, famname = space.mask(U), family_name(fam)
+        for key, sheaf, z in blocks:
+            dims = cohomology.get((sheaf, umask & z))
+            if dims is None:
+                dims = _cohomology(H, U, sheaf, cohomology)
+            yield len(dims) == 1, "vanishing", famname, key, dims
+        members = set(fam)
+        for delta in fam:
+            if delta and members.isdisjoint(above[delta]):
+                ok, detail = steps[delta]
+                yield ok, "mv-surjectivity", famname, delta, detail
+
+
+def report_entry(ok, kind, famname, key, payload) -> ReportEntry:
+    """The ReportEntry of a vanishing_walk record."""
+    if kind == "vanishing":
+        i, j = key
+        higher = {str(p): dims for p, dims in enumerate(payload[1:], 1) if dims}
+        return ReportEntry(name=f"vanishing[{famname}][{i}:{j}]", ok=ok,
+                           details={"open": famname, "block": [i, j], "higher": higher})
+    return ReportEntry(name=f"mv-surjectivity[{famname}][{set_name(key)}]", ok=ok, details=dict(payload))
 
 
 def _cohomology(H: HSheaf, U, sheaf, memo):
     """Dimensions of H^0, H^1, ... of sheaf over the open U (a sorted
-    tuple), from one chain complex per (sheaf, U) kept in memo."""
-    key = (sheaf, U)
+    tuple), from one chain complex per (sheaf, U ∩ Z) kept in memo under
+    (sheaf, mask of U ∩ Z); memo also keeps each sheaf's mask of Z under
+    the sheaf (_closure).  See vanishing_report."""
+    key = (sheaf, H.space.mask(U) & _closure(H, sheaf, memo))
     if key not in memo:
         memo[key] = [h.dims for h in cech_cohomology(H.space, U, sheaf, H.cutoff)]
     return memo[key]
+
+
+def _closure(H: HSheaf, sheaf, memo):
+    """The mask of Z, the down-closure of the points where sheaf has a label
+    of degree at most the cutoff; computed once per sheaf and kept in memo."""
+    z = memo.get(sheaf)
+    if z is None:
+        space, cutoff = H.space, H.cutoff
+        support = {p for p in space.points if any(d <= cutoff for d in sheaf.stalks[p].dims)}
+        z = memo[sheaf] = space.mask(q for q in space.points if not support.isdisjoint(space.minimal_open(q)))
+    return z
 
 
 def _mv_surjectivity(H: HSheaf, delta, cohomology):
@@ -365,7 +406,7 @@ def _mv_surjectivity(H: HSheaf, delta, cohomology):
     delta is in the family (which is downward closed) and misses F.
     Sections over U' must be hit by the closed-face stalk, and U'
     itself carries no higher cohomology.  Both are read from one complex
-    per (sheaf, open) in cohomology, the memo of vanishing_report.  Each
+    per (sheaf, U' ∩ Z) in cohomology, the memo of vanishing_walk.  Each
     passing sheaf is settled once per call.
     """
     face = closed_face(H.datum, delta)

@@ -146,12 +146,12 @@ class HSheaf:
         self._sections = {}    # GradedSheaf -> SectionSpace over the whole space
         n = len(catalog)
         self.blocks = {(i, j): Block(self, i, j) for i in range(n) for j in range(n)}
-        self._twists = {}
         # the label codec (see code): 2^(w-1) for the slot width w, which a label of
         # degree <= cutoff has every exponent below; the slots are built on first use
         self._bound = 1 << ((2 * cutoff + 2).bit_length() - 1)
         self._codes = {}       # stalk label -> its packed int, one shared object per label
-        self._twist_codes = {}     # (a, b, c, face key) -> packed twist (0 for the unit), None if zero
+        self._twist_codes = {}     # (a, b, c, face key) -> packed product_twist (0 for the unit), None if zero
+        self._twist_monomials = {}     # twist code -> its monomial, one per distinct twist
 
     # -- the shared pieces
 
@@ -248,11 +248,13 @@ class HSheaf:
         Returns the monomial (possibly 1), or None for the zero map: the
         face misses one of the three supports, or the correction set is
         not alive on it.  On a face in all three supports the transports
-        agree.  Cached per (a, b, c, face).
+        agree.  Cached per (a, b, c, face) as its code in _twist_codes, the
+        one twist cache, which _twist_code reads too (see _keep_twist).
         """
-        key = (a, b, c, face_key)
-        if key in self._twists:
-            return self._twists[key]
+        key, codes = (a, b, c, face_key), self._twist_codes
+        if key in codes:
+            code = codes[key]
+            return None if code is None else self._twist_monomials[code]
         sab, sbc, sac = (self.blocks[(a, b)].support, self.blocks[(b, c)].support,
                          self.blocks[(a, c)].support)
         tw = None
@@ -263,8 +265,17 @@ class HSheaf:
             orbit = self._points[reps.pop()].orbit
             labels = self.catalog.labels
             tw = twist_factor(orbit, labels[a].orbit, labels[b].orbit, labels[c].orbit)
-        self._twists[key] = tw
+        self._keep_twist(key, tw)
         return tw
+
+    def _keep_twist(self, key, tw):
+        """Caches the twist tw of key = (a, b, c, face) as its code in
+        _twist_codes, and the monomial of the code in _twist_monomials (one
+        entry per distinct twist); returns the code."""
+        code = self._twist_codes[key] = None if tw is None else self.code((tw, ()))
+        if code is not None:
+            self._twist_monomials[code] = tw
+        return code
 
     # -- the label codec (Kronecker substitution)
 
@@ -303,10 +314,11 @@ class HSheaf:
         return code
 
     def _twist_code(self, a, b, c, f):
-        """The packed product_twist of (a, b, c) at face f, or None for the zero map; cached."""
+        """The packed product_twist of (a, b, c) at face f, or None for the zero
+        map; cached.  A miss stores the code of what product_twist returns, so
+        the products follow product_twist wherever it is overridden."""
         if (a, b, c, f) not in self._twist_codes:
-            tw = self.product_twist(a, b, c, f)
-            self._twist_codes[(a, b, c, f)] = None if tw is None else self.code((tw, ()))
+            return self._keep_twist((a, b, c, f), self.product_twist(a, b, c, f))
         return self._twist_codes[(a, b, c, f)]
 
     def _packed(self, vector):
@@ -430,9 +442,16 @@ RESTRICTION_PRODUCT_DEGREE = 8     # check_restriction_product covers products u
 
 def check_restriction_product(H: HSheaf):
     """Restriction commutes with the product on covering pairs, for
-    products of degree at most min(cutoff, RESTRICTION_PRODUCT_DEGREE)."""
+    products of degree at most min(cutoff, RESTRICTION_PRODUCT_DEGREE).
+
+    For labels (a, b, c) and a covering pair (f1, f2), the label pairs
+    that fail depend only on the three block sheaves, (f1, f2) and the
+    twist codes of (a, b, c) at f1 and at f2, so they are found once per
+    such key and replayed, in their order, at every (a, b, c) that has it.
+    """
     cut = min(H.cutoff, RESTRICTION_PRODUCT_DEGREE)
     bad = []
+    failing = {}    # (three sheaves, f1, f2, twist codes at f1 and f2) -> failing (x label, y label) pairs
     n = len(H.catalog)
     pairs = H.space.covering_pairs()
     images = {}     # (sheaf, f1, f2, label code) -> its restriction over (f2, label), and the same packed
@@ -456,19 +475,23 @@ def check_restriction_product(H: HSheaf):
         for f1, f2 in pairs:
             if f1 not in bab.support.members() or f1 not in bbc.support.members():
                 continue
-            for d1, labsx in sorted(bab.stalk(f1).basis.items()):
-                for d2, labsy in sorted(bbc.stalk(f1).basis.items()):
-                    if d1 + d2 > cut:
-                        continue
-                    ys = [(yl, H.code(yl)) for yl in labsy]
-                    for xl in labsx:
-                        x = H.code(xl)
-                        xr = image(bab.sheaf, f1, f2, x)[0]
-                        for yl, y in ys:
-                            z = H.compose(a, b, c, f1, x, y)
-                            zr = {} if z is None else image(bac.sheaf, f1, f2, z)[1]
-                            if H.multiply_sections(a, b, c, xr, image(bbc.sheaf, f1, f2, y)[0]) != zr:
-                                bad.append((a, b, c, f1, f2, xl, yl))
+            key = (bab.sheaf, bbc.sheaf, bac.sheaf, f1, f2, H._twist_code(a, b, c, f1), H._twist_code(a, b, c, f2))
+            if key not in failing:
+                failing[key] = found = []
+                for d1, labsx in sorted(bab.stalk(f1).basis.items()):
+                    for d2, labsy in sorted(bbc.stalk(f1).basis.items()):
+                        if d1 + d2 > cut:
+                            continue
+                        ys = [(yl, H.code(yl)) for yl in labsy]
+                        for xl in labsx:
+                            x = H.code(xl)
+                            xr = image(bab.sheaf, f1, f2, x)[0]
+                            for yl, y in ys:
+                                z = H.compose(a, b, c, f1, x, y)
+                                zr = {} if z is None else image(bac.sheaf, f1, f2, z)[1]
+                                if H.multiply_sections(a, b, c, xr, image(bbc.sheaf, f1, f2, y)[0]) != zr:
+                                    found.append((xl, yl))
+            bad.extend((a, b, c, f1, f2, xl, yl) for xl, yl in failing[key])
     return bad
 
 

@@ -52,6 +52,7 @@ class FiniteSpace:
                 if i != j and i in up[j]:
                     raise SpaceError(f"antisymmetry fails on ({i!r}, {j!r})")
         self._up = {p: frozenset(s) for p, s in up.items()}
+        self._bit = {p: 1 << k for k, p in enumerate(self.points)}
         self._hasse = None
 
     def leq(self, i, j):
@@ -62,6 +63,11 @@ class FiniteSpace:
         if i not in self._up:
             raise SpaceError(f"unknown point id {i!r}")
         return tuple(sorted(self._up[i]))
+
+    def mask(self, pts):
+        """A set of distinct points as an int: bit k for the k-th point in sorted order."""
+        bit = self._bit
+        return sum(bit[p] for p in pts)
 
     def is_open(self, pts):
         s = set(pts)

@@ -19,11 +19,11 @@ from extsheaf.extalg import (
     ext_module,
     vanishing_report,
 )
-from extsheaf.faces import FacePoint, closed_face, downward_closed_families, g_stable_open
+from extsheaf.faces import FacePoint, closed_face, downward_closed_families, family_name, g_stable_open
 from extsheaf.fans import Fan, toric_datum
 from extsheaf.hsheaf import HSheaf, build_H
 from extsheaf.isotropy import DatumError, build_catalog, set_name
-from extsheaf.posets import FiniteSpace, GradedSheaf, GradedSpace, SectionSpace, global_sections
+from extsheaf.posets import FiniteSpace, GradedSheaf, GradedSpace, SectionSpace, cech_cohomology, global_sections
 
 ONE = Fraction(1)
 
@@ -284,10 +284,10 @@ class TestDegreeBoundedTable:
                     for y in ext.by_block[blk]:
                         bx, by = ext.basis[x], ext.basis[y]
                         if bx.degree + by.degree > ext.cutoff:
-                            count += 1
-                        elif ext.H.multiply_sections(bx.block[0], bx.block[1], by.block[1],
-                                                     bx.vector, by.vector) == "truncated":
-                            count += 1
+                            count += 1      # truncated pairs are the degree-truncated pairs
+                        else:
+                            assert isinstance(ext.H.multiply_sections(bx.block[0], bx.block[1], by.block[1],
+                                                                      bx.vector, by.vector), dict)
             assert count > 0
             assert payload["truncated_pairs"] == count
 
@@ -843,9 +843,10 @@ class TestDiagonalUnitCheck:
 
 
 class TestReportsComputeOnce:
-    """vanishing_report and concentration_check build one Čech complex per
-    (sheaf, open), and vanishing_report runs one Mayer-Vietoris step per
-    nonempty orbit, over its punctured star."""
+    """vanishing_report builds one Čech complex per (sheaf, U ∩ Z), Z the
+    down-closure of the sheaf's support, concentration_check one per sheaf,
+    and vanishing_report runs one Mayer-Vietoris step per nonempty orbit,
+    over its punctured star."""
 
     NAMES = ("p1xp1", "canonical_l2")
 
@@ -861,19 +862,23 @@ class TestReportsComputeOnce:
         return seen
 
     def test_vanishing_one_complex_per_sheaf_and_open(self, monkeypatch):
+        # one complex per distinct (sheaf, U ∩ Z): the (open, nonzero block)
+        # visits of the report, and even their distinct (sheaf, open) pairs,
+        # outnumber the complexes
         for name in self.NAMES:
             H = _document_H(name)
             seen = self._count_cech(monkeypatch)
             rep = vanishing_report(H)
             assert rep.ok, name
-            assert len(seen) == len(set(seen)), name
-            # every (open, nonzero block) of the report is covered, by fewer complexes than blocks
-            wanted = {(blk.sheaf, g_stable_open(H.datum, H.space, fam))
-                      for fam in downward_closed_families(H.datum)
-                      for blk in H.blocks.values() if not blk.zero}
-            assert wanted <= set(seen), name
+            cut = _cut_by_closure(H)
+            cuts = [cut(sheaf, U) for sheaf, U in seen]
+            assert len(cuts) == len(set(cuts)), name
+            opens = {(blk.sheaf, g_stable_open(H.datum, H.space, fam))
+                     for fam in downward_closed_families(H.datum)
+                     for blk in H.blocks.values() if not blk.zero}
+            assert {cut(sheaf, U) for sheaf, U in opens} <= set(cuts), name
             visits = sum(e.name.startswith("vanishing[") for e in rep.entries)
-            assert len(wanted) < visits, name
+            assert len(seen) < len(opens) < visits, name
 
     def test_concentration_one_complex_per_sheaf(self, monkeypatch):
         for name in self.NAMES:
@@ -929,6 +934,96 @@ class TestReportsComputeOnce:
             assert all(len(us) == 1 for us in opens.values()), name
             if name == "canonical_l2":
                 assert any(closed_face(H.datum, delta).j for delta in orbits)
+
+
+def _cut_by_closure(H):
+    """(sheaf, open) -> (sheaf, the points of the open in Z), Z the down-closure
+    of the points where the sheaf has a label of degree at most the cutoff."""
+    closures = {}
+
+    def cut(sheaf, U):
+        if sheaf not in closures:
+            support = [p for p in H.space.points if any(d <= H.cutoff for d in sheaf.stalks[p].dims)]
+            closures[sheaf] = {q for q in H.space.points if any(H.space.leq(q, p) for p in support)}
+        return sheaf, frozenset(closures[sheaf].intersection(U))
+
+    return cut
+
+
+class TestVanishingWalk:
+    """The memo key (sheaf, U ∩ Z) gives every (open, block) the cohomology of
+    its own open, and check-all's vanishing-report entry, made without an entry
+    list, is the one the report's entries give."""
+
+    def test_dims_match_a_fresh_complex_on_the_open(self):
+        for name, H in (("p1xp1", _document_H("p1xp1", 6)), ("canonical_l2", _document_H("canonical_l2", 6)),
+                        ("P^3", _H(P3, 6))):
+            opens = {family_name(fam): g_stable_open(H.datum, H.space, fam)
+                     for fam in downward_closed_families(H.datum)}
+            fresh, visits = {}, 0     # (sheaf, open) -> dims of H^0, H^1, ... from a complex on that open
+            for ok, kind, famname, key, dims in extalg.vanishing_walk(H):
+                if kind != "vanishing":
+                    continue
+                sheaf, U = H.blocks[key].sheaf, opens[famname]
+                if (sheaf, U) not in fresh:
+                    fresh[(sheaf, U)] = [h.dims for h in cech_cohomology(H.space, U, sheaf, H.cutoff)]
+                assert dims == fresh[(sheaf, U)], (name, famname, key)
+                assert ok == (len(dims) == 1), (name, famname, key)
+                visits += 1
+            assert visits == len(opens) * sum(not b.zero for b in H.blocks.values()), name
+
+    @staticmethod
+    def _entry_of_report(H):
+        # check-all's entry as it was read off the full entry list
+        rep = vanishing_report(H)
+        return rep.ok, {"failures": [{"name": e.name, "details": e.details} for e in rep.failures()[:3]],
+                        "opens_checked": len({e.details.get("open") for e in rep.entries if "open" in e.details})}
+
+    def _check(self, H, ok):
+        want = self._entry_of_report(H)
+        battery = {e.name: e for e in checks.run_battery(H, ext_algebra(H), 2026, None).entries}
+        got = battery["vanishing-report"]
+        assert (got.ok, got.details) == want
+        assert got.ok == ok and len(got.details["failures"]) == (0 if ok else 3)
+        assert got.details["opens_checked"] == len(downward_closed_families(H.datum))
+
+    def test_check_all_entry_matches_the_report(self):
+        self._check(_document_H("p1xp1", 6), ok=True)
+
+    def test_check_all_entry_under_a_failing_step(self, monkeypatch):
+        # the short_rank mutant of test_a_failing_step_fails_in_every_family
+        H = _document_H("p1xp1")
+        delta = max(H.datum.S, key=len)
+        real_mv, real_rank = extalg._mv_surjectivity, extalg.rank
+        stack = []
+
+        def tracking_mv(H, orbit, cohomology):
+            stack.append(orbit)
+            try:
+                return real_mv(H, orbit, cohomology)
+            finally:
+                stack.pop()
+
+        monkeypatch.setattr(extalg, "_mv_surjectivity", tracking_mv)
+        monkeypatch.setattr(extalg, "rank", lambda rows: real_rank(rows) - (stack[-1] == delta))
+        self._check(H, ok=False)
+
+    def test_check_all_entry_under_a_sheaf_with_higher_cohomology(self, monkeypatch):
+        # one sheaf gets a nonzero H^1 on every open where it has a label
+        H = _document_H("p1xp1", 6)
+        sheaf = next(b.sheaf for _, b in sorted(H.blocks.items()) if not b.zero)
+        real = extalg.cech_cohomology
+
+        def mutant(space, U, sh, cutoff):
+            hs = real(space, U, sh, cutoff)
+            if sh is not sheaf or not any(sh.stalks[p].dims for p in U):
+                return hs
+            return [hs[0], GradedSpace(dims={2: 1})] + hs[2:]
+
+        monkeypatch.setattr(extalg, "cech_cohomology", mutant)
+        self._check(H, ok=False)
+        names = [f["name"] for f in self._entry_of_report(H)[1]["failures"]]
+        assert any(n.startswith("vanishing[") for n in names)
 
 
 class TestMayerVietorisSteps:

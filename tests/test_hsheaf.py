@@ -37,6 +37,32 @@ def document_H(doc, cutoff):
     return build_H(datum, catalog, cutoff)
 
 
+def _unkeyed_restriction_product(H):
+    """check_restriction_product with no key: the label pairs of every (a, b, c)
+    and covering pair are multiplied and restricted afresh."""
+    cut = min(H.cutoff, hsheaf.RESTRICTION_PRODUCT_DEGREE)
+    bad = []
+
+    def image(sheaf, f1, f2, lab):
+        return {(f2, lab2): v for lab2, v in sheaf.apply(f1, f2, {lab: 1}).items()}
+
+    for a, b, c in itertools.product(range(len(H.catalog)), repeat=3):
+        bab, bbc, bac = H.blocks[(a, b)], H.blocks[(b, c)], H.blocks[(a, c)]
+        for f1, f2 in H.space.covering_pairs():
+            if f1 not in bab.support.members() or f1 not in bbc.support.members():
+                continue
+            at = {H.code(lab): lab for labs in bac.stalk(f1).basis.values() for lab in labs}
+            for d1, labsx in sorted(bab.stalk(f1).basis.items()):
+                for d2, labsy in sorted(bbc.stalk(f1).basis.items()):
+                    for xl, yl in itertools.product(labsx, labsy) if d1 + d2 <= cut else ():
+                        z = H.compose(a, b, c, f1, H.code(xl), H.code(yl))
+                        zr = {} if z not in at else H._packed(image(bac.sheaf, f1, f2, at[z]))
+                        got = H.multiply_sections(a, b, c, image(bab.sheaf, f1, f2, xl), image(bbc.sheaf, f1, f2, yl))
+                        if got != zr:
+                            bad.append((a, b, c, f1, f2, xl, yl))
+    return bad
+
+
 class TestSupports:
     def test_p1_diagonal_open(self):
         datum, catalog, _ = build(P1)
@@ -163,6 +189,34 @@ class TestProduct:
         assert bad[:3] == [(0, 1, 0, "r0+r2|-", "r2|-", ((), ()), ((), ())),
                            (0, 1, 0, "r0+r2|-", "r2|-", ((), ()), ((("r2", 1),), ())),
                            (0, 1, 0, "r0+r2|-", "r2|-", ((), ()), ((("r2", 2),), ()))]
+
+    def test_keyed_failures_are_the_unkeyed_ones(self, monkeypatch):
+        # a live twist is killed for one label triple at one face f2 only: at the
+        # first covering pair (f1, f2) whose three sheaves and twist at f1 repeat
+        # an earlier triple's, so only the twist code at f2 tells the two apart
+        doc = cli.load_document(str(DATA / "p1xp1.json"))
+        probe, H = document_H(doc, 6), document_H(doc, 6)
+        seen, target = set(), None
+        for a, b, c in itertools.product(range(len(H.catalog)), repeat=3):
+            sheaves = (H.blocks[(a, b)].sheaf, H.blocks[(b, c)].sheaf, H.blocks[(a, c)].sheaf)
+            for f1, f2 in H.space.covering_pairs():
+                if target is None and all(f1 in H.blocks[k].support.members() for k in ((a, b), (b, c))):
+                    key = (sheaves, f1, f2, probe.product_twist(a, b, c, f1))
+                    if key in seen and probe.product_twist(a, b, c, f2) is not None:
+                        target = (a, b, c, f2)
+                    seen.add(key)
+        real = H.product_twist
+        monkeypatch.setattr(H, "product_twist", lambda *key: None if key == target else real(*key))
+        bad = check_restriction_product(H)
+        assert any(t[:3] == target[:3] and t[4] == target[3] for t in bad)
+        assert bad == _unkeyed_restriction_product(H)
+        # and under the twist mutant of test_restriction_product_fails_without_the_twist
+        twist = hsheaf.HSheaf.product_twist
+        monkeypatch.setattr(hsheaf.HSheaf, "product_twist", lambda self, a, b, c, f: mono()
+                            if a == c != b and twist(self, a, b, c, f) is not None else twist(self, a, b, c, f))
+        H = document_H(doc, 6)
+        bad = check_restriction_product(H)
+        assert len(bad) == 148 and bad == _unkeyed_restriction_product(H)
 
     def test_face_local_associativity(self):
         for fan in (P1, P1_HALF):
