@@ -4,8 +4,9 @@ balanced tensor product for elementary abelian 2-groups.
 Monomials in divisor variables are sorted tuples of (name, exponent)
 pairs; the variable X_v has degree 2.  Twists multiply a composed class
 by the product of X_v over the support-correction set computed by
-``nabla``; the correction is truncated to the variables alive on the
-face at hand, everything else maps to 0.
+``nabla`` on int masks (bit k for the k-th divisor); the correction is
+truncated to the variables alive on the face at hand, everything else
+maps to 0.
 
 Sign actions of F2^k are diagonal on chosen generators, so a character
 is an F2 bit row (see ``f2``) evaluated multiplicatively as +-1.
@@ -56,21 +57,26 @@ def monomials_of_degree(variables, k):
 
 
 def nabla(d, dp, dpp):
-    """(Δ' ∖ (Δ ∪ Δ'')) ∪ ((Δ ∩ Δ'') ∖ Δ')."""
-    d, dp, dpp = set(d), set(dp), set(dpp)
-    return (dp - (d | dpp)) | ((d & dpp) - dp)
+    """∇(Δ, Δ', Δ'') = (Δ' ∖ (Δ ∪ Δ'')) ∪ ((Δ ∩ Δ'') ∖ Δ') on int masks, bit k
+    for the k-th divisor: per bit, Δ' XOR the majority of the three."""
+    return dp ^ ((d & dp) | (d & dpp) | (dp & dpp))
 
 
 def twist_factor(face_divisors, da, db, dc):
     """Product of X_v over nabla(da, db, dc) truncated to the face.
 
-    Returns the monomial if every corrected variable is alive on the
-    face, otherwise None (the zero element).
+    The name sets become masks over their sorted union, and the bits of
+    the correction are read back as names.  Returns the monomial if every
+    corrected variable is alive on the face, otherwise None (the zero
+    element).
     """
-    nab = nabla(da, db, dc)
-    if not nab <= set(face_divisors):
+    names = sorted({*face_divisors, *da, *db, *dc})
+    bit = {v: 1 << k for k, v in enumerate(names)}
+    face, a, b, c = (sum({bit[v] for v in vs}) for vs in (face_divisors, da, db, dc))
+    nab = nabla(a, b, c)
+    if nab & ~face:
         return None
-    return mono(*((v, 1) for v in nab))
+    return mono(*((v, 1) for v in names if nab & bit[v]))
 
 
 # ---------------------------------------------------------------------------

@@ -216,11 +216,11 @@ def _section_associativity(ext, rng, exhaustive):
             follow[(b, degree)] = [y for c in range(n) for y in ext.partners((b, c), degree)]
         return follow[(b, degree)]
 
-    def all_triples():
+    def all_pairs():
+        """(x, y, the z after them) of every triple, in basis order."""
         for x in range(len(ext.basis)):
             for y in followers(x, ext.basis[x].degree):
-                for z in followers(y, ext.basis[x].degree + ext.basis[y].degree):
-                    yield x, y, z
+                yield x, y, followers(y, ext.basis[x].degree + ext.basis[y].degree)
 
     def sampled_triples():
         produced = 0
@@ -237,15 +237,24 @@ def _section_associativity(ext, rng, exhaustive):
                 continue
             z = zs[rng.randrange(len(zs))]
             produced += 1
-            yield x, y, z
+            yield x, y, (z,)
 
+    multiply = ext.multiply
     tested = 0
-    for x, y, z in (all_triples() if exhaustive else sampled_triples()):
-        xy = ext.multiply(x, y)
-        yz = ext.multiply(y, z)
-        tested += 1
-        if ext.element_product(xy, {z: 1}) != ext.element_product({x: 1}, yz):
-            return False, tested
+    for x, y, zs in (all_pairs() if exhaustive else sampled_triples()):
+        xy = multiply(x, y)
+        for z in zs:
+            tested += 1
+            # (xy)z and x(yz), each summed over the terms of its inner product
+            left, right = {}, {}
+            for w, c in xy.items():
+                for v, cv in multiply(w, z).items():
+                    left[v] = left.get(v, 0) + c * cv
+            for w, c in multiply(y, z).items():
+                for v, cv in multiply(x, w).items():
+                    right[v] = right.get(v, 0) + c * cv
+            if {v: c for v, c in left.items() if c} != {v: c for v, c in right.items() if c}:
+                return False, tested
     return True, tested
 
 

@@ -243,39 +243,32 @@ def _dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _holds_rows(obj):
-    """Whether a Rows lies in the dict or list obj; its own values are looked at first."""
-    values = obj.values() if isinstance(obj, dict) else obj
-    for v in values:
-        if type(v) is Rows:
-            return True
-    for v in values:
-        if isinstance(v, (dict, list)) and _holds_rows(v):
-            return True
-    return False
-
-
 def _json_parts(obj, parts):
-    """Append the canonical JSON of obj to parts: a dict or list that holds a
-    Rows piece by piece, anything else in one json.dumps."""
+    """Append the canonical JSON of obj to parts: one json.dumps, which
+    rejects a Rows, and only for a dict or list that holds one a walk that
+    writes it piece by piece."""
     if type(obj) is Rows:
         parts += ("[", obj.text, "]")
-    elif isinstance(obj, dict) and _holds_rows(obj):
-        sep = "{"
-        for k in sorted(obj):
-            parts.append(sep + _dumps(k) + ":")
-            _json_parts(obj[k], parts)
-            sep = ","
-        parts.append("}")
-    elif isinstance(obj, list) and _holds_rows(obj):
-        sep = "["
-        for x in obj:
-            parts.append(sep)
-            _json_parts(x, parts)
-            sep = ","
-        parts.append("]")
-    else:
+        return
+    try:
         parts.append(_dumps(obj))
+    except TypeError:
+        if isinstance(obj, dict):
+            sep = "{"
+            for k in sorted(obj):
+                parts.append(sep + _dumps(k) + ":")
+                _json_parts(obj[k], parts)
+                sep = ","
+            parts.append("}")
+        elif isinstance(obj, list):
+            sep = "["
+            for x in obj:
+                parts.append(sep)
+                _json_parts(x, parts)
+                sep = ","
+            parts.append("]")
+        else:
+            raise
 
 
 def emit_json(payload):

@@ -11,6 +11,7 @@ two support-set identities behind the twisted product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -308,8 +309,8 @@ def quadrant_check(phi, components) -> QuadrantReport:
 
 def _nabla(d, dp, dpp):
     # deliberately re-derived here rather than imported: the oracle checks
-    # the engine's formula against an independent transcription
-    return (set(dp) - (set(d) | set(dpp))) | ((set(d) & set(dpp)) - set(dp))
+    # the engine's mask formula against an independent transcription on sets
+    return (dp - (d | dpp)) | ((d & dpp) - dp)
 
 
 @dataclass
@@ -323,8 +324,20 @@ class FuzzReport:
 FUZZ_GROUND = tuple(f"g{i}" for i in range(8))
 
 
+def _fuzz_sets():
+    """The decode table of the fuzz: mask m < 256 -> the frozenset of the
+    FUZZ_GROUND[i] with bit i set in m.  Built per call (about 0.1 ms), so
+    that no process keeps its 256 frozensets."""
+    sets = [frozenset()]
+    for g in FUZZ_GROUND:
+        sets += [s | {g} for s in sets]
+    return dict(enumerate(sets))
+
+
+@functools.cache
 def _fuzz_tables():
-    """One tuple T_s per prefix size s = 0..8 of FUZZ_GROUND.
+    """One tuple T_s of masks per prefix size s = 0..8 of FUZZ_GROUND, built
+    once per process on first use.
 
     Each subset S of the first s elements appears L_s / ((s+1)·C(s,|S|))
     times, where L_s = lcm_k (s+1)·C(s,k), so a uniform entry of T_s has
@@ -336,38 +349,37 @@ def _fuzz_tables():
         length = math.lcm(*weights)
         table = []
         for k, weight in enumerate(weights):
-            for subset in itertools.combinations(FUZZ_GROUND[:s], k):
-                table += [frozenset(subset)] * (length // weight)
+            for subset in itertools.combinations(range(s), k):
+                table += [sum(1 << i for i in subset)] * (length // weight)
         tables.append(tuple(table))
-    return tables
+    return tuple(tables)
 
 
 def _fuzz_quadruples(trials: int, seed: int):
-    """`trials` seeded quadruples of frozensets, two RNG calls each: a
-    prefix size s, then one index below L_s^4 read as four base-L_s
-    digits into T_s (see _fuzz_tables)."""
-    tables = _fuzz_tables()
+    """`trials` seeded quadruples of masks, two RNG calls each: a prefix
+    size s, then one index below L_s^4 read as four base-L_s digits into
+    T_s (see _fuzz_tables)."""
+    tables = [(table, len(table), len(table) ** 4) for table in _fuzz_tables()]
     rng = random.Random(seed)
     for _ in range(trials):
-        table = tables[rng.randrange(len(tables))]
-        n = len(table)
-        i, a = divmod(rng.randrange(n ** 4), n)
+        table, n, n4 = tables[rng.randrange(len(tables))]
+        i, a = divmod(rng.randrange(n4), n)
         i, b = divmod(i, n)
         d, c = divmod(i, n)
         yield table[a], table[b], table[c], table[d]
 
 
-def _fuzz_kinds(engine_nabla, a, b, c, d):
-    """The failure kinds of one quadruple, in report order, as a tuple: the
-    empty tuple is shared by every quadruple that passes."""
+def _fuzz_kinds(engine_nabla, sets, a, b, c, d):
+    """The failure kinds of one quadruple of masks, in report order, as a
+    tuple: the empty tuple is shared by every quadruple that passes."""
     kinds = []
     abc = engine_nabla(a, b, c)
-    if abc != _nabla(a, b, c):
+    if sets.get(abc) != _nabla(sets[a], sets[b], sets[c]):
         kinds.append("transcription")
     acd, bcd, abd = engine_nabla(a, c, d), engine_nabla(b, c, d), engine_nabla(a, b, d)
     if abc | acd != bcd | abd or abc & acd != bcd & abd:
         kinds.append("cocycle")
-    if len(a - b) + len(b - c) != len(a - c) + len(abc):
+    if (a & ~b).bit_count() + (b & ~c).bit_count() != (a & ~c).bit_count() + abc.bit_count():
         kinds.append("degree")
     return tuple(kinds)
 
@@ -383,20 +395,22 @@ def identity_fuzz(trials: int, seed: int) -> FuzzReport:
     nothing else, so each distinct quadruple is checked once per call and
     a repeat records the same failures under its own trial number.
 
-    The engine's nabla returns sets, and for sets A, B, C, D the multiset
-    sums agree, A + B = C + D, exactly when A | B = C | D and
-    A & B = C & D; the cocycle is tested in that form.
+    Sets are int masks over FUZZ_GROUND, as the engine's nabla takes them,
+    and a failure names its sets.  For sets A, B, C, D the multiset sums
+    agree, A + B = C + D, exactly when A | B = C | D and A & B = C & D;
+    the cocycle is tested in that form.
     """
     from .algebra import nabla as engine_nabla
 
+    sets = _fuzz_sets()
     failures = []
     checked = {}
     for t, quad in enumerate(_fuzz_quadruples(trials, seed)):
         kinds = checked.get(quad)
         if kinds is None:
-            kinds = checked[quad] = _fuzz_kinds(engine_nabla, *quad)
+            kinds = checked[quad] = _fuzz_kinds(engine_nabla, sets, *quad)
         for kind in kinds:
-            failures.append({"trial": t, "kind": kind, "sets": [sorted(x) for x in quad]})
+            failures.append({"trial": t, "kind": kind, "sets": [sorted(sets[x]) for x in quad]})
         if len(failures) > 10:
             break
     return FuzzReport(ok=not failures, trials=trials, seed=seed, failures=failures)

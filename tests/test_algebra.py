@@ -26,28 +26,45 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "extsheaf" / "data"
 subsets = st.sets(st.sampled_from("abcdefgh"))
 
 
+def set_nabla(*sets):
+    """nabla on name sets: masks over their sorted union (bit k for the k-th
+    name), and the result decoded back into names."""
+    ground = sorted(set().union(*sets))
+    m = nabla(*(sum(1 << ground.index(v) for v in set(s)) for s in sets))
+    return {v for k, v in enumerate(ground) if m >> k & 1}
+
+
 class TestNabla:
     def test_direct(self):
-        assert nabla({"a"}, {"b"}, {"a"}) == {"a", "b"}
+        assert set_nabla({"a"}, {"b"}, {"a"}) == {"a", "b"}
 
     def test_unit_law(self):
         for dpp in [set(), {"a"}, {"a", "b"}]:
-            assert nabla({"a", "c"}, {"a", "c"}, dpp) == set()
+            assert set_nabla({"a", "c"}, {"a", "c"}, dpp) == set()
 
     def test_singleton(self):
-        assert nabla(set(), {"b"}, set()) == {"b"}
+        assert set_nabla(set(), {"b"}, set()) == {"b"}
+
+    def test_every_four_bit_triple_is_the_set_formula(self):
+        # the engine's bitwise majority form against (Δ' ∖ (Δ ∪ Δ'')) ∪ ((Δ ∩ Δ'') ∖ Δ') on the decoded sets
+        def members(m):
+            return {k for k in range(4) if m >> k & 1}
+
+        for d, dp, dpp in itertools.product(range(16), repeat=3):
+            D, P, Q = members(d), members(dp), members(dpp)
+            assert nabla(d, dp, dpp) == sum(1 << k for k in (P - (D | Q)) | ((D & Q) - P)), (d, dp, dpp)
 
     @given(subsets, subsets, subsets, subsets)
     def test_degree_identity(self, a, b, c, _):
         lhs = len(a - b) + len(b - c)
-        assert lhs == len(a - c) + len(nabla(a, b, c))
+        assert lhs == len(a - c) + len(set_nabla(a, b, c))
 
     @given(subsets, subsets, subsets, subsets)
     def test_cocycle_multiset(self, a, b, c, d):
         from collections import Counter
 
-        left = Counter(nabla(a, b, c)) + Counter(nabla(a, c, d))
-        right = Counter(nabla(b, c, d)) + Counter(nabla(a, b, d))
+        left = Counter(set_nabla(a, b, c)) + Counter(set_nabla(a, c, d))
+        right = Counter(set_nabla(b, c, d)) + Counter(set_nabla(a, b, d))
         assert left == right
 
 
@@ -159,7 +176,7 @@ class TestTwistedProduct:
             for f, a, b, c, d1, x, d2, y in _composable(H):
                 z = H.compose(a, b, c, f, H.code(x), H.code(y))
                 sac = H.blocks[(a, c)].support
-                nab = nabla(orbits[a], orbits[b], orbits[c])
+                nab = set_nabla(orbits[a], orbits[b], orbits[c])
                 if f not in sac.members() or not nab <= set(FacePoint.from_key(sac.rep(f)).orbit):
                     assert z is None, (name, f, a, b, c)
                     continue

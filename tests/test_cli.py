@@ -7,6 +7,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from extsheaf import cli
@@ -746,3 +747,25 @@ class TestMutatedDocuments:
         p = _edited(tmp_path, "p1_halfint", lambda d: d["toric"].update(rays=[], max_cones=[]))
         code, payload = invoke_json("--input", str(p), "--command", "validate")
         assert code == 2 and "no maximal cones" in payload["error"]["message"]
+
+
+class TestEmitJsonWithoutRows:
+    """Only ext puts a Rows in its payload: any other payload is written by
+    one json.dumps, with no walk over it."""
+
+    def test_one_dumps(self, monkeypatch):
+        calls = []
+        real = cli._dumps
+        monkeypatch.setattr(cli, "_dumps", lambda obj: calls.append(obj) or real(obj))
+        for command in ("hilbert", "check-all"):
+            calls.clear()
+            code, text = invoke("--input", str(DATA / "p1_trivial.json"), "--command", command)
+            assert code == 0, command
+            assert len(calls) == 1 and text == real(calls[0]) + "\n", command
+        calls.clear()
+        code, text = invoke("--input", str(DATA / "p1_trivial.json"), "--command", "ext")
+        assert code == 0 and len(calls) > 1
+
+    def test_a_value_json_cannot_write_still_raises(self):
+        with pytest.raises(TypeError):
+            cli.emit_json({"a": [1, {"b": object()}]})

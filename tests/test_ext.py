@@ -1202,3 +1202,45 @@ class TestStalkChains:
             degrees = [H.blocks[key].stalk(f).degree_of[lab]
                        for key, lab in (((a, b), x), ((b, c), y), ((c, d), z))]
             assert sum(degrees) <= H.cutoff
+
+
+class TestSectionAssociativity:
+    """ext.associativity sums (xy)z and x(yz) over the terms of xy and yz.
+    It must give the verdict and triples_tested of two element_product calls
+    per triple, over the same triples in the same order."""
+
+    @staticmethod
+    def reference(ext):
+        n = len(ext.catalog)
+
+        def followers(x, degree):
+            b = ext.basis[x].block[1]
+            return [y for c in range(n) for y in ext.partners((b, c), degree)]
+
+        tested = 0
+        for x in range(len(ext.basis)):
+            for y in followers(x, ext.basis[x].degree):
+                for z in followers(y, ext.basis[x].degree + ext.basis[y].degree):
+                    tested += 1
+                    if (ext.element_product(ext.multiply(x, y), {z: 1})
+                            != ext.element_product({x: 1}, ext.multiply(y, z))):
+                        return False, tested
+        return True, tested
+
+    @pytest.mark.parametrize("name", ["p1_trivial", "canonical_l1", "synthetic_symmetric_rank1"])
+    def test_same_verdict_and_count(self, monkeypatch, name):
+        ext = ext_algebra(_document_H(name, cutoff=20))
+        assert len(ext.basis) <= checks.EXHAUSTIVE_BASIS
+        want = self.reference(ext)
+        assert want[0] and want[1] > 0
+        assert checks._section_associativity(ext, random.Random(0), True) == want
+        # one product doubled: both forms stop at the same triple
+        real = ext.multiply
+        x, y = next((x, y) for x in range(len(ext.basis)) for y in range(len(ext.basis))
+                    if ext.basis[x].degree and ext.basis[x].block[1] == ext.basis[y].block[0]
+                    and ext.basis[x].degree + ext.basis[y].degree <= ext.cutoff and real(x, y))
+        monkeypatch.setattr(ext, "multiply", lambda u, v: {z: 2 * c for z, c in real(u, v).items()}
+                            if (u, v) == (x, y) else real(u, v))
+        want = self.reference(ext)
+        assert not want[0]
+        assert checks._section_associativity(ext, random.Random(0), True) == want
